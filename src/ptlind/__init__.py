@@ -21,7 +21,6 @@ from .liouville import (
     average_damping,
     build_superoperator,
     dissipator_superoperator,
-    full_basis_labels,
     hermiticity_residual,
     left_identity_residual,
     propagator,

@@ -42,7 +42,14 @@ from .liouville import (
 )
 from .operators import SIGMA_MINUS, SIGMA_Z
 from .perturbation import degeneracy_report, population_matrix
-from .spectral import SpectralDecomposition, classify_cross, eig_biortho, verify_d2
+from .spectral import (
+    DEFAULT_TAU_REL,
+    DEGENERACY_REL_TOL,
+    SpectralDecomposition,
+    classify_cross,
+    eig_biortho,
+    verify_d2,
+)
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
 from .xxz import XXZParams, sector_basis, spin_current, xxz_model
@@ -53,10 +60,10 @@ _MODELS = ("xxz", "single_qubit", "custom")
 _SECTORS = ("full", "dmz0")
 
 TOLERANCES = {
-    "tau_rel": 1e-8,
+    "tau_rel": DEFAULT_TAU_REL,
     "pt_residual": 1e-12,
     "hermiticity_residual": 1e-13,
-    "degeneracy_rel": 1e-8,
+    "degeneracy_rel": DEGENERACY_REL_TOL,
 }
 
 

@@ -43,7 +43,7 @@ class ConvergenceFailure(NumericalError):
 
 
 class SectorNotInvariant(NumericalError):
-    """Requested basis pairs couple to the discarded ones beyond tolerance."""
+    """Requested basis positions couple to the discarded ones beyond tolerance."""
 
 
 class NoZeroMode(NumericalError):

@@ -25,7 +25,6 @@ from .operators import dagger, mat_exp, vec
 __all__ = [
     "LindbladModel",
     "SuperOperator",
-    "full_basis_labels",
     "build_superoperator",
     "dissipator_superoperator",
     "traceless_dissipator",
@@ -75,34 +74,30 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
 
-def full_basis_labels(hilbert_dim: int) -> tuple:
-    """All operator-basis pairs (j, k) in flat row-major order."""
-    return tuple((j, k) for j in range(hilbert_dim) for k in range(hilbert_dim))
-
-
 @dataclass(frozen=True)
 class SuperOperator:
     """A matrix acting on vectorised operators, plus its basis bookkeeping.
 
-    ``basis_labels`` lists the (j, k) pairs spanned by the rows/columns, in
-    order; for a full-space superoperator this is all N^2 pairs in flat
-    row-major order.
+    ``index`` (int64) holds, for each row/column in order, the flat row-major
+    position ``j*N + k`` of the operator-basis element ``|j><k|`` it spans.
+    Omitted, it is the full space ``arange(N^2)``.
     """
 
     matrix: np.ndarray
     hilbert_dim: int
-    basis_labels: tuple = field(repr=False)
+    index: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"superoperator matrix must be square, got {m.shape}")
-        if m.shape[0] != len(self.basis_labels):
-            raise ValidationError(
-                f"matrix dim {m.shape[0]} does not match {len(self.basis_labels)} basis labels"
-            )
+        index = np.arange(self.hilbert_dim**2) if self.index is None else self.index
+        index = np.array(index, dtype=np.int64)
+        index.flags.writeable = False
+        if index.shape != (m.shape[0],):
+            raise ValidationError(f"matrix dim {m.shape[0]} does not match {index.size} positions")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        object.__setattr__(self, "index", index)
 
     @property
     def dim(self) -> int:
@@ -113,20 +108,23 @@ class SuperOperator:
         return self.dim == self.hilbert_dim**2
 
     def trace_vector(self) -> np.ndarray:
-        """Vector t with t[i] = 1 on diagonal pairs, so t . x = tr(unvec(x))."""
-        return np.array([1.0 if j == k else 0.0 for (j, k) in self.basis_labels])
+        """Vector t with t[i] = 1 on diagonal elements |j><j|, so t . x = tr(unvec(x))."""
+        j, k = np.divmod(self.index, self.hilbert_dim)
+        return (j == k).astype(float)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply to an operator (full space) or an already-vectorised state."""
+        """Apply to an operator (full space) or a state vectorised in ``index`` order."""
         x = np.asarray(rho, dtype=complex)
         if x.ndim == 2:
             if not self.is_full_space:
                 raise ValidationError("matrix-valued apply needs a full-space superoperator")
-            return (self.matrix @ vec(x)).reshape(x.shape)
+            out = np.empty(self.dim, dtype=complex)
+            out[self.index] = self.matrix @ vec(x)[self.index]
+            return out.reshape(x.shape)
         return self.matrix @ x
 
     def replace_matrix(self, matrix: np.ndarray) -> "SuperOperator":
-        return SuperOperator(matrix, self.hilbert_dim, self.basis_labels)
+        return SuperOperator(matrix, self.hilbert_dim, self.index)
 
 
 def _dissipator_matrix(model: LindbladModel) -> np.ndarray:
@@ -149,12 +147,12 @@ def _hamiltonian_matrix(h: np.ndarray) -> np.ndarray:
 def build_superoperator(model: LindbladModel) -> SuperOperator:
     """Full generator ``-i ad H + gamma D`` as an N^2 x N^2 matrix."""
     matrix = _hamiltonian_matrix(model.hamiltonian) + model.gamma * _dissipator_matrix(model)
-    return SuperOperator(matrix, model.dim, full_basis_labels(model.dim))
+    return SuperOperator(matrix, model.dim)
 
 
 def dissipator_superoperator(model: LindbladModel) -> SuperOperator:
     """The dissipator ``D`` alone (independent of gamma)."""
-    return SuperOperator(_dissipator_matrix(model), model.dim, full_basis_labels(model.dim))
+    return SuperOperator(_dissipator_matrix(model), model.dim)
 
 
 def traceless_dissipator(model: LindbladModel, tol: float = 1e-9) -> SuperOperator:
@@ -170,7 +168,7 @@ def traceless_dissipator(model: LindbladModel, tol: float = 1e-9) -> SuperOperat
         raise ValidationError(
             f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
         )
-    return SuperOperator(dis + np.eye(n2), model.dim, full_basis_labels(model.dim))
+    return SuperOperator(dis + np.eye(n2), model.dim)
 
 
 def average_damping(sup: SuperOperator) -> float:
@@ -195,17 +193,27 @@ def propagator(sup: SuperOperator, t: float) -> SuperOperator:
     return sup.replace_matrix(mat_exp(t * sup.matrix))
 
 
+def _positions(index: np.ndarray, hilbert_dim: int) -> np.ndarray:
+    """Row holding each flat position ``j*N + k`` of ``index``; -1 where absent."""
+    pos = np.full(hilbert_dim**2, -1, dtype=np.int64)
+    pos[index] = np.arange(index.size)
+    return pos
+
+
+def _conjugate_rows(index: np.ndarray, hilbert_dim: int) -> np.ndarray:
+    """Row holding ``|k><j|`` for each row ``|j><k|`` of ``index``; -1 where absent."""
+    j, k = np.divmod(index, hilbert_dim)
+    return _positions(index, hilbert_dim)[k * hilbert_dim + j]
+
+
 def _swap_conjugate(sup: SuperOperator) -> np.ndarray:
     """Conjugation of the superoperator by the antilinear map rho -> rho^dag."""
-    labels = sup.basis_labels
-    pos = {lab: i for i, lab in enumerate(labels)}
-    try:
-        perm = np.array([pos[(k, j)] for (j, k) in labels])
-    except KeyError as exc:
+    perm = _conjugate_rows(sup.index, sup.hilbert_dim)
+    if np.any(perm < 0):
         raise ValidationError(
-            "basis labels are not closed under (j, k) -> (k, j); "
+            "basis is not closed under |j><k| -> |k><j|; "
             "hermiticity conjugation is undefined on this sector"
-        ) from exc
+        )
     conj = sup.matrix.conj()
     return conj[np.ix_(perm, perm)]
 
@@ -223,31 +231,32 @@ def hermiticity_residual(sup: SuperOperator) -> float:
 
 
 def sector_restrict(sup: SuperOperator, keep, tol: float = 1e-12) -> SuperOperator:
-    """Principal submatrix on the basis pairs ``keep``.
+    """Principal submatrix on the distinct flat positions ``keep`` (``j*N + k``), in order.
 
-    The kept pairs must form an invariant block: any coupling between kept
-    and dropped pairs above ``tol`` (relative to the largest matrix entry)
+    ``sup`` itself is returned when ``keep`` equals ``sup.index``.  The kept
+    positions must form an invariant block: any coupling between kept and
+    dropped positions above ``tol`` (relative to the largest matrix entry)
     raises :class:`SectorNotInvariant`.  Extraction keeps the exact generator
     of the block, with no projector sandwiching.
     """
-    keep = tuple(tuple(p) for p in keep)
-    pos = {lab: i for i, lab in enumerate(sup.basis_labels)}
-    missing = [p for p in keep if p not in pos]
-    if missing:
-        raise ValidationError(f"basis pairs not present in this superoperator: {missing[:4]}")
-    idx = np.array([pos[p] for p in keep], dtype=int)
+    keep = np.asarray(keep)
+    if keep.ndim != 1 or (keep.size and keep.dtype.kind not in "iu"):
+        raise ValidationError("sector positions must be a 1-D integer array of j*N + k")
+    keep = keep.astype(np.int64)
+    n2 = sup.hilbert_dim**2
+    if np.any((keep < 0) | (keep >= n2)) or np.unique(keep).size != keep.size:
+        raise ValidationError(f"sector positions must be distinct and lie in 0..{n2 - 1}")
+    idx = _positions(sup.index, sup.hilbert_dim)[keep]
+    if np.any(idx < 0):
+        raise ValidationError(f"positions not in this superoperator: {keep[idx < 0][:4].tolist()}")
     if np.array_equal(idx, np.arange(sup.dim)):
         return sup
-    mask = np.ones(sup.dim, dtype=bool)
-    mask[idx] = False
-    dropped = np.where(mask)[0]
+    dropped = np.setdiff1d(np.arange(sup.dim), idx)
     scale = max(1.0, np.abs(sup.matrix).max(initial=0.0))
-    coupling = 0.0
-    if dropped.size and idx.size:
-        coupling = max(
-            np.abs(sup.matrix[np.ix_(idx, dropped)]).max(initial=0.0),
-            np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
-        )
+    coupling = max(
+        np.abs(sup.matrix[np.ix_(idx, dropped)]).max(initial=0.0),
+        np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
+    )
     if coupling > tol * scale:
         raise SectorNotInvariant(
             f"cross-sector coupling {coupling:.3e} exceeds {tol:.1e} * {scale:.3e}"

@@ -136,14 +136,10 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
 
 def site_reversal(n_sites: int) -> np.ndarray:
     """Permutation that reverses the site order j <-> n+1-j."""
-    dim = 2**n_sites
-    r = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        bits = [(idx >> (n_sites - 1 - s)) & 1 for s in range(n_sites)]
-        jdx = 0
-        for b in reversed(bits):
-            jdx = (jdx << 1) | b
-        r[jdx, idx] = 1.0
+    states = np.arange(2**n_sites)
+    reversed_states = sum(((states >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
+    r = np.zeros((states.size, states.size), dtype=complex)
+    r[reversed_states, states] = 1.0
     return r
 
 
@@ -194,11 +190,8 @@ def product_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def transpose_permutation(dim: int) -> np.ndarray:
     """Permutation matrix sending ``vec(rho)`` to ``vec(rho.T)``."""
-    p = np.zeros((dim * dim, dim * dim))
-    for j in range(dim):
-        for k in range(dim):
-            p[k * dim + j, j * dim + k] = 1.0
-    return p
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    return np.eye(dim * dim)[flat.T.reshape(-1)]
 
 
 def almost_equal(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> bool:

@@ -34,7 +34,7 @@ from .liouville import (
     traceless_dissipator,
 )
 from .operators import vec
-from .spectral import DEGENERACY_REL_TOL, eig_biortho
+from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, eig_biortho
 
 __all__ = [
     "PerturbationReport",
@@ -126,8 +126,8 @@ class VelocityReport:
 def velocity_check(
     model: LindbladModel,
     dgamma: float = 1e-5,
-    sector: tuple | None = None,
-    line_tol_rel: float = 1e-8,
+    sector: np.ndarray | None = None,
+    line_tol_rel: float = DEFAULT_TAU_REL,
     cluster_rel: float = DEGENERACY_REL_TOL,
 ) -> VelocityReport:
     """Compare ``<v, D u>`` with centred finite differences of the spectrum.

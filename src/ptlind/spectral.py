@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceFailure, NoZeroMode, ValidationError
-from .liouville import SuperOperator
+from .liouville import SuperOperator, _conjugate_rows
 
 __all__ = [
     "SpectralDecomposition",
@@ -41,7 +41,10 @@ __all__ = [
     "left_steady_vector",
 ]
 
+# Per unit spectral radius: distance to a symmetry line, and degeneracy gap.
+DEFAULT_TAU_REL = 1e-8
 DEGENERACY_REL_TOL = 1e-8
+_CLUSTER_ROWS = 128
 
 
 def collinearity_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -70,7 +73,8 @@ class SpectralDecomposition:
     ``<u_j, v_k> = delta_jk`` whenever both indices are outside degenerate
     clusters; ``clusters`` lists the index groups that were too close to
     separate, and ``residuals[k]`` is ``|L u_k - lambda_k u_k|`` with
-    ``|u_k| = 1``.
+    ``|u_k| = 1``.  ``index`` holds the flat basis positions ``j*N + k`` of
+    the vector entries, as in :class:`SuperOperator`.
     """
 
     eigenvalues: np.ndarray
@@ -80,7 +84,7 @@ class SpectralDecomposition:
     clusters: tuple
     matrix_norm: float
     hilbert_dim: int
-    basis_labels: tuple = field(repr=False)
+    index: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -99,28 +103,28 @@ class SpectralDecomposition:
 
 
 def _cluster_close_eigenvalues(w: np.ndarray, tol: float) -> tuple:
-    """Connected components of eigenvalues closer than ``tol`` to each other."""
-    order = np.argsort(w.real, kind="stable")
-    parent = list(range(w.size))
+    """Connected components of eigenvalues closer than ``tol`` to each other.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(w.size):
-        i = order[a]
-        for b in range(a + 1, w.size):
-            j = order[b]
-            if w[j].real - w[i].real > tol:
-                break
-            if abs(w[i] - w[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(w.size):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+    The pairs (i, j) with ``|w_i - w_j| <= tol`` are collected a block of
+    rows at a time, which keeps the n x n distance matrix out of memory.
+    Each eigenvalue then takes the smallest label among its neighbours until
+    nothing changes; every component ends up labelled by its smallest index.
+    """
+    if w.size == 0:
+        return ()
+    edges = np.concatenate([
+        np.argwhere(np.abs(w[start:start + _CLUSTER_ROWS, None] - w) <= tol) + (start, 0)
+        for start in range(0, w.size, _CLUSTER_ROWS)
+    ])
+    labels = np.arange(w.size)
+    while True:
+        lowest = labels.copy()
+        np.minimum.at(lowest, edges[:, 0], labels[edges[:, 1]])
+        if np.array_equal(lowest, labels):
+            break
+        labels = lowest
+    roots, counts = np.unique(labels, return_counts=True)
+    return tuple(tuple(np.flatnonzero(labels == r).tolist()) for r in roots[counts > 1])
 
 
 def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> SpectralDecomposition:
@@ -140,32 +144,29 @@ def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> 
 
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     clusters = _cluster_close_eigenvalues(w, cluster_rel * scale)
-    clustered = set(i for g in clusters for i in g)
+    simple = ~np.isin(np.arange(w.size), [i for g in clusters for i in g])
 
     # LAPACK returns left vectors x with x^H m = lambda x^H, i.e. m^dag x = conj(lambda) x.
-    # Rescale v so that <u, v> = 1 for every simple pair.
-    for k in range(w.size):
-        nrm = np.linalg.norm(vr[:, k])
-        if nrm > 0:
-            vr[:, k] /= nrm
-        if k in clustered:
-            continue
-        d = np.vdot(vr[:, k], vl[:, k])
-        if abs(d) < 1e-14:
-            continue  # numerically defective; leave unnormalised
-        vl[:, k] /= d
+    # Rescale v so that <u, v> = 1 for every simple pair; pairs with |<u, v>| < 1e-14
+    # are numerically defective and stay unnormalised.
+    # Norms go column by column: norm(vr, axis=0) rounds the last bit differently (it
+    # reaches the steady state), and on the residual it holds two n x n temporaries.
+    nrm = np.array([np.linalg.norm(vr[:, k]) for k in range(w.size)])
+    vr /= np.where(nrm > 0, nrm, 1.0)
+    d = np.einsum("ij,ij->j", vr.conj(), vl)
+    vl /= np.where(simple & (np.abs(d) >= 1e-14), d, 1.0)
+    mv = m @ vr
+    residuals = np.array([np.linalg.norm(mv[:, k] - w[k] * vr[:, k]) for k in range(w.size)])
 
-    mnorm = float(np.linalg.norm(m))
-    residuals = np.array([np.linalg.norm(m @ vr[:, k] - w[k] * vr[:, k]) for k in range(w.size)])
     return SpectralDecomposition(
         eigenvalues=w,
         right_vectors=vr,
         left_vectors=vl,
         residuals=residuals,
         clusters=clusters,
-        matrix_norm=mnorm,
+        matrix_norm=float(np.linalg.norm(m)),
         hilbert_dim=sup.hilbert_dim,
-        basis_labels=sup.basis_labels,
+        index=sup.index,
     )
 
 
@@ -182,7 +183,8 @@ def steady_state(dec: SpectralDecomposition, tol_rel: float = 1e-9) -> np.ndarra
             f"above {tol_rel:.1e} * {dec.matrix_norm:.3e}"
         )
     u = dec.right_vectors[:, k]
-    trace = sum(u[i] for i, (j, kk) in enumerate(dec.basis_labels) if j == kk)
+    j, kk = np.divmod(dec.index, dec.hilbert_dim)
+    trace = sum(u[j == kk])
     if abs(trace) < 1e-300:
         raise NoZeroMode("zero mode has vanishing trace; cannot normalise to a state")
     return u / trace
@@ -208,7 +210,7 @@ class CrossClassification:
 
 
 def classify_cross(
-    dec: SpectralDecomposition, gamma_bar: float, tau_rel: float = 1e-8
+    dec: SpectralDecomposition, gamma_bar: float, tau_rel: float = DEFAULT_TAU_REL
 ) -> CrossClassification:
     """Assign every eigenvalue to the horizontal line, the vertical line, or neither."""
     if tau_rel <= 0:
@@ -298,13 +300,6 @@ class PartnerReport:
     max_eigenvalue_mismatch: float
 
 
-def _conjugate_transpose_vec(x: np.ndarray, labels: tuple, label_pos: dict) -> np.ndarray:
-    out = np.empty_like(x)
-    for i, (j, k) in enumerate(labels):
-        out[label_pos[(k, j)]] = np.conj(x[i])
-    return out
-
-
 def pt_partner_check(
     dec: SpectralDecomposition,
     parity,
@@ -313,10 +308,10 @@ def pt_partner_check(
 ) -> PartnerReport:
     """Verify the eigenvector relations behind the two spectral reflections."""
     w = dec.eigenvalues
-    p = parity.matrix_on(dec.basis_labels)
-    label_pos = {lab: i for i, lab in enumerate(dec.basis_labels)}
-    if any((k, j) not in label_pos for (j, k) in dec.basis_labels):
-        raise ValidationError("basis labels are not closed under conjugation (j,k) -> (k,j)")
+    p = parity.matrix_on(dec.index)
+    conj = _conjugate_rows(dec.index, dec.hilbert_dim)
+    if np.any(conj < 0):
+        raise ValidationError("basis is not closed under conjugation |j><k| -> |k><j|")
     scale = max(1.0, dec.spectral_radius)
     worst = 0.0
     worst_match = 0.0
@@ -340,7 +335,7 @@ def pt_partner_check(
             worst = max(worst, collinearity_error(dec.right_vectors[:, beta], p @ dec.left_vectors[:, k]))
             worst = max(worst, collinearity_error(dec.left_vectors[:, beta], p @ dec.right_vectors[:, k]))
         if dec.is_simple(eta):
-            u_dag = _conjugate_transpose_vec(dec.right_vectors[:, k], dec.basis_labels, label_pos)
+            u_dag = dec.right_vectors[conj, k].conj()
             worst = max(worst, collinearity_error(dec.right_vectors[:, eta], u_dag))
     return PartnerReport(
         max_vector_error=float(worst),

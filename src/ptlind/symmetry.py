@@ -58,16 +58,11 @@ class ParitySuperOp:
         return self.left_op.shape[0]
 
     def as_superoperator(self) -> SuperOperator:
-        from .liouville import full_basis_labels
+        return SuperOperator(self.matrix, self.hilbert_dim)
 
-        return SuperOperator(self.matrix, self.hilbert_dim, full_basis_labels(self.hilbert_dim))
-
-    def matrix_on(self, basis_labels) -> np.ndarray:
-        """Matrix restricted to an invariant list of basis pairs."""
-        labels = tuple(tuple(p) for p in basis_labels)
-        if len(labels) == self.hilbert_dim**2:
-            return self.matrix
-        return sector_restrict(self.as_superoperator(), labels).matrix
+    def matrix_on(self, index) -> np.ndarray:
+        """Matrix on the invariant flat basis positions ``index``, in their order."""
+        return sector_restrict(self.as_superoperator(), index).matrix
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -123,7 +118,7 @@ class SymmetryReport:
 
 def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     """Relative residual of ``(L')^dag = - P L' P`` for the traceless part."""
-    p = parity.matrix_on(liou.basis_labels)
+    p = parity.matrix_on(liou.index)
     lp = traceless_part(liou).matrix
     res = np.linalg.norm(dagger(lp) + p @ lp @ p) / max(1.0, np.linalg.norm(lp))
     return SymmetryReport(
@@ -153,7 +148,7 @@ def check_inversion(liou: SuperOperator, parity: ParitySuperOp, t: float) -> flo
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     gamma_bar = average_damping(liou)
-    p = parity.matrix_on(liou.basis_labels)
+    p = parity.matrix_on(liou.index)
     u_neg = propagator(liou, -t).matrix
     u_pos = propagator(liou, t).matrix
     rhs = np.exp(2.0 * gamma_bar * t) * (p @ dagger(u_pos) @ p)

@@ -23,7 +23,13 @@ import numpy as np
 from .errors import BracketInvalid, ValidationError
 from .liouville import SuperOperator, build_superoperator, propagator, sector_restrict
 from .operators import dagger, unvec, vec
-from .spectral import CrossClassification, classify_cross, eig_biortho, steady_state
+from .spectral import (
+    DEFAULT_TAU_REL,
+    CrossClassification,
+    classify_cross,
+    eig_biortho,
+    steady_state,
+)
 from .xxz import XXZParams, sector_basis, xxz_model
 
 __all__ = [
@@ -37,21 +43,12 @@ __all__ = [
     "coherence_probe_state",
 ]
 
-DEFAULT_TAU_REL = 1e-8
-
-
-def _sector_labels(params: XXZParams, sector: str):
-    if sector == "full":
-        return None
-    if sector == "dmz0":
-        return sector_basis(params.n_sites, 0)
-    raise ValidationError(f"unknown sector {sector!r}; use 'full' or 'dmz0'")
-
 
 def _build(params: XXZParams, sector: str) -> SuperOperator:
+    if sector not in ("full", "dmz0"):
+        raise ValidationError(f"unknown sector {sector!r}; use 'full' or 'dmz0'")
     sup = build_superoperator(xxz_model(params))
-    labels = _sector_labels(params, sector)
-    return sup if labels is None else sector_restrict(sup, labels)
+    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
 
 
 def is_unbroken(

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .liouville import LindbladModel, SuperOperator, full_basis_labels
-from .operators import BasisConvention, global_spin_flip, site_operator
+from .liouville import LindbladModel, SuperOperator
+from .operators import global_spin_flip, site_operator
 
 __all__ = [
     "XXZParams",
@@ -114,18 +114,18 @@ def spin_current(n_sites: int) -> np.ndarray:
     return j_op
 
 
-def sector_basis(n_sites: int, dmz: int = 0) -> tuple:
-    """Operator-basis pairs (j, k) whose bra and ket magnetizations differ by ``dmz``.
+def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
+    """Ascending int64 positions ``j*N + k`` of ``|j><k|`` whose magnetizations differ by ``dmz``.
 
     ``dmz = 0`` is the block containing the identity, all energy-eigenbasis
     populations, the steady state, and the spin current.
     """
     if abs(dmz) > 2 * n_sites:
         raise ValidationError(f"|dmz| = {abs(dmz)} exceeds 2n = {2 * n_sites}")
-    conv = BasisConvention(n_sites)
-    dim = conv.hilbert_dim
-    mags = [conv.magnetization(j) for j in range(dim)]
-    return tuple((j, k) for j in range(dim) for k in range(dim) if mags[j] - mags[k] == dmz)
+    states = np.arange(2**n_sites)
+    down = sum((states >> site) & 1 for site in range(n_sites))
+    mags = n_sites - 2 * down
+    return np.flatnonzero(mags[:, None] - mags == dmz)
 
 
 def ladder_vectorization_map(n_sites: int) -> np.ndarray:
@@ -175,7 +175,7 @@ def ladder_liouvillian(params: XXZParams) -> SuperOperator:
     """
     pi = ladder_vectorization_map(params.n_sites)
     matrix = pi @ ladder_matrix(params) @ pi
-    return SuperOperator(matrix, params.hilbert_dim, full_basis_labels(params.hilbert_dim))
+    return SuperOperator(matrix, params.hilbert_dim)
 
 
 def row_superoperators(params: XXZParams) -> tuple:
@@ -186,7 +186,4 @@ def row_superoperators(params: XXZParams) -> tuple:
     Their sum is the full generator exactly.
     """
     pi = ladder_vectorization_map(params.n_sites)
-    labels = full_basis_labels(params.hilbert_dim)
-    return tuple(
-        SuperOperator(pi @ row @ pi, params.hilbert_dim, labels) for row in _ladder_rows(params)
-    )
+    return tuple(SuperOperator(pi @ row @ pi, params.hilbert_dim) for row in _ladder_rows(params))

@@ -145,7 +145,7 @@ class TestSpectrumCommand:
             clusters=(),
             matrix_norm=0.0,
             hilbert_dim=0,
-            basis_labels=(),
+            index=np.zeros(0, dtype=np.int64),
         )
         with pytest.raises(ValidationError):
             write_spectrum_csv(empty, str(tmp_path / "empty.csv"))

@@ -9,7 +9,6 @@ from ptlind import (
     average_damping,
     build_superoperator,
     dissipator_superoperator,
-    full_basis_labels,
     hermiticity_residual,
     left_identity_residual,
     propagator,
@@ -149,12 +148,16 @@ class TestHermiticityResidual:
             assert hermiticity_residual(sup) <= 1e-13
 
     def test_multiplication_by_i_breaks_it(self):
-        sup = SuperOperator(1j * np.eye(4), 2, full_basis_labels(2))
+        sup = SuperOperator(1j * np.eye(4), 2, np.arange(4))
         assert hermiticity_residual(sup) == pytest.approx(2.0)
 
     def test_closed_system(self, rng):
         model = LindbladModel(random_hermitian(rng, 3), (np.zeros((3, 3)),), 0.0)
         assert hermiticity_residual(build_superoperator(model)) <= 1e-14
+
+    def test_zero_magnetization_block(self):
+        sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
+        assert hermiticity_residual(sector_restrict(sup, sector_basis(3, 0))) <= 1e-13
 
 
 class TestSectorRestrict:
@@ -164,9 +167,18 @@ class TestSectorRestrict:
         assert sub.dim == 70
         assert sub.hilbert_dim == 16
 
+    def test_index_is_a_private_read_only_copy(self):
+        sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
+        keep = sector_basis(2, 0)
+        sub = sector_restrict(sup, keep)
+        keep[0] = 1
+        assert sub.index.tolist() == sector_basis(2, 0).tolist()
+        with pytest.raises(ValueError):
+            sub.index[0] = 1
+
     def test_keep_all_is_identity(self, rng):
         sup = build_superoperator(random_model(rng, dim=3))
-        assert sector_restrict(sup, full_basis_labels(3)) is sup
+        assert sector_restrict(sup, np.arange(9)) is sup
 
     def test_n2_sector_spectrum_is_subset(self):
         sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
@@ -179,12 +191,36 @@ class TestSectorRestrict:
     def test_non_invariant_sector_rejected(self):
         sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
         with pytest.raises(SectorNotInvariant):
-            sector_restrict(sup, [(0, 0), (1, 1)])
+            sector_restrict(sup, [0, 5])  # |0><0|, |1><1| with N = 4
 
     def test_unknown_labels_rejected(self, rng):
         sup = build_superoperator(random_model(rng, dim=2))
         with pytest.raises(ValidationError):
-            sector_restrict(sup, [(5, 5)])
+            sector_restrict(sup, [15])  # |5><5| with N = 2
+
+    def test_repeated_positions_rejected(self):
+        sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
+        keep = sector_basis(3, 0)
+        with pytest.raises(ValidationError):
+            sector_restrict(sup, np.append(keep, keep[0]))
+
+    @pytest.mark.parametrize("keep", [[-1], [4], [0, 1, 2, 3, 4], [0.0, 3.0], [(0, 0), (1, 1)]])
+    def test_malformed_positions_rejected(self, rng, keep):
+        sup = build_superoperator(random_model(rng, dim=2))
+        with pytest.raises(ValidationError):
+            sector_restrict(sup, keep)
+
+    def test_positions_absent_from_a_sector_rejected(self):
+        sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
+        sub = sector_restrict(sup, sector_basis(2, 0))
+        with pytest.raises(ValidationError):
+            sector_restrict(sub, sector_basis(2, 2))
+
+    def test_permuted_full_basis_applies_like_the_original(self, rng):
+        sup = build_superoperator(random_model(rng, dim=3))
+        permuted = sector_restrict(sup, rng.permutation(9))
+        rho = random_density(rng, 3)
+        assert np.abs(permuted.apply(rho) - sup.apply(rho)).max() <= 1e-12
 
 
 class TestGeneratorInvariants:

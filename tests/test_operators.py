@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,14 @@ class TestChainPermutations:
     def test_reversal_is_involution(self):
         r = site_reversal(3)
         assert np.array_equal(r @ r, np.eye(8))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reversal_reverses_bit_order(self, n):
+        conv = BasisConvention(n)
+        r = site_reversal(n)
+        for bits in itertools.product((0, 1), repeat=n):
+            assert r[conv.state_index(bits[::-1]), conv.state_index(bits)] == 1.0
+        assert np.count_nonzero(r) == 2**n
 
     def test_reversal_moves_site_operators(self):
         r = site_reversal(3)

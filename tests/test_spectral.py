@@ -9,7 +9,6 @@ from ptlind import (
     classify_cross,
     collinearity_error,
     eig_biortho,
-    full_basis_labels,
     left_steady_vector,
     pt_partner_check,
     sector_restrict,
@@ -80,6 +79,21 @@ class TestEigBiortho:
         assert dec.dim == 70
         assert dec.eigenvalues.real.max() <= 1e-10
 
+    def test_chain_of_close_eigenvalues_is_one_cluster(self):
+        # a-b and b-c are within tol = 1e-8, a-c is not; the cluster is transitive
+        sup = SuperOperator(np.diag([0.0, 0.6e-8, 1.2e-8, 1.0]), 2)
+        dec = eig_biortho(sup)
+        assert dec.eigenvalues.real.tolist() == [1.0, 1.2e-8, 0.6e-8, 0.0]
+        assert dec.clusters == ((1, 2, 3),)
+
+    def test_chain_across_a_long_spectrum_is_one_cluster(self):
+        # 300 eigenvalues, tol = 2e-8 (radius 2); a neighbour-only chain straddles index 128
+        w = np.linspace(2.0, 1.0, 300)
+        w[126:131] = w[126] - 1.5e-8 * np.arange(5)
+        dec = eig_biortho(SuperOperator(np.diag(w), 18, np.arange(300)))
+        assert np.array_equal(dec.eigenvalues.real, w)
+        assert dec.clusters == ((126, 127, 128, 129, 130),)
+
 
 class TestSteadyState:
     def test_single_qubit_ground_state(self):
@@ -106,9 +120,18 @@ class TestSteadyState:
         assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -1e-9
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
+    def test_sector_matches_full_space(self):
+        n = 4
+        sup = build_superoperator(xxz_model(XXZParams(n, 0.5, 1.0, 0.02)))
+        index = sector_basis(n, 0)
+        full = steady_state(eig_biortho(sup))
+        sector = steady_state(eig_biortho(sector_restrict(sup, index)))
+        assert np.abs(sector - full[index]).max() <= 1e-12
+        assert np.abs(np.delete(full, index)).max() <= 1e-12
+
     def test_no_zero_mode(self, rng):
         sup = build_superoperator(random_model(rng, dim=3))
-        shifted = SuperOperator(sup.matrix - 0.5 * np.eye(9), 3, full_basis_labels(3))
+        shifted = SuperOperator(sup.matrix - 0.5 * np.eye(9), 3, np.arange(9))
         with pytest.raises(NoZeroMode):
             steady_state(eig_biortho(shifted))
 
@@ -196,22 +219,31 @@ class TestPtPartnerCheck:
     def test_self_conjugate_real_modes(self):
         sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 0.7, 0.13)))
         dec = eig_biortho(sup)
-        labels = dec.basis_labels
-        pos = {lab: i for i, lab in enumerate(labels)}
+        n = dec.hilbert_dim
+        pos = {int(p): i for i, p in enumerate(dec.index)}
         for k in range(dec.dim):
             lam = dec.eigenvalues[k]
             if abs(lam.imag) > 1e-10 or not dec.is_simple(k):
                 continue
             u = dec.right_vectors[:, k]
             u_dag = np.empty_like(u)
-            for i, (a, b) in enumerate(labels):
-                u_dag[pos[(b, a)]] = np.conj(u[i])
+            for i, p in enumerate(dec.index):
+                a, b = divmod(int(p), n)
+                u_dag[pos[b * n + a]] = np.conj(u[i])
             assert collinearity_error(u, u_dag) <= 1e-8
 
     def test_xxz_partner_vectors(self):
         gamma = 0.05
         sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, gamma)))
         dec = eig_biortho(sup)
+        rep = pt_partner_check(dec, xxz_parity(3), gamma_bar=gamma)
+        assert rep.n_checked > 0
+        assert rep.max_vector_error <= 1e-6
+
+    def test_xxz_partner_vectors_on_zero_magnetization_block(self):
+        gamma = 0.05
+        sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, gamma)))
+        dec = eig_biortho(sector_restrict(sup, sector_basis(3, 0)))
         rep = pt_partner_check(dec, xxz_parity(3), gamma_bar=gamma)
         assert rep.n_checked > 0
         assert rep.max_vector_error <= 1e-6

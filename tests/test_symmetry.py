@@ -107,6 +107,13 @@ class TestCheckPT:
         rep = check_pt(sub, xxz_parity(3))
         assert rep.pt_residual <= 1e-12
 
+    def test_permuted_full_basis(self, rng):
+        # the parity must follow the row order of a reordered full-space basis
+        sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
+        permuted = sector_restrict(sup, rng.permutation(64))
+        expected = check_pt(sup, xxz_parity(3)).pt_residual
+        assert abs(check_pt(permuted, xxz_parity(3)).pt_residual - expected) <= 1e-12
+
 
 class TestCheckPTRows:
     def test_each_row_is_symmetric(self):
@@ -137,6 +144,12 @@ class TestCheckInversion:
     def test_xxz_propagator_inversion(self, t):
         sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
         assert check_inversion(sup, xxz_parity(2), t) <= 1e-9
+
+    def test_permuted_full_basis(self, rng):
+        sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
+        permuted = sector_restrict(sup, rng.permutation(64))
+        expected = check_inversion(sup, xxz_parity(3), 0.25)
+        assert abs(check_inversion(permuted, xxz_parity(3), 0.25) - expected) <= 1e-12
 
     def test_zero_time(self):
         sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))

@@ -9,7 +9,7 @@ from ptlind import (
     sector_restrict,
     xxz_parity,
 )
-from ptlind.operators import site_operator, site_reversal, vec
+from ptlind.operators import BasisConvention, site_operator, site_reversal, vec
 from ptlind.xxz import (
     XXZParams,
     ladder_liouvillian,
@@ -109,21 +109,34 @@ class TestSectorBasis:
         assert len(sector_basis(4, 0)) == 70
         assert len(sector_basis(2, 0)) == 6
         assert len(sector_basis(2, 4)) == 1  # |upup><downdown|
-        assert sector_basis(2, 1) == ()  # odd imbalance impossible
+        assert sector_basis(2, 1).size == 0  # odd imbalance impossible
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             sector_basis(2, 6)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_flat_positions_of_magnetization_filter(self, n):
+        conv = BasisConvention(n)
+        dim = conv.hilbert_dim
+        for dmz in range(-2 * n, 2 * n + 1):
+            expected = [
+                conv.pair_index(j, k)
+                for j in range(dim)
+                for k in range(dim)
+                if conv.magnetization(j) - conv.magnetization(k) == dmz
+            ]
+            index = sector_basis(n, dmz)
+            assert index.dtype == np.int64
+            assert index.tolist() == expected
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_identity_and_current_live_in_zero_sector(self, n):
-        labels = set(sector_basis(n, 0))
+        labels = set(sector_basis(n, 0).tolist())
         dim = 2**n
         for op in (np.eye(dim, dtype=complex), spin_current(n)):
             x = vec(op)
-            support = {
-                (i // dim, i % dim) for i in range(dim * dim) if abs(x[i]) > 1e-14
-            }
+            support = {i for i in range(dim * dim) if abs(x[i]) > 1e-14}
             assert support <= labels
 
     def test_sector_is_invariant_to_tight_tolerance(self):
