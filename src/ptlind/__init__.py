@@ -21,6 +21,7 @@ from .liouville import (
     average_damping,
     build_superoperator,
     dissipator_superoperator,
+    hamiltonian_superoperator,
     hermiticity_residual,
     left_identity_residual,
     propagator,

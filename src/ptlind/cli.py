@@ -450,3 +450,7 @@ def run_command(argv) -> int:
 
 def main(argv=None) -> int:
     return run_command(sys.argv[1:] if argv is None else argv)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -26,6 +26,7 @@ __all__ = [
     "LindbladModel",
     "SuperOperator",
     "build_superoperator",
+    "hamiltonian_superoperator",
     "dissipator_superoperator",
     "traceless_dissipator",
     "average_damping",
@@ -139,15 +140,18 @@ def _dissipator_matrix(model: LindbladModel) -> np.ndarray:
     return out
 
 
-def _hamiltonian_matrix(h: np.ndarray) -> np.ndarray:
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-
 def build_superoperator(model: LindbladModel) -> SuperOperator:
     """Full generator ``-i ad H + gamma D`` as an N^2 x N^2 matrix."""
-    matrix = _hamiltonian_matrix(model.hamiltonian) + model.gamma * _dissipator_matrix(model)
+    coherent = hamiltonian_superoperator(model).matrix
+    matrix = coherent + model.gamma * dissipator_superoperator(model).matrix
     return SuperOperator(matrix, model.dim)
+
+
+def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:
+    """The coherent part ``-i ad H`` alone (independent of gamma)."""
+    h = model.hamiltonian
+    eye = np.eye(model.dim, dtype=complex)
+    return SuperOperator(-1j * (np.kron(h, eye) - np.kron(eye, h.T)), model.dim)
 
 
 def dissipator_superoperator(model: LindbladModel) -> SuperOperator:

@@ -127,20 +127,28 @@ def _cluster_close_eigenvalues(w: np.ndarray, tol: float) -> tuple:
     return tuple(tuple(np.flatnonzero(labels == r).tolist()) for r in roots[counts > 1])
 
 
-def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> SpectralDecomposition:
-    """Full spectrum with bi-orthonormal right/left eigenvector pairs."""
-    m = sup.matrix
+def _eig(m: np.ndarray) -> tuple:
+    """Eigenvalues, left and right eigenvectors, sorted by (Re descending, Im ascending).
+
+    Callers that need only the eigenvalues come here too: LAPACK's
+    eigenvalues-only route (``scipy.linalg.eigvals``) rounds the last bits
+    differently on blocks of dimension 75 and up, which moves reported
+    off-cross distances.
+    """
     if not np.all(np.isfinite(m)):
         raise ValidationError("superoperator matrix has non-finite entries")
     try:
         w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"dense eigensolver failed on dim {m.shape[0]}: {exc}") from exc
-
     order = np.lexsort((w.imag, -w.real))
-    w = w[order]
-    vr = vr[:, order]
-    vl = vl[:, order]
+    return w[order], vl[:, order], vr[:, order]
+
+
+def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> SpectralDecomposition:
+    """Full spectrum with bi-orthonormal right/left eigenvector pairs."""
+    m = sup.matrix
+    w, vl, vr = _eig(m)
 
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     clusters = _cluster_close_eigenvalues(w, cluster_rel * scale)
@@ -213,10 +221,13 @@ def classify_cross(
     dec: SpectralDecomposition, gamma_bar: float, tau_rel: float = DEFAULT_TAU_REL
 ) -> CrossClassification:
     """Assign every eigenvalue to the horizontal line, the vertical line, or neither."""
+    return _classify(dec.eigenvalues, gamma_bar, tau_rel)
+
+
+def _classify(w: np.ndarray, gamma_bar: float, tau_rel: float) -> CrossClassification:
     if tau_rel <= 0:
         raise ValidationError(f"tau_rel must be positive, got {tau_rel}")
-    w = dec.eigenvalues
-    tau = tau_rel * max(1.0, dec.spectral_radius)
+    tau = tau_rel * max(1.0, float(np.abs(w).max(initial=0.0)))
     dist_h = np.abs(w.imag)
     dist_v = np.abs(w.real + gamma_bar)
     on_h = dist_h <= tau

@@ -16,17 +16,25 @@ of inventing a threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketInvalid, ValidationError
-from .liouville import SuperOperator, build_superoperator, propagator, sector_restrict
+from .liouville import (
+    build_superoperator,
+    dissipator_superoperator,
+    hamiltonian_superoperator,
+    propagator,
+    sector_restrict,
+)
 from .operators import dagger, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
-    classify_cross,
+    _classify,
+    _eig,
     eig_biortho,
     steady_state,
 )
@@ -44,20 +52,34 @@ __all__ = [
 ]
 
 
-def _build(params: XXZParams, sector: str) -> SuperOperator:
+def _parts(params: XXZParams, sector: str) -> tuple:
+    """The gamma-independent terms ``-i ad H`` and ``D`` of the generator, on ``sector``.
+
+    The generator is affine in gamma, so every coupling's block is ``a + gamma * d``,
+    bit-equal to restricting the generator built at that coupling.  Each term must
+    leave the sector invariant on its own; then so does every such sum.
+    """
     if sector not in ("full", "dmz0"):
         raise ValidationError(f"unknown sector {sector!r}; use 'full' or 'dmz0'")
-    sup = build_superoperator(xxz_model(params))
-    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
+    model = xxz_model(params)
+    terms = (hamiltonian_superoperator(model), dissipator_superoperator(model))
+    if sector == "dmz0":
+        keep = sector_basis(params.n_sites, 0)
+        terms = tuple(sector_restrict(term, keep) for term in terms)
+    return tuple(term.matrix for term in terms)
+
+
+def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
+    w, _, _ = _eig(a + gamma * d)
+    cls = _classify(w, gamma, tau_rel)
+    return len(cls.off_cross) == 0, cls
 
 
 def is_unbroken(
     params: XXZParams, sector: str = "dmz0", tau_rel: float = DEFAULT_TAU_REL
 ) -> tuple[bool, CrossClassification]:
     """Whether the whole (sector) spectrum lies on the cross at this coupling."""
-    dec = eig_biortho(_build(params, sector))
-    cls = classify_cross(dec, gamma_bar=params.gamma, tau_rel=tau_rel)
-    return len(cls.off_cross) == 0, cls
+    return _probe(*_parts(params, sector), params.gamma, tau_rel)
 
 
 @dataclass(frozen=True)
@@ -76,13 +98,6 @@ class ThresholdResult:
     sector: str
 
 
-def _evaluate(params: XXZParams, sector: str, tau_rel: float):
-    ok, cls = is_unbroken(params, sector, tau_rel)
-    off = len(cls.off_cross)
-    min_dist = float(min(cls.distances[list(cls.off_cross)])) if off else 0.0
-    return ok, (params.gamma, off, min_dist)
-
-
 def find_gamma_pt(
     n_sites: int,
     delta: float,
@@ -98,19 +113,34 @@ def find_gamma_pt(
 
     ``gamma_min`` must be unbroken and ``gamma_max`` broken; if not, the
     bracket is expanded by decades up to ``max_expand`` times per side
-    before :class:`BracketInvalid` is raised.  Bisection is geometric (the
-    threshold is a scale) and stops at the requested relative precision.
+    before :class:`BracketInvalid` is raised.  Both ends must be finite, and
+    upward expansion stops before ``gamma * D`` would overflow.  Bisection is
+    geometric (the threshold is a scale) and stops at the requested relative
+    precision.
     """
+    for name, value in (("gamma_min", gamma_min), ("gamma_max", gamma_max)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     if not 0 < gamma_min < gamma_max:
         raise ValidationError(f"need 0 < gamma_min < gamma_max, got ({gamma_min}, {gamma_max})")
     if rel_precision <= 0:
         raise ValidationError(f"rel_precision must be positive, got {rel_precision}")
-    base = XXZParams(n_sites, delta, mu, gamma_min)
+    a, d = _parts(XXZParams(n_sites, delta, mu, gamma_min), sector)
+    # gamma * d stays finite exactly while gamma times its largest real or imaginary part does
+    d_max = float(max(np.abs(d.real).max(initial=0.0), np.abs(d.imag).max(initial=0.0)))
+
+    def fits(g: float) -> bool:
+        return math.isfinite(g * d_max)
+
+    if not fits(float(gamma_max)):
+        raise ValidationError(f"gamma_max = {gamma_max} overflows gamma * D")
     evaluations = []
 
     def probe(g: float) -> bool:
-        ok, entry = _evaluate(base.with_gamma(g), sector, tau_rel)
-        evaluations.append(entry)
+        ok, cls = _probe(a, d, g, tau_rel)
+        off = len(cls.off_cross)
+        min_dist = float(min(cls.distances[list(cls.off_cross)])) if off else 0.0
+        evaluations.append((g, off, min_dist))
         return ok
 
     lo, hi = float(gamma_min), float(gamma_max)
@@ -128,7 +158,7 @@ def find_gamma_pt(
         )
     hi_ok = probe(hi)
     for _ in range(max_expand):
-        if not hi_ok:
+        if not hi_ok or not fits(hi * 10.0):
             break
         hi *= 10.0
         hi_ok = probe(hi)

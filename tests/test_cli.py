@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +228,14 @@ class TestThresholdCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BracketInvalid"
 
+    def test_non_finite_bracket_end_is_invalid_input(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FIG_TOP)
+        code = main(["threshold", "--config", cfg, "--gamma-max", "inf"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "gamma_max" in err["message"]
+
 
 class TestEvolveCommand:
     def test_time_series_csv(self, tmp_path, capsys):
@@ -285,3 +297,38 @@ class TestExitCodes:
         cfg = write_config(tmp_path, QUBIT)
         code = main(["threshold", "--config", cfg])
         assert code == 1
+
+
+class TestRunFromCheckout:
+    """``python -m`` works with only ``src`` on the path, no install needed."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(module, *argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            )
+
+        return run
+
+    @pytest.mark.parametrize("module", ["ptlind", "ptlind.cli"])
+    def test_threshold_writes_its_report(self, run, tmp_path, module):
+        cfg = write_config(tmp_path, FIG_TOP)
+        out = tmp_path / "result.json"
+        proc = run(
+            module, "threshold", "--config", cfg, "--out", str(out),
+            "--gamma-min", "0.02", "--gamma-max", "0.2", "--rel-precision", "0.05",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert 0.02 < json.loads(out.read_text())["gamma_pt"] < 0.2
+
+    @pytest.mark.parametrize("module", ["ptlind", "ptlind.cli"])
+    def test_bad_config_exits_invalid(self, run, tmp_path, module):
+        cfg = write_config(tmp_path, {"model": "xxz", "n": 4})
+        proc = run(module, "threshold", "--config", cfg)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "SchemaError"

@@ -9,6 +9,7 @@ from ptlind import (
     average_damping,
     build_superoperator,
     dissipator_superoperator,
+    hamiltonian_superoperator,
     hermiticity_residual,
     left_identity_residual,
     propagator,
@@ -62,6 +63,24 @@ class TestBuildSuperoperator:
                 ldl = dagger(L) @ L
                 drho += gamma * (2 * L @ rho @ dagger(L) - ldl @ rho - rho @ ldl)
             assert np.linalg.norm(sup.apply(rho) - drho) < 1e-12 * max(1.0, np.linalg.norm(drho))
+
+    def test_coherent_term_is_the_commutator(self, rng):
+        model = random_model(rng, dim=4)
+        h = model.hamiltonian
+        coherent = hamiltonian_superoperator(model)
+        for _ in range(5):
+            rho = random_density(rng, 4)
+            drho = -1j * (h @ rho - rho @ h)
+            assert np.linalg.norm(coherent.apply(rho) - drho) < 1e-12 * max(1.0, np.linalg.norm(drho))
+
+    def test_is_the_affine_sum_of_its_terms(self, rng):
+        for _ in range(5):
+            model = random_model(rng)
+            split = (
+                hamiltonian_superoperator(model).matrix
+                + model.gamma * dissipator_superoperator(model).matrix
+            )
+            assert np.array_equal(split, build_superoperator(model).matrix)
 
 
 class TestModelValidation:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlind import (
     BracketInvalid,
@@ -9,13 +13,23 @@ from ptlind import (
     build_superoperator,
     classify_cross,
     coherence_probe_state,
+    dissipator_superoperator,
     eig_biortho,
     find_gamma_pt,
+    hamiltonian_superoperator,
     is_unbroken,
     observable_decay,
     scaling_study,
+    sector_restrict,
 )
-from ptlind.xxz import XXZParams, spin_current
+from ptlind.threshold import _parts
+from ptlind.xxz import XXZParams, sector_basis, spin_current, xxz_model
+
+
+def full_build(params, sector):
+    """The generator at ``params.gamma``, built whole and then restricted."""
+    sup = build_superoperator(xxz_model(params))
+    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
 
 
 class TestIsUnbroken:
@@ -85,6 +99,84 @@ class TestFindGammaPt:
             find_gamma_pt(4, 0.5, 1.0, 0.2, 0.02)
         with pytest.raises(ValidationError):
             find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, rel_precision=0.0)
+
+
+class TestBracketOverflow:
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize(
+        "gamma_min,gamma_max,name",
+        [
+            (0.01, float("inf"), "gamma_max"),
+            (0.01, float("nan"), "gamma_max"),
+            (float("nan"), 1.0, "gamma_min"),
+            (float("-inf"), 1.0, "gamma_min"),
+        ],
+    )
+    def test_non_finite_end_rejected(self, gamma_min, gamma_max, name):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            find_gamma_pt(2, 0.5, 1.0, gamma_min, gamma_max)
+
+    def test_upward_expansion_stops_before_overflow(self):
+        # the two-site chain never breaks, so the upper end grows by decades
+        # until the next one would overflow gamma * D
+        with pytest.raises(BracketInvalid, match="no broken coupling found up to gamma = 1.000e[+]307"):
+            find_gamma_pt(2, 0.5, 1.0, 0.01, 1e305)
+
+    def test_overflowing_upper_end_rejected(self):
+        with pytest.raises(ValidationError, match="gamma_max"):
+            find_gamma_pt(2, 0.5, 1.0, 0.01, 1e308)
+
+
+def reference_evaluation(params, sector):
+    """One bisection probe recomputed from the full build and the bi-orthonormal solve."""
+    cls = classify_cross(eig_biortho(full_build(params, sector)), gamma_bar=params.gamma)
+    off = len(cls.off_cross)
+    return params.gamma, off, float(min(cls.distances[list(cls.off_cross)])) if off else 0.0
+
+
+class TestSplitGeneratorIsBitExact:
+    """The split probe reproduces the full-build trail to the last bit.
+
+    An eigenvalues-only LAPACK solve fails these on the 252- and 256-dim
+    blocks: its off-cross distances differ in the last bits.
+    """
+
+    @pytest.mark.parametrize("sector", ["dmz0", "full"])
+    def test_evaluation_trail(self, sector):
+        result = find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, sector=sector, rel_precision=0.01)
+        base = XXZParams(4, 0.5, 1.0, 0.02)
+        expected = tuple(reference_evaluation(base.with_gamma(g), sector) for g, _, _ in result.evaluations)
+        assert result.evaluations == expected
+
+    @pytest.mark.parametrize("gamma", [1e-7, 3e-7, 0.02])
+    def test_is_unbroken_on_five_sites(self, gamma):
+        params = XXZParams(5, 0.5, 1.0, gamma)
+        ok, cls = is_unbroken(params)
+        ref = classify_cross(eig_biortho(full_build(params, "dmz0")), gamma_bar=gamma)
+        assert ok is (len(ref.off_cross) == 0)
+        assert (cls.on_h, cls.on_v, cls.off_cross, cls.tau) == (ref.on_h, ref.on_v, ref.off_cross, ref.tau)
+        assert np.array_equal(cls.distances, ref.distances)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        delta=st.floats(0.1, 2.0),
+        mu=st.floats(-1.0, 1.0),
+        gamma=st.floats(0.0, 5.0),
+        sector=st.sampled_from(["full", "dmz0"]),
+    )
+    def test_affine_split_equals_full_build(self, n, delta, mu, gamma, sector):
+        params = XXZParams(n, delta, mu, gamma)
+        a, d = _parts(params, sector)
+        assert np.array_equal(a + gamma * d, full_build(params, sector).matrix)
+        model = xxz_model(params)
+        split = hamiltonian_superoperator(model).matrix + gamma * dissipator_superoperator(model).matrix
+        assert np.array_equal(split, build_superoperator(model).matrix)
 
 
 class TestScalingStudy:
