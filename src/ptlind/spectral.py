@@ -127,22 +127,26 @@ def _cluster_close_eigenvalues(w: np.ndarray, tol: float) -> tuple:
     return tuple(tuple(np.flatnonzero(labels == r).tolist()) for r in roots[counts > 1])
 
 
-def _eig(m: np.ndarray) -> tuple:
+def _eig(m: np.ndarray, left: bool = True) -> tuple:
     """Eigenvalues, left and right eigenvectors, sorted by (Re descending, Im ascending).
 
-    Callers that need only the eigenvalues come here too: LAPACK's
-    eigenvalues-only route (``scipy.linalg.eigvals``) rounds the last bits
+    With ``left=False`` the left vectors are not computed and come back as None.
+    Callers that need only the eigenvalues take that route and discard the right
+    vectors: LAPACK runs the same Schur path whenever any eigenvectors are
+    requested, so the eigenvalues are bit-equal with or without the left ones.
+    Its eigenvalues-only route (``scipy.linalg.eigvals``) rounds the last bits
     differently on blocks of dimension 75 and up, which moves reported
     off-cross distances.
     """
     if not np.all(np.isfinite(m)):
         raise ValidationError("superoperator matrix has non-finite entries")
     try:
-        w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
+        out = scipy.linalg.eig(m, left=left, right=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"dense eigensolver failed on dim {m.shape[0]}: {exc}") from exc
+    w, vl, vr = out if left else (out[0], None, out[1])
     order = np.lexsort((w.imag, -w.real))
-    return w[order], vl[:, order], vr[:, order]
+    return w[order], None if vl is None else vl[:, order], vr[:, order]
 
 
 def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> SpectralDecomposition:

@@ -69,8 +69,20 @@ def _parts(params: XXZParams, sector: str) -> tuple:
     return tuple(term.matrix for term in terms)
 
 
+def _overflows(d: np.ndarray, gamma: float) -> bool:
+    """Whether ``gamma * d`` overflows.
+
+    It stays finite exactly while gamma times the largest real or imaginary part of
+    ``d`` does; the product of two Python floats overflows to inf without a warning.
+    """
+    d_max = float(max(np.abs(d.real).max(initial=0.0), np.abs(d.imag).max(initial=0.0)))
+    return not math.isfinite(float(gamma) * d_max)
+
+
 def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
-    w, _, _ = _eig(a + gamma * d)
+    if _overflows(d, gamma):
+        raise ValidationError(f"coupling gamma = {gamma} overflows gamma * D")
+    w, _, _ = _eig(a + gamma * d, left=False)
     cls = _classify(w, gamma, tau_rel)
     return len(cls.off_cross) == 0, cls
 
@@ -126,13 +138,7 @@ def find_gamma_pt(
     if rel_precision <= 0:
         raise ValidationError(f"rel_precision must be positive, got {rel_precision}")
     a, d = _parts(XXZParams(n_sites, delta, mu, gamma_min), sector)
-    # gamma * d stays finite exactly while gamma times its largest real or imaginary part does
-    d_max = float(max(np.abs(d.real).max(initial=0.0), np.abs(d.imag).max(initial=0.0)))
-
-    def fits(g: float) -> bool:
-        return math.isfinite(g * d_max)
-
-    if not fits(float(gamma_max)):
+    if _overflows(d, gamma_max):
         raise ValidationError(f"gamma_max = {gamma_max} overflows gamma * D")
     evaluations = []
 
@@ -158,7 +164,7 @@ def find_gamma_pt(
         )
     hi_ok = probe(hi)
     for _ in range(max_expand):
-        if not hi_ok or not fits(hi * 10.0):
+        if not hi_ok or _overflows(d, hi * 10.0):
             break
         hi *= 10.0
         hi_ok = probe(hi)

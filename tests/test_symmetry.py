@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlind import (
     LindbladModel,
+    NotInvolution,
     NotUnitary,
+    SectorNotInvariant,
     build_superoperator,
     check_inversion,
     check_pt,
@@ -13,6 +19,7 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import SIGMA_PLUS, SIGMA_X, dagger, site_operator, site_reversal
+from ptlind.symmetry import _kron_identity_residual, _sandwich
 from ptlind.xxz import (
     XXZParams,
     ladder_vectorization_map,
@@ -159,3 +166,132 @@ class TestCheckInversion:
         sup = build_superoperator(single_qubit(gamma=0.4))
         err = check_inversion(sup, parity_from_pair(SIGMA_X, SIGMA_X), 0.5)
         assert err > 1e-2
+
+
+def random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def random_unitary_involution(rng, dim):
+    """``Q diag(+-1) Q^dag`` with Q from the QR of a Gaussian matrix."""
+    q, _ = np.linalg.qr(random_matrix(rng, dim))
+    return (q * rng.choice([-1.0, 1.0], size=dim)) @ dagger(q)
+
+
+def dense_sandwich(parity, m, index):
+    """Oracle: ``P m P`` with P the dense ``kron(a, b.T)`` restricted to ``index``."""
+    p = np.kron(parity.left_op, parity.right_op.T)[np.ix_(index, index)]
+    return p @ m @ p
+
+
+class TestFactoredParity:
+    """``P m P`` through the factors (a, b) against the dense ``kron(a, b.T)`` oracle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        basis=st.sampled_from(["full", "permuted", "dmz0"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_xxz_parity_bit_exact(self, n, basis, seed):
+        # the XXZ parity is monomial, so every BLAS sum has exactly one nonzero term
+        rng = np.random.default_rng(seed)
+        index = {
+            "full": np.arange(4**n),
+            "permuted": rng.permutation(4**n),
+            "dmz0": sector_basis(n, 0),
+        }[basis]
+        m = random_matrix(rng, index.size)
+        parity = xxz_parity(n)
+        assert np.array_equal(_sandwich(parity, m, index), dense_sandwich(parity, m, index))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        permuted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_unitary_pair(self, dim, permuted, seed):
+        rng = np.random.default_rng(seed)
+        parity = parity_from_pair(random_unitary_involution(rng, dim), random_unitary_involution(rng, dim))
+        index = rng.permutation(dim * dim) if permuted else np.arange(dim * dim)
+        m = random_matrix(rng, dim * dim)
+        expected = dense_sandwich(parity, m, index)
+        got = _sandwich(parity, m, index)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_involution_residual_matches_dense(self, n):
+        parity = xxz_parity(n)
+        assert parity.involution_residual == 0.0
+        assert np.linalg.norm(parity.matrix @ parity.matrix - np.eye(4**n)) == 0.0
+
+    def test_involution_residual_of_a_non_involution(self, rng):
+        # a random unitary pair does not square to the identity; the factored
+        # residual is the Frobenius norm of kron(a a, (b b).T) - I
+        a, _ = np.linalg.qr(random_matrix(rng, 3))
+        b, _ = np.linalg.qr(random_matrix(rng, 3))
+        dense = np.linalg.norm(np.kron(a @ a, (b @ b).T) - np.eye(9))
+        assert _kron_identity_residual(a @ a, (b @ b).T) == pytest.approx(dense, rel=1e-12)
+        with pytest.raises(NotInvolution, match="residual"):
+            parity_from_pair(a, b)
+        z = np.diag([1.0, 1j, 1.0])  # z^2 = diag(1, -1, 1): |kron(z^2, I) - I|_F = 2 sqrt(3)
+        assert _kron_identity_residual(z @ z, np.eye(3)) == pytest.approx(2 * np.sqrt(3), rel=1e-15)
+
+    def test_matrix_is_derived_on_first_access(self):
+        parity = xxz_parity(3)
+        assert "matrix" not in vars(parity)
+        assert np.array_equal(parity.matrix, np.kron(parity.left_op, parity.right_op.T))
+        assert parity.matrix is parity.matrix
+
+
+class TestParityLeavingTheSector:
+    """A parity that maps the dmz0 block out of itself is refused, as before."""
+
+    @pytest.fixture
+    def block(self):
+        sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
+        return sector_restrict(sup, sector_basis(3, 0))
+
+    @pytest.fixture
+    def flip(self):
+        # sigma^x on site 1, acting from the left only, changes the magnetization difference
+        return parity_from_pair(site_operator("x", 1, 3), np.eye(8))
+
+    def test_check_pt(self, block, flip):
+        with pytest.raises(SectorNotInvariant):
+            check_pt(block, flip)
+
+    def test_check_inversion(self, block, flip):
+        with pytest.raises(SectorNotInvariant):
+            check_inversion(block, flip, 0.25)
+
+
+class TestNoDenseParityProducts:
+    """At n = 5 an N^2 x N^2 complex matrix is 16 MB; the PT check forms no dense parity."""
+
+    BLOCK = 16 * 1024**2
+
+    @pytest.fixture
+    def traced(self):
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    def test_parity_build_allocates_no_superoperator_matrix(self, traced):
+        tracemalloc.reset_peak()
+        xxz_parity(5)
+        assert tracemalloc.get_traced_memory()[1] < self.BLOCK
+
+    def test_check_pt_temporaries(self, traced):
+        sup = build_superoperator(xxz_model(XXZParams(5, 0.5, 1.0, 0.3)))
+        parity = xxz_parity(5)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_pt(sup, parity)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert rep.pt_residual <= 1e-12
+        # the traceless part, the sandwich's temporaries and its result; the dense
+        # parity, built lazily on first access, would add a fifth
+        assert peak < 4.5 * self.BLOCK
+        assert "matrix" not in vars(parity)

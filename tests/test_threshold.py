@@ -131,6 +131,11 @@ class TestBracketOverflow:
         with pytest.raises(ValidationError, match="gamma_max"):
             find_gamma_pt(2, 0.5, 1.0, 0.01, 1e308)
 
+    @pytest.mark.parametrize("sector", ["dmz0", "full"])
+    def test_overflowing_coupling_rejected_by_is_unbroken(self, sector):
+        with pytest.raises(ValidationError, match="gamma = 1e[+]308 overflows"):
+            is_unbroken(XXZParams(2, 0.5, 1.0, 1e308), sector=sector)
+
 
 def reference_evaluation(params, sector):
     """One bisection probe recomputed from the full build and the bi-orthonormal solve."""
