@@ -35,10 +35,10 @@ from .errors import (
 from .liouville import (
     LindbladModel,
     SuperOperator,
+    _generator,
     average_damping,
     build_superoperator,
     hermiticity_residual,
-    sector_restrict,
 )
 from .operators import SIGMA_MINUS, SIGMA_Z
 from .perturbation import degeneracy_report, population_matrix
@@ -46,9 +46,9 @@ from .spectral import (
     DEFAULT_TAU_REL,
     DEGENERACY_REL_TOL,
     SpectralDecomposition,
-    classify_cross,
-    eig_biortho,
-    verify_d2,
+    _classify,
+    _eig,
+    _verify_d2,
 )
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
@@ -199,12 +199,11 @@ def _lindblad_model(cfg: ModelConfig) -> LindbladModel:
     return LindbladModel(cfg.hamiltonian, cfg.lindblads, cfg.gamma)
 
 
-def _superoperator(cfg: ModelConfig) -> tuple[SuperOperator, SuperOperator]:
-    """(full-space, sector-restricted) generator for a config."""
-    full = build_superoperator(_lindblad_model(cfg))
-    if cfg.sector == "dmz0":
-        return full, sector_restrict(full, sector_basis(cfg.n_sites, 0))
-    return full, full
+def _superoperator(cfg: ModelConfig, model: LindbladModel) -> SuperOperator:
+    """Generator of ``model`` on the config's sector; a dmz0 block is assembled there directly."""
+    if cfg.sector == "full":
+        return build_superoperator(model)
+    return _generator(model, sector_basis(cfg.n_sites, 0))
 
 
 def _xxz_params(cfg: ModelConfig) -> XXZParams:
@@ -215,11 +214,15 @@ def _xxz_params(cfg: ModelConfig) -> XXZParams:
 
 def write_spectrum_csv(dec: SpectralDecomposition, path: str):
     """Eigenvalues as ``re,im`` rows, 17 significant digits, sorted as decomposed."""
-    if dec.dim == 0:
+    _write_eigenvalues(dec.eigenvalues, path)
+
+
+def _write_eigenvalues(w: np.ndarray, path: str):
+    if w.size == 0:
         raise ValidationError("refusing to write an empty spectrum")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("re,im\n")
-        for lam in dec.eigenvalues:
+        for lam in w:
             fh.write(f"{lam.real:.16e},{lam.imag:.16e}\n")
 
 
@@ -238,17 +241,19 @@ def _write_json(obj: dict, path: str | None):
 
 def _cmd_spectrum(args) -> None:
     cfg = parse_config(args.config)
-    _, sup = _superoperator(cfg)
-    write_spectrum_csv(eig_biortho(sup), args.out)
+    sup = _superoperator(cfg, _lindblad_model(cfg))
+    _write_eigenvalues(_eig(sup.matrix, left=False)[0], args.out)
 
 
 def _cmd_check(args) -> None:
     cfg = parse_config(args.config)
-    full, sup = _superoperator(cfg)
+    model = _lindblad_model(cfg)
+    sup = _superoperator(cfg, model)
+    full = sup if sup.is_full_space else build_superoperator(model)
     gamma_bar = average_damping(full)
-    dec = eig_biortho(sup)
-    cls = classify_cross(dec, gamma_bar, tau_rel=args.tau_rel)
-    d2 = verify_d2(dec, gamma_bar)
+    w = _eig(sup.matrix, left=False)[0]
+    cls = _classify(w, gamma_bar, args.tau_rel)
+    d2 = _verify_d2(w, gamma_bar)
     report = {
         "config": cfg.raw,
         "tolerances": dict(TOLERANCES, tau_rel=args.tau_rel),

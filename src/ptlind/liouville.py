@@ -8,6 +8,10 @@ dissipator ``D rho = sum_m 2 L_m rho L_m^dag - L_m^dag L_m rho
     + gamma * sum_m [2 kron(L_m, conj(L_m)) - kron(L_m^dag L_m, I)
                      - kron(I, (L_m^dag L_m).T)]
 
+No Kronecker product is formed: each term is scattered on the nonzeros of its
+two factors, over the full space or directly on the rows and columns of a
+sector (``_assemble``).
+
 For jump operators normalised so that ``Tr D = -N^2`` (the boundary-driven
 XXZ family is), the average damping rate ``-Tr L / N^2`` equals ``gamma``
 and ``D + 1`` is the traceless part of the dissipator.
@@ -15,6 +19,7 @@ and ``D + 1`` is the traceless part of the dissipator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,35 +133,120 @@ class SuperOperator:
         return SuperOperator(matrix, self.hilbert_dim, self.index)
 
 
-def _dissipator_matrix(model: LindbladModel) -> np.ndarray:
-    n = model.dim
-    eye = np.eye(n, dtype=complex)
-    out = np.zeros((n * n, n * n), dtype=complex)
+def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
+    """``keep`` as an int64 array of distinct flat positions ``j*N + k`` in ``0..N^2 - 1``."""
+    keep = np.asarray(keep)
+    if keep.ndim != 1 or (keep.size and keep.dtype.kind not in "iu"):
+        raise ValidationError("sector positions must be a 1-D integer array of j*N + k")
+    keep = keep.astype(np.int64)
+    n2 = hilbert_dim**2
+    if np.any((keep < 0) | (keep >= n2)) or np.unique(keep).size != keep.size:
+        raise ValidationError(f"sector positions must be distinct and lie in 0..{n2 - 1}")
+    return keep
+
+
+def _assemble(terms, hilbert_dim: int, index=None, tol: float = 1e-12) -> np.ndarray:
+    """``sum c * kron(A, B)`` over ``terms`` of ``(c, A, B)``, on the flat positions ``index``.
+
+    Entry ``(j*N + k, j'*N + k')`` of ``kron(A, B)`` is ``A[j, j'] B[k, k']``; each
+    term is added in order on ``nonzero(A) x nonzero(B)`` only.  The skipped products
+    are zeros, and a sum that starts at +0 never becomes -0, so the result is
+    bit-equal to the dense loop ``out += c * kron(A, B)``.  Only the rows and columns
+    at ``index`` (default: all, in order) are assembled; term entries that couple a
+    kept position to a dropped one are summed per entry, and a coupling above ``tol``
+    times the largest entry of the block and its couplings raises
+    :class:`SectorNotInvariant`.
+    """
+    n = hilbert_dim
+    index = np.arange(n * n) if index is None else _check_positions(index, n)
+    pos = _positions(index, n)
+    out = np.zeros((index.size, index.size), dtype=complex)
+    leak_at, leak_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    for c, a, b in terms:
+        ja, jb = np.nonzero(a)
+        ka, kb = np.nonzero(b)
+        row_at, col_at = (ja * n)[:, None] + ka, (jb * n)[:, None] + kb
+        rows, cols = pos[row_at], pos[col_at]
+        # both operands 2-D: numpy rounds a (1, 1) * (1,) complex product without
+        # the fused multiply-add that np.kron's loop uses
+        vals = c * (a[ja, jb][:, None] * b[ka, kb][None, :])
+        kept = (rows >= 0) & (cols >= 0)
+        out[rows[kept], cols[kept]] += vals[kept]
+        leak = (rows >= 0) != (cols >= 0)
+        leak_at.append(row_at[leak] * n * n + col_at[leak])
+        leak_vals.append(vals[leak])
+    entries, slot = np.unique(np.concatenate(leak_at), return_inverse=True)
+    if entries.size:
+        coupling_vals = np.zeros(entries.size, dtype=complex)
+        np.add.at(coupling_vals, slot, np.concatenate(leak_vals))
+        coupling = float(np.abs(coupling_vals).max())
+        scale = max(1.0, float(np.abs(out).max(initial=0.0)), coupling)
+        if coupling > tol * scale:
+            raise SectorNotInvariant(
+                f"cross-sector coupling {coupling:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            )
+    return out
+
+
+def _terms(model: LindbladModel) -> tuple:
+    """The (c, A, B) terms of ``-i ad H`` and of ``D``, in assembly order."""
+    h = model.hamiltonian
+    eye = np.eye(model.dim, dtype=complex)
+    dissipator = []
     for L in model.lindblads:
         ldl = dagger(L) @ L
-        out += 2.0 * np.kron(L, L.conj())
-        out -= np.kron(ldl, eye)
-        out -= np.kron(eye, ldl.T)
+        dissipator += [(2.0, L, L.conj()), (-1.0, ldl, eye), (-1.0, eye, ldl.T)]
+    return ((-1j, h, eye), (1j, eye, h.T)), dissipator
+
+
+def _split(model: LindbladModel, index=None) -> tuple:
+    """``-i ad H`` and ``D`` as matrices on the flat positions ``index`` (default: all)."""
+    return tuple(_assemble(terms, model.dim, index) for terms in _terms(model))
+
+
+def _overflows(d: np.ndarray, gamma: float) -> bool:
+    """Whether ``gamma * d`` overflows.
+
+    It stays finite exactly while gamma times the largest real or imaginary part of
+    ``d`` does; the product of two Python floats overflows to inf without a warning.
+    """
+    parts = np.asarray(d, dtype=complex).reshape(-1).view(np.float64)
+    d_max = float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
+    return not math.isfinite(float(gamma) * d_max)
+
+
+def _at_coupling(a: np.ndarray, d: np.ndarray, gamma: float, out=None) -> np.ndarray:
+    """The generator ``a + gamma * d`` at one coupling, bit-equal to that expression.
+
+    A coupling whose ``gamma * d`` overflows is refused before any arithmetic.
+    ``out=d`` forms the product and the sum in place of ``d``.
+    """
+    if _overflows(d, gamma):
+        raise ValidationError(f"coupling gamma = {gamma} overflows gamma * D")
+    out = np.multiply(d, gamma, out=out)
+    out += a
     return out
+
+
+def _generator(model: LindbladModel, index=None) -> SuperOperator:
+    """``-i ad H + gamma D`` on the flat positions ``index`` (default: all)."""
+    a, d = _split(model, index)
+    return SuperOperator(_at_coupling(a, d, model.gamma, out=d), model.dim, index)
 
 
 def build_superoperator(model: LindbladModel) -> SuperOperator:
     """Full generator ``-i ad H + gamma D`` as an N^2 x N^2 matrix."""
-    coherent = hamiltonian_superoperator(model).matrix
-    matrix = coherent + model.gamma * dissipator_superoperator(model).matrix
-    return SuperOperator(matrix, model.dim)
+    return _generator(model)
 
 
 def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:
     """The coherent part ``-i ad H`` alone (independent of gamma)."""
-    h = model.hamiltonian
-    eye = np.eye(model.dim, dtype=complex)
-    return SuperOperator(-1j * (np.kron(h, eye) - np.kron(eye, h.T)), model.dim)
+    return SuperOperator(_assemble(_terms(model)[0], model.dim), model.dim)
 
 
 def dissipator_superoperator(model: LindbladModel) -> SuperOperator:
     """The dissipator ``D`` alone (independent of gamma)."""
-    return SuperOperator(_dissipator_matrix(model), model.dim)
+    return SuperOperator(_assemble(_terms(model)[1], model.dim), model.dim)
 
 
 def traceless_dissipator(model: LindbladModel, tol: float = 1e-9) -> SuperOperator:
@@ -165,14 +255,15 @@ def traceless_dissipator(model: LindbladModel, tol: float = 1e-9) -> SuperOperat
     The shift by the identity is only meaningful when ``Tr D = -N^2``; models
     whose jump operators are not normalised that way are refused.
     """
-    dis = _dissipator_matrix(model)
+    dis = _assemble(_terms(model)[1], model.dim)
     n2 = model.dim**2
     tr = np.trace(dis)
     if abs(tr + n2) > tol * n2:
         raise ValidationError(
             f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
         )
-    return SuperOperator(dis + np.eye(n2), model.dim)
+    dis.flat[:: n2 + 1] += 1.0
+    return SuperOperator(dis, model.dim)
 
 
 def average_damping(sup: SuperOperator) -> float:
@@ -182,8 +273,9 @@ def average_damping(sup: SuperOperator) -> float:
 
 def traceless_part(sup: SuperOperator) -> SuperOperator:
     """Shift by the average damping so the result is traceless."""
-    gamma_bar = average_damping(sup)
-    return sup.replace_matrix(sup.matrix + gamma_bar * np.eye(sup.dim))
+    m = sup.matrix.copy()
+    m.flat[:: sup.dim + 1] += average_damping(sup)
+    return sup.replace_matrix(m)
 
 
 def propagator(sup: SuperOperator, t: float) -> SuperOperator:
@@ -243,13 +335,7 @@ def sector_restrict(sup: SuperOperator, keep, tol: float = 1e-12) -> SuperOperat
     raises :class:`SectorNotInvariant`.  Extraction keeps the exact generator
     of the block, with no projector sandwiching.
     """
-    keep = np.asarray(keep)
-    if keep.ndim != 1 or (keep.size and keep.dtype.kind not in "iu"):
-        raise ValidationError("sector positions must be a 1-D integer array of j*N + k")
-    keep = keep.astype(np.int64)
-    n2 = sup.hilbert_dim**2
-    if np.any((keep < 0) | (keep >= n2)) or np.unique(keep).size != keep.size:
-        raise ValidationError(f"sector positions must be distinct and lie in 0..{n2 - 1}")
+    keep = _check_positions(keep, sup.hilbert_dim)
     idx = _positions(sup.index, sup.hilbert_dim)[keep]
     if np.any(idx < 0):
         raise ValidationError(f"positions not in this superoperator: {keep[idx < 0][:4].tolist()}")

@@ -25,16 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAtEvaluationPoint, ValidationError
-from .liouville import (
-    LindbladModel,
-    SuperOperator,
-    build_superoperator,
-    dissipator_superoperator,
-    sector_restrict,
-    traceless_dissipator,
-)
+from .liouville import LindbladModel, SuperOperator, _at_coupling, _split, traceless_dissipator
 from .operators import vec
-from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, eig_biortho
+from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, _eig, eig_biortho
 
 __all__ = [
     "PerturbationReport",
@@ -137,23 +130,18 @@ def velocity_check(
     a real velocity, and one on the vertical line must have a purely
     imaginary shifted velocity ``<v, (D + 1) u>``.
     """
-    if dgamma <= 0:
-        raise ValidationError(f"dgamma must be positive, got {dgamma}")
+    if not 0 < dgamma < np.inf:
+        raise ValidationError(f"dgamma must be positive and finite, got {dgamma}")
     gamma = model.gamma
     if gamma - dgamma < 0:
         raise ValidationError("gamma - dgamma is negative; pick a smaller step")
 
-    def sector_sup(g: float) -> SuperOperator:
-        sup = build_superoperator(LindbladModel(model.hamiltonian, model.lindblads, g))
-        return sup if sector is None else sector_restrict(sup, sector)
-
-    dis = dissipator_superoperator(model)
-    dis_m = dis.matrix if sector is None else sector_restrict(dis, sector).matrix
-
-    dec = eig_biortho(sector_sup(gamma), cluster_rel=cluster_rel)
+    coherent, dis_m = _split(model, sector)
+    sup = SuperOperator(_at_coupling(coherent, dis_m, gamma), model.dim, sector)
+    dec = eig_biortho(sup, cluster_rel=cluster_rel)
     w = dec.eigenvalues
-    w_plus = eig_biortho(sector_sup(gamma + dgamma)).eigenvalues
-    w_minus = eig_biortho(sector_sup(gamma - dgamma)).eigenvalues
+    w_plus = _eig(_at_coupling(coherent, dis_m, gamma + dgamma), left=False)[0]
+    w_minus = _eig(_at_coupling(coherent, dis_m, gamma - dgamma), left=False)[0]
 
     scale = max(1.0, dec.spectral_radius)
     entries = []

@@ -285,7 +285,10 @@ def verify_d2(dec: SpectralDecomposition, gamma_bar: float) -> D2Report:
     member (greedy one-to-one).  The maxima of the matching distances are
     reported rather than a boolean.
     """
-    w = dec.eigenvalues
+    return _verify_d2(dec.eigenvalues, gamma_bar)
+
+
+def _verify_d2(w: np.ndarray, gamma_bar: float) -> D2Report:
     v_targets = -np.conj(w + gamma_bar) - gamma_bar
     h_targets = np.conj(w)
     v_pairing, v_dists = _greedy_pairing(w, v_targets)

@@ -16,19 +16,12 @@ of inventing a threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketInvalid, ValidationError
-from .liouville import (
-    build_superoperator,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
-    propagator,
-    sector_restrict,
-)
+from .liouville import _at_coupling, _overflows, _split, build_superoperator, propagator
 from .operators import dagger, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
@@ -56,33 +49,18 @@ def _parts(params: XXZParams, sector: str) -> tuple:
     """The gamma-independent terms ``-i ad H`` and ``D`` of the generator, on ``sector``.
 
     The generator is affine in gamma, so every coupling's block is ``a + gamma * d``,
-    bit-equal to restricting the generator built at that coupling.  Each term must
-    leave the sector invariant on its own; then so does every such sum.
+    bit-equal to restricting the generator built at that coupling.  Each term is
+    assembled on the sector directly and must leave it invariant on its own; then so
+    does every such sum.
     """
     if sector not in ("full", "dmz0"):
         raise ValidationError(f"unknown sector {sector!r}; use 'full' or 'dmz0'")
-    model = xxz_model(params)
-    terms = (hamiltonian_superoperator(model), dissipator_superoperator(model))
-    if sector == "dmz0":
-        keep = sector_basis(params.n_sites, 0)
-        terms = tuple(sector_restrict(term, keep) for term in terms)
-    return tuple(term.matrix for term in terms)
-
-
-def _overflows(d: np.ndarray, gamma: float) -> bool:
-    """Whether ``gamma * d`` overflows.
-
-    It stays finite exactly while gamma times the largest real or imaginary part of
-    ``d`` does; the product of two Python floats overflows to inf without a warning.
-    """
-    d_max = float(max(np.abs(d.real).max(initial=0.0), np.abs(d.imag).max(initial=0.0)))
-    return not math.isfinite(float(gamma) * d_max)
+    keep = sector_basis(params.n_sites, 0) if sector == "dmz0" else None
+    return _split(xxz_model(params), keep)
 
 
 def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
-    if _overflows(d, gamma):
-        raise ValidationError(f"coupling gamma = {gamma} overflows gamma * D")
-    w, _, _ = _eig(a + gamma * d, left=False)
+    w, _, _ = _eig(_at_coupling(a, d, gamma), left=False)
     cls = _classify(w, gamma, tau_rel)
     return len(cls.off_cross) == 0, cls
 

@@ -14,9 +14,9 @@ All four operators are always kept, so the model shape is independent of
 ``mu`` (two of them vanish at mu = +-1).  This normalisation makes the
 dissipator trace exactly -4^n, hence the average damping equals gamma.
 
-Besides the generic Kronecker assembly, the generator is also built in a
-second, independent way: the operator space B(H) is identified with the
-two-copy product space H (x) H through
+Besides the support-based Kronecker assembly of ``liouville``, the generator
+is also built in a second, independent way: the operator space B(H) is
+identified with the two-copy product space H (x) H through
 
     |psi><phi|   <->   |psi> (x) S |phi|,    S = global spin flip,
 
@@ -139,6 +139,18 @@ def ladder_vectorization_map(n_sites: int) -> np.ndarray:
     return np.kron(np.eye(dim, dtype=complex), global_spin_flip(n_sites))
 
 
+def _ladder_reorder(n_sites: int) -> tuple:
+    """``I (x) S`` as a reordering of rows and columns: ``pi @ m @ pi == m[reorder]``.
+
+    ``S`` is a symmetric permutation matrix, so ``I (x) S`` sends row
+    ``j*N + k`` to row ``j*N + s(k)``, with ``S[k, s(k)] = 1``.
+    """
+    dim = 2**n_sites
+    flip = np.argmax(global_spin_flip(n_sites).real, axis=1)
+    order = (np.arange(dim)[:, None] * dim + flip).reshape(-1)
+    return np.ix_(order, order)
+
+
 def _ladder_rows(params: XXZParams) -> tuple:
     """The three rows of the two-copy form of the generator, as matrices on H (x) H."""
     n = params.n_sites
@@ -173,8 +185,7 @@ def ladder_liouvillian(params: XXZParams) -> SuperOperator:
     Must agree entrywise with ``build_superoperator(xxz_model(params))``;
     kept as a permanently-enabled cross-check of the spin-flip bookkeeping.
     """
-    pi = ladder_vectorization_map(params.n_sites)
-    matrix = pi @ ladder_matrix(params) @ pi
+    matrix = ladder_matrix(params)[_ladder_reorder(params.n_sites)]
     return SuperOperator(matrix, params.hilbert_dim)
 
 
@@ -185,5 +196,5 @@ def row_superoperators(params: XXZParams) -> tuple:
     are the two groups of jump terms (row 3 carries the constant shift).
     Their sum is the full generator exactly.
     """
-    pi = ladder_vectorization_map(params.n_sites)
-    return tuple(SuperOperator(pi @ row @ pi, params.hilbert_dim) for row in _ladder_rows(params))
+    ix = _ladder_reorder(params.n_sites)
+    return tuple(SuperOperator(row[ix], params.hilbert_dim) for row in _ladder_rows(params))

@@ -36,3 +36,26 @@ def random_model(rng, dim=None, n_jumps=None, gamma=None) -> LindbladModel:
         for _ in range(n_jumps)
     )
     return LindbladModel(h, ls, gamma)
+
+
+def kron_terms(model: LindbladModel) -> tuple:
+    """Oracle: ``-i ad H`` and ``D`` as dense sums of N^2 x N^2 Kronecker products.
+
+    This is the assembly the library used before it scattered each term on its
+    factors' nonzeros; the support-based assembly must reproduce it.
+    """
+    h = model.hamiltonian
+    eye = np.eye(model.dim, dtype=complex)
+    coherent = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    dis = np.zeros((model.dim**2, model.dim**2), dtype=complex)
+    for L in model.lindblads:
+        ldl = L.conj().T @ L
+        dis += 2.0 * np.kron(L, L.conj())
+        dis -= np.kron(ldl, eye)
+        dis -= np.kron(eye, ldl.T)
+    return coherent, dis
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw binary64 words of a complex array: equal views mean equal signs of zero too."""
+    return np.ascontiguousarray(a).view(np.uint64)

@@ -7,7 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptlind import SchemaError, ParseError, ValidationError
+from ptlind import (
+    ParseError,
+    SchemaError,
+    ValidationError,
+    XXZParams,
+    average_damping,
+    build_superoperator,
+    classify_cross,
+    eig_biortho,
+    sector_basis,
+    sector_restrict,
+    verify_d2,
+    xxz_model,
+)
 from ptlind.cli import main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
 
@@ -21,6 +34,12 @@ FIG_TOP = {
 }
 
 QUBIT = {"model": "single_qubit", "omega": 1.0, "gamma": 0.1}
+
+
+def sector_generator(params, sector):
+    """The generator built on the full space, then restricted to ``sector``."""
+    sup = build_superoperator(xxz_model(params))
+    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -140,6 +159,16 @@ class TestSpectrumCommand:
         main(["spectrum", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("sector", ["dmz0", "full"])
+    def test_same_bytes_as_the_biorthonormal_route(self, tmp_path, sector):
+        # the command assembles the dmz0 block directly and solves for eigenvalues only
+        params = XXZParams(4, 0.7, 0.6, 0.3)
+        cfg = write_config(tmp_path, dict(FIG_TOP, delta=0.7, mu=0.6, gamma=0.3, sector=sector))
+        out, ref = tmp_path / "eigs.csv", tmp_path / "ref.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        write_spectrum_csv(eig_biortho(sector_generator(params, sector)), str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_empty_spectrum_refused(self, tmp_path):
         empty = SpectralDecomposition(
             eigenvalues=np.zeros(0, dtype=complex),
@@ -174,6 +203,24 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["check", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_classification_and_mirror_errors_of_the_biorthonormal_route(self, tmp_path, capsys):
+        params = XXZParams(4, 0.7, 0.6, 0.3)
+        cfg = write_config(tmp_path, dict(FIG_TOP, delta=0.7, mu=0.6, gamma=0.3))
+        assert main(["check", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        gamma_bar = average_damping(sector_generator(params, "full"))
+        dec = eig_biortho(sector_generator(params, "dmz0"))
+        cls = classify_cross(dec, gamma_bar)
+        d2 = verify_d2(dec, gamma_bar)
+        assert report["gamma_bar"] == gamma_bar
+        assert report["classification"] == {
+            "tau": cls.tau,
+            "on_h": len(cls.on_h),
+            "on_v": len(cls.on_v),
+            "off_cross": len(cls.off_cross),
+        }
+        assert report["d2"] == {"max_v_error": d2.max_v_error, "max_h_error": d2.max_h_error}
 
     def test_non_xxz_has_no_pt_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUBIT)

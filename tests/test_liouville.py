@@ -1,5 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlind import (
     LindbladModel,
@@ -18,10 +23,11 @@ from ptlind import (
     traceless_part,
     vec,
 )
-from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger
+from ptlind.liouville import _generator, _split
+from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
-from conftest import random_density, random_hermitian, random_model, single_qubit
+from conftest import bits, kron_terms, random_density, random_hermitian, random_model, single_qubit
 
 
 def sorted_eigs(matrix):
@@ -267,3 +273,149 @@ class TestTracelessDissipator:
         model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
         with pytest.raises(ValidationError):
             traceless_dissipator(model)
+
+
+def custom_model(seed, dim, n_jumps, gamma, fill):
+    """Random model whose H and jump operators keep each entry with probability ``fill``."""
+    rng = np.random.default_rng(seed)
+
+    def factor():
+        entries = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return entries * (rng.random((dim, dim)) < fill)
+
+    a = factor()
+    return LindbladModel((a + a.conj().T) / 2.0, tuple(factor() for _ in range(n_jumps)), gamma)
+
+
+class TestSupportAssembly:
+    """Each term c kron(A, B) scattered on nonzero(A) x nonzero(B) against the dense oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        gamma=st.floats(0.0, 5.0),
+        fill=st.sampled_from([1.0, 0.4, 0.1]),
+    )
+    def test_equals_kron_oracle(self, seed, dim, n_jumps, gamma, fill):
+        model = custom_model(seed, dim, n_jumps, gamma, fill)
+        coherent, dis = kron_terms(model)
+        assert np.array_equal(hamiltonian_superoperator(model).matrix, coherent)
+        assert np.array_equal(bits(dissipator_superoperator(model).matrix), bits(dis))
+        assert np.array_equal(build_superoperator(model).matrix, coherent + gamma * dis)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("mu", [-1.0, 0.3, 1.0])
+    def test_xxz_bits(self, n, mu):
+        # the coherent term alone differs from the oracle in signs of zero only;
+        # the dissipator and every sum with it are equal bit for bit
+        model = xxz_model(XXZParams(n, 0.7, mu, 0.3))
+        coherent, dis = kron_terms(model)
+        assert np.array_equal(hamiltonian_superoperator(model).matrix, coherent)
+        assert np.array_equal(bits(dissipator_superoperator(model).matrix), bits(dis))
+        for gamma in (0.0, 1e-300, 1e-6, 0.3, 7.0):
+            model = xxz_model(XXZParams(n, 0.7, mu, gamma))
+            built = build_superoperator(model).matrix
+            assert np.array_equal(bits(built), bits(coherent + gamma * dis))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_direct_zero_magnetization_block(self, n):
+        model = xxz_model(XXZParams(n, 0.7, 0.6, 0.3))
+        keep = sector_basis(n, 0)
+        a, d = _split(model, keep)
+        terms = (hamiltonian_superoperator(model), dissipator_superoperator(model))
+        for block, term in zip((a, d), terms):
+            assert np.array_equal(bits(block), bits(sector_restrict(term, keep).matrix))
+        restricted = sector_restrict(build_superoperator(model), keep).matrix
+        assert np.array_equal(bits(_generator(model, keep).matrix), bits(restricted))
+
+    def test_permuted_positions(self, rng):
+        model = random_model(rng, dim=3)
+        order = rng.permutation(9)
+        restricted = sector_restrict(build_superoperator(model), order).matrix
+        assert np.array_equal(bits(_generator(model, order).matrix), bits(restricted))
+
+    def test_leaking_term_refused(self):
+        # sigma^x on site 1 changes the magnetization: its jump terms leave dmz0
+        xxz = xxz_model(XXZParams(3, 0.5, 0.5, 0.3))
+        flip = 0.5 * site_operator("x", 1, 3)
+        model = LindbladModel(xxz.hamiltonian, xxz.lindblads + (flip,), 0.3)
+        with pytest.raises(SectorNotInvariant):
+            _split(model, sector_basis(3, 0))
+        with pytest.raises(SectorNotInvariant):
+            _generator(model, sector_basis(3, 0))
+
+    @pytest.mark.parametrize("keep", [[0, 0], [-1], [64], [0.0, 3.0]])
+    def test_malformed_positions_rejected(self, keep):
+        with pytest.raises(ValidationError):
+            _generator(xxz_model(XXZParams(3, 0.5, 0.5, 0.3)), keep)
+
+
+class TestAssemblyMemory:
+    """At n = 5 one N^2 x N^2 complex matrix is 16 MB."""
+
+    BLOCK = 16 * 1024**2
+
+    @pytest.fixture
+    def model(self):
+        return xxz_model(XXZParams(5, 0.7, 0.6, 0.3))
+
+    @pytest.fixture
+    def traced(self):
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    def test_full_build(self, model, traced):
+        # -i ad H and D; gamma D and the sum are formed in place of D
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build_superoperator(model)
+        assert tracemalloc.get_traced_memory()[1] - base <= 3 * self.BLOCK
+
+    def test_direct_block(self, model, traced):
+        keep = sector_basis(5, 0)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _generator(model, keep)
+        assert tracemalloc.get_traced_memory()[1] - base < self.BLOCK
+
+
+class TestOverflowingCoupling:
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_build_refuses(self):
+        with pytest.raises(ValidationError, match="gamma = 1e[+]308 overflows"):
+            build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 1e308)))
+
+    def test_direct_block_refuses(self):
+        with pytest.raises(ValidationError, match="gamma = 1e[+]308 overflows"):
+            _generator(xxz_model(XXZParams(2, 0.5, 1.0, 1e308)), sector_basis(2, 0))
+
+    def test_largest_finite_product_accepted(self):
+        # max |D| is 1 here, so gamma * D stays finite up to the largest double
+        model = xxz_model(XXZParams(2, 0.5, 1.0, 1e307))
+        assert np.all(np.isfinite(build_superoperator(model).matrix))
+
+
+class TestDiagonalShifts:
+    """The in-place diagonal shifts equal adding a dense identity, in value."""
+
+    def test_traceless_dissipator(self):
+        for n in (2, 3, 4):
+            model = xxz_model(XXZParams(n, 0.7, 0.6, 0.3))
+            dense = kron_terms(model)[1] + np.eye(4**n)
+            assert np.array_equal(traceless_dissipator(model).matrix, dense)
+
+    def test_traceless_part(self, rng):
+        for model in (random_model(rng), xxz_model(XXZParams(3, 0.7, 0.6, 0.3))):
+            sup = build_superoperator(model)
+            before = sup.matrix.copy()
+            shifted = traceless_part(sup).matrix
+            assert np.array_equal(shifted, sup.matrix + average_damping(sup) * np.eye(sup.dim))
+            assert np.array_equal(bits(sup.matrix), bits(before))

@@ -4,6 +4,7 @@ import pytest
 from ptlind import (
     DegenerateAtEvaluationPoint,
     LindbladModel,
+    SectorNotInvariant,
     ValidationError,
     build_superoperator,
     degeneracy_report,
@@ -15,6 +16,7 @@ from ptlind import (
     sector_restrict,
     velocity_check,
 )
+from ptlind.operators import site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import single_qubit
@@ -94,6 +96,27 @@ class TestVelocityCheck:
         rep = velocity_check(single_qubit(gamma=0.1), dgamma=1e-6)
         fast = min(rep.entries, key=lambda e: abs(e[1] + 0.2))
         assert abs(fast[2] - (-2.0)) <= 1e-9
+
+    def test_same_spectrum_as_restricting_the_full_build(self):
+        # the sector terms are assembled there directly
+        model = xxz_model(XXZParams(3, 0.5, 0.5, 0.2))
+        rep = velocity_check(model, dgamma=1e-5, sector=sector_basis(3, 0))
+        block = sector_restrict(build_superoperator(model), sector_basis(3, 0))
+        w = eig_biortho(block).eigenvalues
+        index, eigenvalue = zip(*((e[0], e[1]) for e in rep.entries))
+        assert np.array_equal(np.array(eigenvalue), w[list(index)])
+
+    def test_sector_left_by_a_jump_rejected(self):
+        xxz = xxz_model(XXZParams(3, 0.5, 0.5, 0.2))
+        flip = 0.5 * site_operator("x", 1, 3)
+        model = LindbladModel(xxz.hamiltonian, xxz.lindblads + (flip,), 0.2)
+        with pytest.raises(SectorNotInvariant):
+            velocity_check(model, dgamma=1e-5, sector=sector_basis(3, 0))
+
+    @pytest.mark.parametrize("dgamma", [0.0, -1e-5, float("inf"), float("nan")])
+    def test_step_must_be_positive_and_finite(self, dgamma):
+        with pytest.raises(ValidationError, match="dgamma"):
+            velocity_check(single_qubit(gamma=0.1), dgamma=dgamma)
 
     def test_fully_degenerate_model_rejected(self):
         model = LindbladModel(np.zeros((2, 2)), (np.zeros((2, 2)),), 0.5)

@@ -12,8 +12,11 @@ from ptlind import (
 from ptlind.operators import BasisConvention, site_operator, site_reversal, vec
 from ptlind.xxz import (
     XXZParams,
+    _ladder_rows,
     ladder_liouvillian,
     ladder_matrix,
+    ladder_vectorization_map,
+    row_superoperators,
     sector_basis,
     spin_current,
     xxz_model,
@@ -90,6 +93,16 @@ class TestLadderConstruction:
             direct = build_superoperator(xxz_model(params)).matrix
             ladder = ladder_liouvillian(params).matrix
             assert np.abs(direct - ladder).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_index_permutation_is_the_dense_change_of_basis(self, n):
+        # the two-copy route reorders rows and columns instead of multiplying by
+        # the permutation matrix I (x) S on both sides
+        params = XXZParams(n, 0.7, 0.4, 0.3)
+        pi = ladder_vectorization_map(n)
+        assert np.array_equal(ladder_liouvillian(params).matrix, pi @ ladder_matrix(params) @ pi)
+        for row, ladder_row in zip(row_superoperators(params), _ladder_rows(params)):
+            assert np.array_equal(row.matrix, pi @ ladder_row @ pi)
 
     def test_closed_chain_ladder_form(self):
         params = XXZParams(2, 0.7, 0.5, 0.0)
