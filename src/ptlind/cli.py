@@ -39,6 +39,7 @@ from .liouville import (
     average_damping,
     build_superoperator,
     hermiticity_residual,
+    sector_restrict,
 )
 from .operators import SIGMA_MINUS, SIGMA_Z
 from .perturbation import degeneracy_report, population_matrix
@@ -199,11 +200,10 @@ def _lindblad_model(cfg: ModelConfig) -> LindbladModel:
     return LindbladModel(cfg.hamiltonian, cfg.lindblads, cfg.gamma)
 
 
-def _superoperator(cfg: ModelConfig, model: LindbladModel) -> SuperOperator:
-    """Generator of ``model`` on the config's sector; a dmz0 block is assembled there directly."""
-    if cfg.sector == "full":
-        return build_superoperator(model)
-    return _generator(model, sector_basis(cfg.n_sites, 0))
+def _superoperator(cfg: ModelConfig) -> SuperOperator:
+    """Generator on the config's sector; a dmz0 block is assembled there directly."""
+    keep = sector_basis(cfg.n_sites, 0) if cfg.sector == "dmz0" else None
+    return _generator(_lindblad_model(cfg), keep)
 
 
 def _xxz_params(cfg: ModelConfig) -> XXZParams:
@@ -241,15 +241,14 @@ def _write_json(obj: dict, path: str | None):
 
 def _cmd_spectrum(args) -> None:
     cfg = parse_config(args.config)
-    sup = _superoperator(cfg, _lindblad_model(cfg))
+    sup = _superoperator(cfg)
     _write_eigenvalues(_eig(sup.matrix, left=False)[0], args.out)
 
 
 def _cmd_check(args) -> None:
     cfg = parse_config(args.config)
-    model = _lindblad_model(cfg)
-    sup = _superoperator(cfg, model)
-    full = sup if sup.is_full_space else build_superoperator(model)
+    full = build_superoperator(_lindblad_model(cfg))
+    sup = full if cfg.sector == "full" else sector_restrict(full, sector_basis(cfg.n_sites, 0))
     gamma_bar = average_damping(full)
     w = _eig(sup.matrix, left=False)[0]
     cls = _classify(w, gamma_bar, args.tau_rel)

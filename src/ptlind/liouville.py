@@ -145,46 +145,67 @@ def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
     return keep
 
 
-def _assemble(terms, hilbert_dim: int, index=None, tol: float = 1e-12) -> np.ndarray:
-    """``sum c * kron(A, B)`` over ``terms`` of ``(c, A, B)``, on the flat positions ``index``.
+_SECTOR_TOL = 1e-12
 
-    Entry ``(j*N + k, j'*N + k')`` of ``kron(A, B)`` is ``A[j, j'] B[k, k']``; each
-    term is added in order on ``nonzero(A) x nonzero(B)`` only.  The skipped products
-    are zeros, and a sum that starts at +0 never becomes -0, so the result is
-    bit-equal to the dense loop ``out += c * kron(A, B)``.  Only the rows and columns
-    at ``index`` (default: all, in order) are assembled; term entries that couple a
-    kept position to a dropped one are summed per entry, and a coupling above ``tol``
-    times the largest entry of the block and its couplings raises
-    :class:`SectorNotInvariant`.
+
+def _refuse_leak(coupling: float, block: np.ndarray, tol: float = _SECTOR_TOL) -> None:
+    """Raise :class:`SectorNotInvariant` if the largest coupling between kept and dropped
+    positions exceeds ``tol`` times the largest entry of the kept ``block``, of the
+    coupling, and 1."""
+    scale = max(1.0, float(np.abs(block).max(initial=0.0)), coupling)
+    if coupling > tol * scale:
+        raise SectorNotInvariant(
+            f"cross-sector coupling {coupling:.3e} exceeds {tol:.1e} * {scale:.3e}"
+        )
+
+
+def _supports(terms):
+    """Each term ``c * kron(A, B)`` on ``nonzero(A) x nonzero(B)``, as ``(j, k, j', k', v)``.
+
+    ``v`` holds ``c A[j, j'] B[k, k']``, the entry at row ``j*N + k`` and column
+    ``j'*N + k'``; the four index arrays broadcast to its shape.  Skipped products are
+    zeros, and a sum that starts at +0 never becomes -0, so adding the terms in order is
+    bit-equal to the dense loop ``out += c * kron(A, B)``.
     """
-    n = hilbert_dim
-    index = np.arange(n * n) if index is None else _check_positions(index, n)
-    pos = _positions(index, n)
-    out = np.zeros((index.size, index.size), dtype=complex)
-    leak_at, leak_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for c, a, b in terms:
         ja, jb = np.nonzero(a)
         ka, kb = np.nonzero(b)
-        row_at, col_at = (ja * n)[:, None] + ka, (jb * n)[:, None] + kb
-        rows, cols = pos[row_at], pos[col_at]
         # both operands 2-D: numpy rounds a (1, 1) * (1,) complex product without
         # the fused multiply-add that np.kron's loop uses
-        vals = c * (a[ja, jb][:, None] * b[ka, kb][None, :])
+        v = a[ja, jb][:, None] * b[ka, kb][None, :]
+        v *= c
+        yield ja[:, None], ka, jb[:, None], kb, v
+
+
+def _assemble(terms, hilbert_dim: int, index=None) -> np.ndarray:
+    """``sum c * kron(A, B)`` over ``terms`` of ``(c, A, B)``, on the flat positions ``index``.
+
+    The full space (no ``index``) is written through an ``(N, N, N, N)`` view.  With
+    an ``index`` only its rows and columns are assembled; term entries that couple a
+    kept position to a dropped one are summed per entry, and :func:`_refuse_leak`
+    decides whether the sector is invariant.
+    """
+    n = hilbert_dim
+    if index is None:
+        out = np.zeros((n * n, n * n), dtype=complex)
+        for j, k, j2, k2, v in _supports(terms):
+            np.add.at(out.reshape(n, n, n, n), (j, k, j2, k2), v)
+        return out
+    index = _check_positions(index, n)
+    pos = _positions(index, n).reshape(n, n)
+    out = np.zeros((index.size, index.size), dtype=complex)
+    leak_at, leak_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    for j, k, j2, k2, v in _supports(terms):
+        rows, cols = pos[j, k], pos[j2, k2]
         kept = (rows >= 0) & (cols >= 0)
-        out[rows[kept], cols[kept]] += vals[kept]
+        out[rows[kept], cols[kept]] += v[kept]
         leak = (rows >= 0) != (cols >= 0)
-        leak_at.append(row_at[leak] * n * n + col_at[leak])
-        leak_vals.append(vals[leak])
+        leak_at.append(np.ravel_multi_index((j, k, j2, k2), (n,) * 4)[leak])
+        leak_vals.append(v[leak])
     entries, slot = np.unique(np.concatenate(leak_at), return_inverse=True)
-    if entries.size:
-        coupling_vals = np.zeros(entries.size, dtype=complex)
-        np.add.at(coupling_vals, slot, np.concatenate(leak_vals))
-        coupling = float(np.abs(coupling_vals).max())
-        scale = max(1.0, float(np.abs(out).max(initial=0.0)), coupling)
-        if coupling > tol * scale:
-            raise SectorNotInvariant(
-                f"cross-sector coupling {coupling:.3e} exceeds {tol:.1e} * {scale:.3e}"
-            )
+    coupling = np.zeros(entries.size, dtype=complex)
+    np.add.at(coupling, slot, np.concatenate(leak_vals))
+    _refuse_leak(float(np.abs(coupling).max(initial=0.0)), out)
     return out
 
 
@@ -326,14 +347,15 @@ def hermiticity_residual(sup: SuperOperator) -> float:
     return float(np.linalg.norm(diff, axis=0).max())
 
 
-def sector_restrict(sup: SuperOperator, keep, tol: float = 1e-12) -> SuperOperator:
+def sector_restrict(sup: SuperOperator, keep, tol: float = _SECTOR_TOL) -> SuperOperator:
     """Principal submatrix on the distinct flat positions ``keep`` (``j*N + k``), in order.
 
     ``sup`` itself is returned when ``keep`` equals ``sup.index``.  The kept
     positions must form an invariant block: any coupling between kept and
-    dropped positions above ``tol`` (relative to the largest matrix entry)
-    raises :class:`SectorNotInvariant`.  Extraction keeps the exact generator
-    of the block, with no projector sandwiching.
+    dropped positions above ``tol`` times the largest entry of the block and of
+    the coupling (at least 1) raises :class:`SectorNotInvariant`, the same rule
+    the direct block assembly applies.  Extraction keeps the exact generator of
+    the block, with no projector sandwiching.
     """
     keep = _check_positions(keep, sup.hilbert_dim)
     idx = _positions(sup.index, sup.hilbert_dim)[keep]
@@ -342,16 +364,13 @@ def sector_restrict(sup: SuperOperator, keep, tol: float = 1e-12) -> SuperOperat
     if np.array_equal(idx, np.arange(sup.dim)):
         return sup
     dropped = np.setdiff1d(np.arange(sup.dim), idx)
-    scale = max(1.0, np.abs(sup.matrix).max(initial=0.0))
+    block = sup.matrix[np.ix_(idx, idx)]
     coupling = max(
         np.abs(sup.matrix[np.ix_(idx, dropped)]).max(initial=0.0),
         np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
     )
-    if coupling > tol * scale:
-        raise SectorNotInvariant(
-            f"cross-sector coupling {coupling:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
-    return SuperOperator(sup.matrix[np.ix_(idx, idx)], sup.hilbert_dim, keep)
+    _refuse_leak(float(coupling), block, tol)
+    return SuperOperator(block, sup.hilbert_dim, keep)
 
 
 def left_identity_residual(sup: SuperOperator) -> float:

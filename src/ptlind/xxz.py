@@ -140,14 +140,9 @@ def ladder_vectorization_map(n_sites: int) -> np.ndarray:
 
 
 def _ladder_reorder(n_sites: int) -> tuple:
-    """``I (x) S`` as a reordering of rows and columns: ``pi @ m @ pi == m[reorder]``.
-
-    ``S`` is a symmetric permutation matrix, so ``I (x) S`` sends row
-    ``j*N + k`` to row ``j*N + s(k)``, with ``S[k, s(k)] = 1``.
-    """
-    dim = 2**n_sites
-    flip = np.argmax(global_spin_flip(n_sites).real, axis=1)
-    order = (np.arange(dim)[:, None] * dim + flip).reshape(-1)
+    """``I (x) S`` as a row and column reordering: ``pi @ m @ pi == m[_ladder_reorder(n)]``."""
+    flip = np.argmax(global_spin_flip(n_sites).real, axis=1)  # S[k, flip[k]] = 1
+    order = (np.arange(flip.size)[:, None] * flip.size + flip).reshape(-1)
     return np.ix_(order, order)
 
 

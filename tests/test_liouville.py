@@ -23,7 +23,7 @@ from ptlind import (
     traceless_part,
     vec,
 )
-from ptlind.liouville import _generator, _split
+from ptlind.liouville import _assemble, _generator, _split
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
@@ -351,6 +351,26 @@ class TestSupportAssembly:
         with pytest.raises(ValidationError):
             _generator(xxz_model(XXZParams(3, 0.5, 0.5, 0.3)), keep)
 
+    @pytest.mark.parametrize("leak, refused", [(1e-11, True), (1e-13, False)])
+    def test_direct_and_restricted_blocks_share_the_invariance_rule(self, leak, refused):
+        # N = 2, keep |0><0| and |1><1|.  The identity gives the kept block entries 1,
+        # the second term a dropped-dropped entry 1e3, and E01 (x) I couples kept and
+        # dropped positions by ``leak``.  Both routes scale the leak by the block and
+        # the coupling only, so a dropped-only entry cannot hide it.
+        eye, e00, e11 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        terms = [(1.0, eye, eye), (1e3, e00, e11), (leak, e01, eye)]
+        full = SuperOperator(_assemble(terms, 2), 2)
+        keep = [0, 3]
+        if refused:
+            with pytest.raises(SectorNotInvariant):
+                sector_restrict(full, keep)
+            with pytest.raises(SectorNotInvariant):
+                _assemble(terms, 2, keep)
+        else:
+            block = _assemble(terms, 2, keep)
+            assert np.array_equal(bits(block), bits(sector_restrict(full, keep).matrix))
+
 
 class TestAssemblyMemory:
     """At n = 5 one N^2 x N^2 complex matrix is 16 MB."""
@@ -373,6 +393,15 @@ class TestAssemblyMemory:
         base = tracemalloc.get_traced_memory()[0]
         build_superoperator(model)
         assert tracemalloc.get_traced_memory()[1] - base <= 3 * self.BLOCK
+
+    def test_full_build_of_dense_factors(self, traced):
+        # every factor dense (N = 32): each term's products and their scatter add at
+        # most one more matrix beside -i ad H and D (the dense kron route peaked at 4)
+        model = custom_model(0, 32, 3, 0.3, 1.0)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build_superoperator(model)
+        assert tracemalloc.get_traced_memory()[1] - base <= 3.25 * self.BLOCK
 
     def test_direct_block(self, model, traced):
         keep = sector_basis(5, 0)
