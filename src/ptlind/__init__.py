@@ -89,7 +89,6 @@ from .xxz import (
     XXZParams,
     ladder_liouvillian,
     ladder_matrix,
-    ladder_vectorization_map,
     row_superoperators,
     sector_basis,
     spin_current,

@@ -41,7 +41,6 @@ __all__ = [
     "xxz_model",
     "spin_current",
     "sector_basis",
-    "ladder_vectorization_map",
     "ladder_matrix",
     "ladder_liouvillian",
     "row_superoperators",
@@ -126,17 +125,6 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
     down = sum((states >> site) & 1 for site in range(n_sites))
     mags = n_sites - 2 * down
     return np.flatnonzero(mags[:, None] - mags == dmz)
-
-
-def ladder_vectorization_map(n_sites: int) -> np.ndarray:
-    """Change of basis from row-major vec to the two-copy (ladder) vec.
-
-    Row-major vectorisation sends ``|j><k|`` to ``|j> (x) |k>``; the ladder
-    identification sends it to ``|j> (x) S|k>``.  The two differ by the
-    involution ``I (x) S``, which this function returns.
-    """
-    dim = 2**n_sites
-    return np.kron(np.eye(dim, dtype=complex), global_spin_flip(n_sites))
 
 
 def _ladder_reorder(n_sites: int) -> tuple:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptlind import LindbladModel
-from ptlind.operators import SIGMA_MINUS, SIGMA_Z
+from ptlind.operators import SIGMA_MINUS, SIGMA_Z, global_spin_flip
 
 
 @pytest.fixture
@@ -59,3 +59,14 @@ def kron_terms(model: LindbladModel) -> tuple:
 def bits(a: np.ndarray) -> np.ndarray:
     """The raw binary64 words of a complex array: equal views mean equal signs of zero too."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def ladder_vectorization_map(n_sites: int) -> np.ndarray:
+    """Change of basis from row-major vec to the two-copy (ladder) vec.
+
+    Row-major vectorisation sends ``|j><k|`` to ``|j> (x) |k>``; the ladder
+    identification sends it to ``|j> (x) S|k>``.  The two differ by the
+    involution ``I (x) S``, which this function returns.
+    """
+    dim = 2**n_sites
+    return np.kron(np.eye(dim, dtype=complex), global_spin_flip(n_sites))

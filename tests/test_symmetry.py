@@ -22,13 +22,12 @@ from ptlind.operators import SIGMA_PLUS, SIGMA_X, dagger, site_operator, site_re
 from ptlind.symmetry import _kron_identity_residual, _sandwich
 from ptlind.xxz import (
     XXZParams,
-    ladder_vectorization_map,
     row_superoperators,
     sector_basis,
     xxz_model,
 )
 
-from conftest import random_hermitian, single_qubit
+from conftest import ladder_vectorization_map, random_hermitian, single_qubit
 
 
 def sigma_z_string(n):

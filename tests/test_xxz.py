@@ -15,12 +15,13 @@ from ptlind.xxz import (
     _ladder_rows,
     ladder_liouvillian,
     ladder_matrix,
-    ladder_vectorization_map,
     row_superoperators,
     sector_basis,
     spin_current,
     xxz_model,
 )
+
+from conftest import ladder_vectorization_map
 
 
 def total_magnetization(n):
