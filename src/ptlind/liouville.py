@@ -189,6 +189,7 @@ def _assemble(terms, hilbert_dim: int, index=None) -> np.ndarray:
     if index is None:
         out = np.zeros((n * n, n * n), dtype=complex)
         for j, k, j2, k2, v in _supports(terms):
+            # unbuffered: ``+=`` would first gather a copy of every touched entry
             np.add.at(out.reshape(n, n, n, n), (j, k, j2, k2), v)
         return out
     index = _check_positions(index, n)
