@@ -395,8 +395,8 @@ class TestAssemblyMemory:
         assert tracemalloc.get_traced_memory()[1] - base <= 3 * self.BLOCK
 
     def test_full_build_of_dense_factors(self, traced):
-        # every factor dense (N = 32): each term's products and their scatter add at
-        # most one more matrix beside -i ad H and D (the dense kron route peaked at 4)
+        # every factor dense (N = 32): -i ad H, D and one term's products make three
+        # matrices; the unbuffered scatter adds no gathered copy of the touched entries
         model = custom_model(0, 32, 3, 0.3, 1.0)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
