@@ -30,17 +30,15 @@ from .liouville import (
     traceless_part,
 )
 from .operators import (
-    BasisConvention,
-    almost_equal,
     dagger,
     global_spin_flip,
     hs_inner,
+    is_hermitian,
     kron,
     mat_exp,
     product_map,
     site_operator,
     site_reversal,
-    transpose_permutation,
     unvec,
     vec,
 )

@@ -39,7 +39,7 @@ from .liouville import (
     build_superoperator,
     hermiticity_residual,
 )
-from .operators import SIGMA_MINUS, SIGMA_Z
+from .operators import SIGMA_MINUS, SIGMA_Z, is_hermitian
 from .perturbation import degeneracy_report, population_matrix
 from .spectral import (
     DEFAULT_TAU_REL,
@@ -68,18 +68,16 @@ TOLERANCES = {
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """A validated model description plus the raw dict it came from."""
+    """A validated config: model kind, sector, the model and the raw dict it came from.
+
+    ``spec`` is the chain's :class:`XXZParams` for ``xxz`` and the
+    :class:`LindbladModel` itself for ``single_qubit`` and ``custom``.
+    """
 
     model: str
     sector: str
-    gamma: float
-    n_sites: int | None = None
-    delta: float | None = None
-    mu: float | None = None
-    omega: float | None = None
-    hamiltonian: np.ndarray | None = field(default=None, repr=False)
-    lindblads: tuple | None = field(default=None, repr=False)
-    raw: dict = field(default_factory=dict, repr=False)
+    spec: XXZParams | LindbladModel = field(repr=False)
+    raw: dict = field(repr=False)
 
 
 def _require_number(cfg: dict, key: str, prefix: str = "") -> float:
@@ -116,6 +114,8 @@ def _parse_complex_matrix(entries, path: str) -> np.ndarray:
             ):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected a [re, im] pair of numbers")
             out[i, j] = complex(cell[0], cell[1])
+            if not np.isfinite(out[i, j]):
+                raise SchemaError(f"{path}[{i}][{j}]", "must be finite")
     return out
 
 
@@ -149,16 +149,16 @@ def parse_config(path: str) -> ModelConfig:
         mu = _require_number(raw, "mu")
         if not -1.0 <= mu <= 1.0:
             raise SchemaError("mu", f"must lie in [-1, 1], got {mu}")
-        return ModelConfig(
-            model=model, sector=sector, gamma=gamma, n_sites=n, delta=delta, mu=mu, raw=raw
-        )
+        return ModelConfig(model, sector, XXZParams(n, delta, mu, gamma), raw)
 
     if model == "single_qubit":
         _reject_unknown(raw, {"model", "omega", "gamma", "sector"})
         if sector != "full":
             raise SchemaError("sector", "single_qubit supports only the full sector")
         omega = _require_number(raw, "omega")
-        return ModelConfig(model=model, sector=sector, gamma=gamma, omega=omega, raw=raw)
+        return ModelConfig(
+            model, sector, LindbladModel(0.5 * omega * SIGMA_Z, (SIGMA_MINUS,), gamma), raw
+        )
 
     _reject_unknown(raw, {"model", "gamma", "sector", "custom"})
     if sector != "full":
@@ -172,7 +172,7 @@ def parse_config(path: str) -> ModelConfig:
     if "lindblads" not in custom:
         raise SchemaError("custom.lindblads", "missing required key")
     h = _parse_complex_matrix(custom["hamiltonian"], "custom.hamiltonian")
-    if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
+    if not is_hermitian(h):
         raise SchemaError("custom.hamiltonian", "not Hermitian")
     if not isinstance(custom["lindblads"], list) or not custom["lindblads"]:
         raise SchemaError("custom.lindblads", "expected a non-empty list of matrices")
@@ -185,28 +185,23 @@ def parse_config(path: str) -> ModelConfig:
             raise SchemaError(
                 f"custom.lindblads[{m}]", f"shape {L.shape} does not match hamiltonian {h.shape}"
             )
-    return ModelConfig(
-        model=model, sector=sector, gamma=gamma, hamiltonian=h, lindblads=ls, raw=raw
-    )
+    return ModelConfig(model, sector, LindbladModel(h, ls, gamma), raw)
 
 
 def _lindblad_model(cfg: ModelConfig) -> LindbladModel:
-    if cfg.model == "xxz":
-        return xxz_model(XXZParams(cfg.n_sites, cfg.delta, cfg.mu, cfg.gamma))
-    if cfg.model == "single_qubit":
-        return LindbladModel(0.5 * cfg.omega * SIGMA_Z, (SIGMA_MINUS,), cfg.gamma)
-    return LindbladModel(cfg.hamiltonian, cfg.lindblads, cfg.gamma)
+    """The config's model; the xxz chain is built here, once per command that needs it."""
+    return xxz_model(cfg.spec) if cfg.model == "xxz" else cfg.spec
 
 
 def _sector(cfg: ModelConfig):
     """Flat positions of the config's sector; None for the full space."""
-    return sector_basis(cfg.n_sites, 0) if cfg.sector == "dmz0" else None
+    return sector_basis(cfg.spec.n_sites, 0) if cfg.sector == "dmz0" else None
 
 
 def _xxz_params(cfg: ModelConfig) -> XXZParams:
     if cfg.model != "xxz":
         raise ValidationError(f"this command requires an xxz model config, got {cfg.model!r}")
-    return XXZParams(cfg.n_sites, cfg.delta, cfg.mu, cfg.gamma)
+    return cfg.spec
 
 
 def write_spectrum_csv(dec: SpectralDecomposition, path: str):
@@ -268,7 +263,7 @@ def _cmd_check(args) -> None:
         "pt": None,
     }
     if cfg.model == "xxz":
-        sym = check_pt(full, xxz_parity(cfg.n_sites))
+        sym = check_pt(full, xxz_parity(cfg.spec.n_sites))
         report["pt"] = {
             "pt_residual": sym.pt_residual,
             "involution_residual": sym.involution_residual,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SectorNotInvariant, ValidationError
-from .operators import dagger, mat_exp, vec
+from .operators import dagger, is_hermitian, mat_exp, vec
 
 __all__ = [
     "LindbladModel",
@@ -57,8 +57,7 @@ class LindbladModel:
             raise ValidationError(f"Hamiltonian must be square, got {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValidationError("Hamiltonian has non-finite entries")
-        hnorm = np.linalg.norm(h)
-        if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, hnorm):
+        if not is_hermitian(h):
             raise ValidationError("Hamiltonian is not Hermitian")
         ls = tuple(np.asarray(L, dtype=complex) for L in self.lindblads)
         for m, L in enumerate(ls):
@@ -271,20 +270,25 @@ def dissipator_superoperator(model: LindbladModel) -> SuperOperator:
     return SuperOperator(_assemble(_terms(model)[1], model.dim), model.dim)
 
 
-def traceless_dissipator(model: LindbladModel, tol: float = 1e-9) -> SuperOperator:
+def _require_trace_normalised(dis: np.ndarray) -> None:
+    """Refuse a dissipator matrix whose trace is not ``-N^2`` to within ``1e-9 N^2``."""
+    n2 = dis.shape[0]
+    tr = np.trace(dis)
+    if abs(tr + n2) > 1e-9 * n2:
+        raise ValidationError(
+            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
+        )
+
+
+def traceless_dissipator(model: LindbladModel) -> SuperOperator:
     """``D + 1`` for a trace-normalised dissipator.
 
     The shift by the identity is only meaningful when ``Tr D = -N^2``; models
     whose jump operators are not normalised that way are refused.
     """
     dis = _assemble(_terms(model)[1], model.dim)
-    n2 = model.dim**2
-    tr = np.trace(dis)
-    if abs(tr + n2) > tol * n2:
-        raise ValidationError(
-            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
-        )
-    dis.flat[:: n2 + 1] += 1.0
+    _require_trace_normalised(dis)
+    dis.flat[:: dis.shape[0] + 1] += 1.0
     return SuperOperator(dis, model.dim)
 
 
@@ -324,27 +328,25 @@ def _conjugate_rows(index: np.ndarray, hilbert_dim: int) -> np.ndarray:
     return _positions(index, hilbert_dim)[k * hilbert_dim + j]
 
 
-def _swap_conjugate(sup: SuperOperator) -> np.ndarray:
-    """Conjugation of the superoperator by the antilinear map rho -> rho^dag."""
+def hermiticity_residual(sup: SuperOperator) -> float:
+    """How badly the map fails to send Hermitian operators to Hermitian ones.
+
+    Returns the maximum over operator-basis elements of the 2-norm of
+    ``L(rho^dag) - (L rho)^dag``, i.e. the largest column norm of
+    ``SwapConj(matrix) - matrix``, where ``SwapConj`` conjugates the matrix by
+    the antilinear map rho -> rho^dag.  Zero (to rounding) for any
+    Lindblad-built superoperator; of order 1 for maps like ``rho -> i rho``.
+    """
     perm = _conjugate_rows(sup.index, sup.hilbert_dim)
     if np.any(perm < 0):
         raise ValidationError(
             "basis is not closed under |j><k| -> |k><j|; "
             "hermiticity conjugation is undefined on this sector"
         )
-    conj = sup.matrix.conj()
-    return conj[np.ix_(perm, perm)]
-
-
-def hermiticity_residual(sup: SuperOperator) -> float:
-    """How badly the map fails to send Hermitian operators to Hermitian ones.
-
-    Returns the maximum over operator-basis elements of the 2-norm of
-    ``L(rho^dag) - (L rho)^dag``, i.e. the largest column norm of
-    ``matrix - SwapConj(matrix)``.  Zero (to rounding) for any Lindblad-built
-    superoperator; of order 1 for maps like ``rho -> i rho``.
-    """
-    diff = sup.matrix - _swap_conjugate(sup)
+    # one temporary: the gathered copy is conjugated and differenced in place
+    diff = sup.matrix[np.ix_(perm, perm)]
+    np.conjugate(diff, out=diff)
+    diff -= sup.matrix
     return float(np.linalg.norm(diff, axis=0).max())
 
 

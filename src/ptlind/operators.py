@@ -16,8 +16,6 @@ Every other module builds on the two conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -30,9 +28,9 @@ __all__ = [
     "SIGMA_PLUS",
     "SIGMA_MINUS",
     "IDENTITY_2",
-    "BasisConvention",
     "kron",
     "dagger",
+    "is_hermitian",
     "hs_inner",
     "site_operator",
     "site_reversal",
@@ -41,8 +39,6 @@ __all__ = [
     "vec",
     "unvec",
     "product_map",
-    "transpose_permutation",
-    "almost_equal",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -68,38 +64,6 @@ def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class BasisConvention:
-    """Index rules for an ``n_sites`` spin-1/2 chain.
-
-    ``state_index`` maps a tuple of per-site bits (0 = up, 1 = down, site 1
-    first) to the computational-basis index; ``pair_index`` maps an operator
-    basis element ``|j><k|`` to its flat row-major position ``j*N + k``;
-    ``magnetization`` counts up-spins minus down-spins of a basis state.
-    """
-
-    n_sites: int
-
-    @property
-    def hilbert_dim(self) -> int:
-        return 2**self.n_sites
-
-    def state_index(self, bits) -> int:
-        if len(bits) != self.n_sites:
-            raise ValidationError(f"expected {self.n_sites} bits, got {len(bits)}")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | (int(b) & 1)
-        return idx
-
-    def pair_index(self, j: int, k: int) -> int:
-        return j * self.hilbert_dim + k
-
-    def magnetization(self, j: int) -> int:
-        down = bin(j).count("1")
-        return (self.n_sites - down) - down
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square complex matrices."""
     return np.kron(_require_square(a, "kron operand"), _require_square(b, "kron operand"))
@@ -108,6 +72,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    """Whether ``a`` is square, finite and ``|a - a^dag|_F <= 1e-12 max(1, |a|_F)``."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        return False
+    return bool(np.linalg.norm(a - dagger(a)) <= 1e-12 * max(1.0, np.linalg.norm(a)))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -186,21 +158,3 @@ def product_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return np.kron(a, b.T)
-
-
-def transpose_permutation(dim: int) -> np.ndarray:
-    """Permutation matrix sending ``vec(rho)`` to ``vec(rho.T)``."""
-    flat = np.arange(dim * dim).reshape(dim, dim)
-    return np.eye(dim * dim)[flat.T.reshape(-1)]
-
-
-def almost_equal(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> bool:
-    """Entrywise comparison; default tolerance 1e-12 * max(1, inf-norm)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    if tol is None:
-        scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
-        tol = 1e-12 * max(1.0, scale)
-    return bool(np.abs(a - b).max(initial=0.0) <= tol)

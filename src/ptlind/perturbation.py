@@ -25,9 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateAtEvaluationPoint, ValidationError
-from .liouville import LindbladModel, SuperOperator, _at_coupling, _split, traceless_dissipator
-from .operators import vec
-from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, _eig, eig_biortho
+from .liouville import (
+    LindbladModel,
+    SuperOperator,
+    _at_coupling,
+    _require_trace_normalised,
+    _split,
+    traceless_dissipator,
+)
+from .operators import is_hermitian, vec
+from .spectral import DEFAULT_TAU_REL, _eig, eig_biortho
 
 __all__ = [
     "PerturbationReport",
@@ -117,18 +124,15 @@ class VelocityReport:
 
 
 def velocity_check(
-    model: LindbladModel,
-    dgamma: float = 1e-5,
-    sector: np.ndarray | None = None,
-    line_tol_rel: float = DEFAULT_TAU_REL,
-    cluster_rel: float = DEGENERACY_REL_TOL,
+    model: LindbladModel, dgamma: float = 1e-5, sector: np.ndarray | None = None
 ) -> VelocityReport:
     """Compare ``<v, D u>`` with centred finite differences of the spectrum.
 
     Eigenvalues at ``gamma +- dgamma`` are tracked by nearest match.  Also
     checks line confinement: a simple eigenvalue on the real axis must have
     a real velocity, and one on the vertical line must have a purely
-    imaginary shifted velocity ``<v, (D + 1) u>``.
+    imaginary shifted velocity ``<v, (D + 1) u>``; "on a line" means within
+    ``DEFAULT_TAU_REL`` of the spectral radius, as in :func:`classify_cross`.
     """
     if not 0 < dgamma < np.inf:
         raise ValidationError(f"dgamma must be positive and finite, got {dgamma}")
@@ -138,12 +142,12 @@ def velocity_check(
 
     coherent, dis_m = _split(model, sector)
     sup = SuperOperator(_at_coupling(coherent, dis_m, gamma), model.dim, sector)
-    dec = eig_biortho(sup, cluster_rel=cluster_rel)
+    dec = eig_biortho(sup)
     w = dec.eigenvalues
     w_plus = _eig(_at_coupling(coherent, dis_m, gamma + dgamma), left=False)[0]
     w_minus = _eig(_at_coupling(coherent, dis_m, gamma - dgamma), left=False)[0]
 
-    scale = max(1.0, dec.spectral_radius)
+    line_tol = DEFAULT_TAU_REL * max(1.0, dec.spectral_radius)
     entries = []
     conf_h: list = []
     conf_v: list = []
@@ -163,9 +167,9 @@ def velocity_check(
         lam_m = w_minus[np.argmin(np.abs(w_minus - w[k]))]
         fd = (lam_p - lam_m) / (2.0 * dgamma)
         entries.append((k, w[k], analytic, fd))
-        if abs(w[k].imag) <= line_tol_rel * scale:
+        if abs(w[k].imag) <= line_tol:
             conf_h.append(abs(analytic.imag))
-        elif abs(w[k].real + gamma) <= line_tol_rel * scale:
+        elif abs(w[k].real + gamma) <= line_tol:
             conf_v.append(abs((analytic + 1.0).real))
     if not entries:
         raise DegenerateAtEvaluationPoint(
@@ -198,20 +202,16 @@ class DegeneracyReport:
     tol: float
 
 
-def degeneracy_report(
-    hamiltonian: np.ndarray,
-    tol: float | None = None,
-    blocks=None,
-    max_listed: int = 500,
-) -> DegeneracyReport:
+def degeneracy_report(hamiltonian: np.ndarray, tol: float | None = None, blocks=None) -> DegeneracyReport:
     """List degenerate energy pairs and degenerate gap pairs.
 
     ``blocks``, when given, assigns a conserved quantum number to each
     eigenstate (after sorting energies ascending); pairs and gaps are then
-    only compared within equal block labels.
+    only compared within equal block labels.  Pairs come in row-major order
+    of their indices; at most the first 500 gap pairs are listed.
     """
     h = np.asarray(hamiltonian, dtype=complex)
-    if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
+    if not is_hermitian(h):
         raise ValidationError("Hamiltonian is not Hermitian")
     energies = np.linalg.eigh(h)[0]
     if tol is None:
@@ -219,37 +219,18 @@ def degeneracy_report(
     n = energies.size
     if blocks is not None and len(blocks) != n:
         raise ValidationError(f"blocks has length {len(blocks)}, expected {n}")
-
-    def same_block(j, k):
-        return blocks is None or blocks[j] == blocks[k]
-
-    pairs = [
-        (j, k)
-        for j in range(n)
-        for k in range(j + 1, n)
-        if same_block(j, k) and abs(energies[j] - energies[k]) <= tol
-    ]
-    gaps = [
-        (j, k, energies[k] - energies[j])
-        for j in range(n)
-        for k in range(j + 1, n)
-        if same_block(j, k)
-    ]
-    gap_pairs = []
-    for a in range(len(gaps)):
-        ja, ka, ga = gaps[a]
-        for b in range(a + 1, len(gaps)):
-            jb, kb, gb = gaps[b]
-            if abs(ga - gb) <= tol:
-                gap_pairs.append(((ja, ka), (jb, kb)))
-                if len(gap_pairs) >= max_listed:
-                    break
-        if len(gap_pairs) >= max_listed:
-            break
+    j, k = np.triu_indices(n, 1)
+    if blocks is not None:
+        same = np.asarray(blocks)[j] == np.asarray(blocks)[k]
+        j, k = j[same], k[same]
+    gaps = energies[k] - energies[j]
+    ends = list(zip(j.tolist(), k.tolist()))
+    close = np.flatnonzero(np.abs(gaps) <= tol)
+    a, b = np.nonzero(np.triu(np.abs(gaps[:, None] - gaps) <= tol, 1))
     return DegeneracyReport(
         energies=energies,
-        degenerate_pairs=tuple(pairs),
-        degenerate_gap_pairs=tuple(gap_pairs),
+        degenerate_pairs=tuple(ends[i] for i in close),
+        degenerate_gap_pairs=tuple((ends[x], ends[y]) for x, y in zip(a[:500], b[:500])),
         tol=float(tol),
     )
 
@@ -269,9 +250,7 @@ def heuristic_gamma_pt(dissipator: SuperOperator, hamiltonian: np.ndarray) -> fl
         raise ValidationError(
             f"dissipator dim {dissipator.dim} does not match Hamiltonian dim {n}"
         )
-    tr = np.trace(dissipator.matrix)
-    if abs(tr + n * n) > 1e-9 * n * n:
-        raise ValidationError(f"dissipator trace {tr:.6g} is not -N^2 = {-n * n}")
+    _require_trace_normalised(dissipator.matrix)
     energies = np.linalg.eigh(h)[0]
     span = float(energies[-1] - energies[0])
     if span <= 0.0:

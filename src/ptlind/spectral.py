@@ -12,9 +12,9 @@ decomposition this module provides
   lines, with greedy one-to-one pairing, and
 * the eigenvector partner relations that accompany those reflections.
 
-Degenerate eigenvalues (within 1e-8 of the spectral radius by default) are
-clustered; clustered members are exempt from bi-orthonormalisation and
-partner checks, and reported as such.
+Degenerate eigenvalues (within 1e-8 of the spectral radius) are clustered;
+clustered members are exempt from bi-orthonormalisation and partner checks,
+and reported as such.
 """
 
 from __future__ import annotations
@@ -149,13 +149,13 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     return w[order], None if vl is None else vl[:, order], vr[:, order]
 
 
-def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> SpectralDecomposition:
+def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
     """Full spectrum with bi-orthonormal right/left eigenvector pairs."""
     m = sup.matrix
     w, vl, vr = _eig(m)
 
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    clusters = _cluster_close_eigenvalues(w, cluster_rel * scale)
+    clusters = _cluster_close_eigenvalues(w, DEGENERACY_REL_TOL * scale)
     simple = ~np.isin(np.arange(w.size), [i for g in clusters for i in g])
 
     # LAPACK returns left vectors x with x^H m = lambda x^H, i.e. m^dag x = conj(lambda) x.
@@ -182,17 +182,17 @@ def eig_biortho(sup: SuperOperator, cluster_rel: float = DEGENERACY_REL_TOL) -> 
     )
 
 
-def steady_state(dec: SpectralDecomposition, tol_rel: float = 1e-9) -> np.ndarray:
+def steady_state(dec: SpectralDecomposition) -> np.ndarray:
     """Right null vector rescaled to unit trace.
 
     Raises :class:`NoZeroMode` unless an eigenvalue within
-    ``tol_rel * matrix_norm`` of zero exists.
+    ``1e-9 * max(1, matrix_norm)`` of zero exists.
     """
     k = int(np.argmin(np.abs(dec.eigenvalues)))
-    if abs(dec.eigenvalues[k]) > tol_rel * max(1.0, dec.matrix_norm):
+    if abs(dec.eigenvalues[k]) > 1e-9 * max(1.0, dec.matrix_norm):
         raise NoZeroMode(
             f"smallest |eigenvalue| is {abs(dec.eigenvalues[k]):.3e}, "
-            f"above {tol_rel:.1e} * {dec.matrix_norm:.3e}"
+            f"above 1.0e-09 * {dec.matrix_norm:.3e}"
         )
     u = dec.right_vectors[:, k]
     j, kk = np.divmod(dec.index, dec.hilbert_dim)
@@ -318,13 +318,12 @@ class PartnerReport:
     max_eigenvalue_mismatch: float
 
 
-def pt_partner_check(
-    dec: SpectralDecomposition,
-    parity,
-    gamma_bar: float,
-    match_rel: float = 1e-6,
-) -> PartnerReport:
-    """Verify the eigenvector relations behind the two spectral reflections."""
+def pt_partner_check(dec: SpectralDecomposition, parity, gamma_bar: float) -> PartnerReport:
+    """Verify the eigenvector relations behind the two spectral reflections.
+
+    Eigenvalues whose mirror images match no eigenvalue within 1e-6 of the
+    spectral radius are not checked.
+    """
     w = dec.eigenvalues
     p = parity.matrix_on(dec.index)
     conj = _conjugate_rows(dec.index, dec.hilbert_dim)
@@ -346,7 +345,7 @@ def pt_partner_check(
         eta = int(np.argmin(np.abs(w - np.conj(w[k]))))
         match = max(abs(w[beta] - target), abs(w[eta] - np.conj(w[k])))
         worst_match = max(worst_match, match)
-        if match > match_rel * scale:
+        if match > 1e-6 * scale:
             continue  # reflections unmatched; shows up in max_eigenvalue_mismatch
         checked += 1
         if dec.is_simple(beta):

@@ -77,11 +77,12 @@ class ParitySuperOp:
         return self.matrix @ x
 
 
-def parity_from_pair(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> ParitySuperOp:
+def parity_from_pair(a: np.ndarray, b: np.ndarray) -> ParitySuperOp:
     """Build and vet the parity ``rho -> a rho b``.
 
     ``a`` and ``b`` must be unitary and the map must square to the identity
-    (that is, a^2 and b^2 are reciprocal phases).
+    (that is, a^2 and b^2 are reciprocal phases): the Frobenius residuals may
+    reach 1e-12 N and 1e-12 N^2.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -90,10 +91,10 @@ def parity_from_pair(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> Parity
     dim = a.shape[0]
     eye = np.eye(dim)
     unit = max(np.linalg.norm(dagger(a) @ a - eye), np.linalg.norm(dagger(b) @ b - eye))
-    if unit > tol * dim:
+    if unit > 1e-12 * dim:
         raise NotUnitary(f"operator pair is not unitary (residual {unit:.3e})")
     invol = _kron_identity_residual(a @ a, (b @ b).T)
-    if invol > tol * dim * dim:
+    if invol > 1e-12 * dim * dim:
         raise NotInvolution(f"parity map does not square to identity (residual {invol:.3e})")
     return ParitySuperOp(a, b, invol, float(unit))
 

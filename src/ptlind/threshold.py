@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BracketInvalid, ValidationError
 from .liouville import _at_coupling, _overflows, _split, build_superoperator, propagator
-from .operators import dagger, unvec, vec
+from .operators import dagger, is_hermitian, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
@@ -213,7 +213,7 @@ class DecayResult:
     """Deviation time series of one observable and its fitted decay rate.
 
     The rate comes from linear regression of ``log |deviation|`` against
-    time over the points where the deviation exceeds ``floor``, skipping
+    time over the points where the deviation exceeds 1e-10, skipping
     the first 5% of the grid (transients from population-sector
     admixture); ``nan`` when fewer than two points survive.
     """
@@ -229,7 +229,6 @@ def observable_decay(
     observable: np.ndarray,
     rho0: np.ndarray | None = None,
     t_grid=None,
-    floor: float = 1e-10,
 ) -> DecayResult:
     """Evolve a state and fit the decay rate of ``tr[(rho(t) - rho_inf) obs]``.
 
@@ -241,7 +240,7 @@ def observable_decay(
     dim = params.hilbert_dim
     if obs.shape != (dim, dim):
         raise ValidationError(f"observable shape {obs.shape} does not match dim {dim}")
-    if np.linalg.norm(obs - dagger(obs)) > 1e-12 * max(1.0, np.linalg.norm(obs)):
+    if not is_hermitian(obs):
         raise ValidationError("observable must be Hermitian")
     if rho0 is None:
         rho0 = (np.eye(dim) + obs / (2.0 * np.linalg.norm(obs, 2))) / dim
@@ -270,7 +269,7 @@ def observable_decay(
         x = step_props[key] @ x
         deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
 
-    mask = np.abs(deviations) > floor
+    mask = np.abs(deviations) > 1e-10
     mask[: int(0.05 * t_grid.size)] = False
     rate = float("nan")
     if int(mask.sum()) >= 2:

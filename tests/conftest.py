@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from ptlind import LindbladModel
+from ptlind import LindbladModel, ValidationError
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, global_spin_flip
 
 
@@ -70,3 +72,53 @@ def ladder_vectorization_map(n_sites: int) -> np.ndarray:
     """
     dim = 2**n_sites
     return np.kron(np.eye(dim, dtype=complex), global_spin_flip(n_sites))
+
+
+@dataclass(frozen=True)
+class BasisConvention:
+    """Index rules for an ``n_sites`` spin-1/2 chain.
+
+    ``state_index`` maps a tuple of per-site bits (0 = up, 1 = down, site 1
+    first) to the computational-basis index; ``pair_index`` maps an operator
+    basis element ``|j><k|`` to its flat row-major position ``j*N + k``;
+    ``magnetization`` counts up-spins minus down-spins of a basis state.
+    """
+
+    n_sites: int
+
+    @property
+    def hilbert_dim(self) -> int:
+        return 2**self.n_sites
+
+    def state_index(self, bits) -> int:
+        if len(bits) != self.n_sites:
+            raise ValidationError(f"expected {self.n_sites} bits, got {len(bits)}")
+        idx = 0
+        for b in bits:
+            idx = (idx << 1) | (int(b) & 1)
+        return idx
+
+    def pair_index(self, j: int, k: int) -> int:
+        return j * self.hilbert_dim + k
+
+    def magnetization(self, j: int) -> int:
+        down = bin(j).count("1")
+        return (self.n_sites - down) - down
+
+
+def transpose_permutation(dim: int) -> np.ndarray:
+    """Permutation matrix sending ``vec(rho)`` to ``vec(rho.T)``."""
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    return np.eye(dim * dim)[flat.T.reshape(-1)]
+
+
+def almost_equal(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> bool:
+    """Entrywise comparison; default tolerance 1e-12 * max(1, inf-norm)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    if tol is None:
+        scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+        tol = 1e-12 * max(1.0, scale)
+    return bool(np.abs(a - b).max(initial=0.0) <= tol)

@@ -21,7 +21,7 @@ from ptlind import (
     verify_d2,
     xxz_model,
 )
-from ptlind.cli import main, parse_config, write_spectrum_csv
+from ptlind.cli import TOLERANCES, main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
 
 FIG_TOP = {
@@ -52,7 +52,7 @@ class TestParseConfig:
     def test_valid_xxz(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, FIG_TOP))
         assert cfg.model == "xxz"
-        assert cfg.n_sites == 4 and cfg.sector == "dmz0"
+        assert cfg.spec.n_sites == 4 and cfg.sector == "dmz0"
         assert cfg.raw == FIG_TOP
 
     def test_missing_gamma(self, tmp_path):
@@ -103,8 +103,28 @@ class TestParseConfig:
             },
         }
         cfg = parse_config(write_config(tmp_path, payload))
-        assert cfg.hamiltonian[0, 0] == 0.5
-        assert cfg.lindblads[0][1, 0] == 1.0
+        assert cfg.spec.hamiltonian[0, 0] == 0.5
+        assert cfg.spec.lindblads[0][1, 0] == 1.0
+
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["custom.hamiltonian[1][1]", "custom.lindblads[0][1][0]"])
+    def test_custom_non_finite_cell_rejected(self, tmp_path, cell, key):
+        # json reads NaN and Infinity as floats; the cell is refused where it enters
+        h = "[[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]"
+        jump = "[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]"
+        if key.startswith("custom.hamiltonian"):
+            h = h.replace("[-0.5, 0]", f"[-0.5, {cell}]")
+        else:
+            jump = jump.replace("[1, 0]", f"[{cell}, 0]")
+        path = tmp_path / "model.json"
+        path.write_text(
+            f'{{"model": "custom", "gamma": 0.1, '
+            f'"custom": {{"hamiltonian": {h}, "lindblads": [{jump}]}}}}'
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_config(str(path))
+        assert err.value.key == key
+        assert "must be finite" in str(err.value)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -344,6 +364,34 @@ class TestExitCodes:
         cfg = write_config(tmp_path, QUBIT)
         code = main(["threshold", "--config", cfg])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["check", "threshold"])
+    def test_non_finite_cell_carries_its_key(self, tmp_path, capsys, command):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"model": "custom", "gamma": 0.1, "custom": {'
+            '"hamiltonian": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]], '
+            '"lindblads": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}}'
+        )
+        assert main([command, "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["key"] == "custom.hamiltonian[0][0]"
+
+
+def test_echoed_tolerances_are_pinned(tmp_path, capsys):
+    # every JSON report echoes this table; a change to it changes every report
+    assert TOLERANCES == {
+        "tau_rel": 1e-8,
+        "pt_residual": 1e-12,
+        "hermiticity_residual": 1e-13,
+        "degeneracy_rel": 1e-8,
+    }
+    cfg = write_config(tmp_path, QUBIT)
+    assert main(["check", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"] == TOLERANCES
+    assert main(["perturb", "--config", cfg, "--out-v", str(tmp_path / "v.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"] == TOLERANCES
 
 
 class TestRunFromCheckout:

@@ -184,6 +184,18 @@ class TestHermiticityResidual:
         sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
         assert hermiticity_residual(sector_restrict(sup, sector_basis(3, 0))) <= 1e-13
 
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_column_norms_of_the_conjugated_difference(self, rng, permuted):
+        # any matrix, on the full space in natural or permuted order: the largest column
+        # norm of m - SwapConj(m), with SwapConj gathered from the conjugate as a reference
+        n = 3
+        index = rng.permutation(n * n) if permuted else np.arange(n * n)
+        m = rng.normal(size=(n * n, n * n)) + 1j * rng.normal(size=(n * n, n * n))
+        j, k = np.divmod(index, n)
+        pos = np.argsort(index)[k * n + j]
+        expected = np.linalg.norm(m - m.conj()[np.ix_(pos, pos)], axis=0).max()
+        assert hermiticity_residual(SuperOperator(m, n, index)) == expected
+
 
 class TestSectorRestrict:
     def test_xxz_n4_zero_magnetization_block(self):

@@ -4,24 +4,28 @@ import numpy as np
 import pytest
 
 from ptlind import (
-    BasisConvention,
     ValidationError,
-    almost_equal,
     dagger,
     global_spin_flip,
     hs_inner,
+    is_hermitian,
     kron,
     mat_exp,
     product_map,
     site_operator,
     site_reversal,
-    transpose_permutation,
     unvec,
     vec,
 )
 from ptlind.operators import IDENTITY_2, SIGMA_PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from conftest import random_density
+from conftest import (
+    BasisConvention,
+    almost_equal,
+    random_density,
+    random_hermitian,
+    transpose_permutation,
+)
 
 
 class TestKron:
@@ -227,3 +231,23 @@ def test_almost_equal_default_tolerance():
     assert almost_equal(a, a + 1e-13)
     assert not almost_equal(a, a + 1e-11)
     assert not almost_equal(a, np.eye(4))
+
+
+class TestIsHermitian:
+    def test_hermitian_within_relative_tolerance(self, rng):
+        h = random_hermitian(rng, 4, scale=100.0)
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        assert is_hermitian(h)
+        assert is_hermitian(h + 1e-12 * skew)
+        assert not is_hermitian(h + 1e-9 * np.linalg.norm(h) * skew)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_is_not_hermitian(self, bad):
+        h = np.eye(2, dtype=complex)
+        h[0, 0] = bad
+        assert not is_hermitian(h)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_is_not_hermitian(self, shape):
+        assert not is_hermitian(np.zeros(shape))

@@ -16,7 +16,7 @@ from ptlind import (
     sector_restrict,
     velocity_check,
 )
-from ptlind.operators import site_operator
+from ptlind.operators import SIGMA_MINUS, SIGMA_Z, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import single_qubit
@@ -150,6 +150,33 @@ class TestDegeneracyReport:
         with pytest.raises(ValidationError):
             degeneracy_report(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            degeneracy_report(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("n, with_blocks", [(3, False), (4, True), (5, False)])
+    def test_same_pairs_as_the_pairwise_loop(self, n, with_blocks):
+        # n = 5 has more degenerate gap pairs than the 500 listed
+        h = xxz_model(XXZParams(n, 0.5, 0.0, 0.0)).hamiltonian
+        blocks = [j % 3 for j in range(2**n)] if with_blocks else None
+        rep = degeneracy_report(h, tol=1e-9, blocks=blocks)
+        e = rep.energies
+        gaps = [
+            (j, k, e[k] - e[j])
+            for j in range(2**n)
+            for k in range(j + 1, 2**n)
+            if blocks is None or blocks[j] == blocks[k]
+        ]
+        pairs = [(j, k) for j, k, g in gaps if abs(g) <= 1e-9]
+        gap_pairs = [
+            ((ja, ka), (jb, kb))
+            for a, (ja, ka, ga) in enumerate(gaps)
+            for jb, kb, gb in gaps[a + 1 :]
+            if abs(ga - gb) <= 1e-9
+        ][:500]
+        assert rep.degenerate_pairs == tuple(pairs)
+        assert rep.degenerate_gap_pairs == tuple(gap_pairs)
+
 
 class TestHeuristicThreshold:
     def _estimate(self, n):
@@ -178,6 +205,12 @@ class TestHeuristicThreshold:
         dis = dissipator_superoperator(model)
         with pytest.raises(ValidationError):
             heuristic_gamma_pt(dis, np.eye(2))
+
+    def test_unnormalised_dissipator_refused(self):
+        # the same trace test and message as traceless_dissipator
+        model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
+        with pytest.raises(ValidationError, match="-4; rescale the jump operators"):
+            heuristic_gamma_pt(dissipator_superoperator(model), model.hamiltonian)
 
 
 def test_traceless_dissipator_shift_matches_population_matrix():

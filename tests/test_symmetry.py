@@ -14,10 +14,13 @@ from ptlind import (
     check_inversion,
     check_pt,
     check_pt_rows,
+    hermiticity_residual,
+    left_identity_residual,
     parity_from_pair,
     sector_restrict,
     xxz_parity,
 )
+from ptlind.cli import TOLERANCES
 from ptlind.operators import SIGMA_PLUS, SIGMA_X, dagger, site_operator, site_reversal
 from ptlind.symmetry import _kron_identity_residual, _sandwich
 from ptlind.xxz import (
@@ -119,6 +122,26 @@ class TestCheckPT:
         permuted = sector_restrict(sup, rng.permutation(64))
         expected = check_pt(sup, xxz_parity(3)).pt_residual
         assert abs(check_pt(permuted, xxz_parity(3)).pt_residual - expected) <= 1e-12
+
+
+class TestContractsOverRandomChains:
+    """PT identity, hermiticity and trace preservation within the tolerances the CLI reports."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        delta=st.floats(-1.0, 1.0),
+        mu=st.floats(-1.0, 1.0),
+        gamma=st.floats(0.0, 10.0),
+        sector=st.sampled_from(["full", "dmz0"]),
+    )
+    def test_generator_contracts(self, n, delta, mu, gamma, sector):
+        sup = build_superoperator(xxz_model(XXZParams(n, delta, mu, gamma)))
+        if sector == "dmz0":
+            sup = sector_restrict(sup, sector_basis(n, 0))
+        assert check_pt(sup, xxz_parity(n)).pt_residual <= TOLERANCES["pt_residual"]
+        assert hermiticity_residual(sup) <= TOLERANCES["hermiticity_residual"]
+        assert left_identity_residual(sup) <= 1e-13 * max(1.0, gamma)
 
 
 class TestCheckPTRows:

@@ -253,3 +253,8 @@ class TestObservableDecay:
             observable_decay(params, np.eye(4), rho0=2.0 * np.eye(4) / 4.0)
         with pytest.raises(ValidationError):
             observable_decay(params, np.eye(4), t_grid=np.array([1.0, 0.5]))
+
+    def test_non_finite_observable_rejected(self):
+        # refused as input, not left to end in the solver's untyped LinAlgError
+        with pytest.raises(ValidationError, match="observable must be Hermitian"):
+            observable_decay(XXZParams(2, 0.5, 1.0, 0.1), np.diag([np.nan, 1.0, 1.0, 1.0]))

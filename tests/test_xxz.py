@@ -9,7 +9,7 @@ from ptlind import (
     sector_restrict,
     xxz_parity,
 )
-from ptlind.operators import BasisConvention, site_operator, site_reversal, vec
+from ptlind.operators import site_operator, site_reversal, vec
 from ptlind.xxz import (
     XXZParams,
     _ladder_rows,
@@ -21,7 +21,7 @@ from ptlind.xxz import (
     xxz_model,
 )
 
-from conftest import ladder_vectorization_map
+from conftest import BasisConvention, ladder_vectorization_map
 
 
 def total_magnetization(n):
