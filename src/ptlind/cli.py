@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -32,23 +33,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .liouville import (
-    LindbladModel,
-    _generator,
-    average_damping,
-    build_superoperator,
-    hermiticity_residual,
-)
+from .liouville import LindbladModel, average_damping, build_superoperator, hermiticity_residual
 from .operators import SIGMA_MINUS, SIGMA_Z, is_hermitian
 from .perturbation import degeneracy_report, population_matrix
-from .spectral import (
-    DEFAULT_TAU_REL,
-    DEGENERACY_REL_TOL,
-    SpectralDecomposition,
-    _classify,
-    _eig,
-    _verify_d2,
-)
+from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, _eig, classify_cross, verify_d2
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
 from .xxz import XXZParams, sector_basis, spin_current, xxz_model
@@ -80,6 +68,17 @@ class ModelConfig:
     raw: dict = field(repr=False)
 
 
+def _finite(value: int | float, path: str) -> float:
+    """A JSON number as a finite float; an integer beyond binary64 range is not finite."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, "must be finite")
+    return number
+
+
 def _require_number(cfg: dict, key: str, prefix: str = "") -> float:
     path = prefix + key
     if key not in cfg:
@@ -87,9 +86,7 @@ def _require_number(cfg: dict, key: str, prefix: str = "") -> float:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(value).__name__}")
-    if not np.isfinite(value):
-        raise SchemaError(path, "must be finite")
-    return float(value)
+    return _finite(value, path)
 
 
 def _reject_unknown(cfg: dict, allowed, prefix: str = ""):
@@ -113,9 +110,8 @@ def _parse_complex_matrix(entries, path: str) -> np.ndarray:
                 or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in cell)
             ):
                 raise SchemaError(f"{path}[{i}][{j}]", "expected a [re, im] pair of numbers")
-            out[i, j] = complex(cell[0], cell[1])
-            if not np.isfinite(out[i, j]):
-                raise SchemaError(f"{path}[{i}][{j}]", "must be finite")
+            re, im = (_finite(x, f"{path}[{i}][{j}]") for x in cell)
+            out[i, j] = complex(re, im)
     return out
 
 
@@ -176,6 +172,9 @@ def parse_config(path: str) -> ModelConfig:
         raise SchemaError("custom.hamiltonian", "not Hermitian")
     if not isinstance(custom["lindblads"], list) or not custom["lindblads"]:
         raise SchemaError("custom.lindblads", "expected a non-empty list of matrices")
+    count, limit = len(custom["lindblads"]), h.shape[0] ** 2 - 1  # LindbladModel's limit
+    if count > limit:
+        raise SchemaError("custom.lindblads", f"{count} jump operators exceed the limit {limit}")
     ls = tuple(
         _parse_complex_matrix(entry, f"custom.lindblads[{m}]")
         for m, entry in enumerate(custom["lindblads"])
@@ -204,12 +203,9 @@ def _xxz_params(cfg: ModelConfig) -> XXZParams:
     return cfg.spec
 
 
-def write_spectrum_csv(dec: SpectralDecomposition, path: str):
-    """Eigenvalues as ``re,im`` rows, 17 significant digits, sorted as decomposed."""
-    _write_eigenvalues(dec.eigenvalues, path)
-
-
-def _write_eigenvalues(w: np.ndarray, path: str):
+def write_spectrum_csv(eigenvalues: np.ndarray, path: str):
+    """Eigenvalues as ``re,im`` rows, 17 significant digits, in the order given."""
+    w = np.asarray(eigenvalues, dtype=complex)
     if w.size == 0:
         raise ValidationError("refusing to write an empty spectrum")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -233,8 +229,8 @@ def _write_json(obj: dict, path: str | None):
 
 def _cmd_spectrum(args) -> None:
     cfg = parse_config(args.config)
-    sup = _generator(_lindblad_model(cfg), _sector(cfg))
-    _write_eigenvalues(_eig(sup.matrix, left=False)[0], args.out)
+    sup = build_superoperator(_lindblad_model(cfg), _sector(cfg))
+    write_spectrum_csv(_eig(sup.matrix, left=False)[0], args.out)
 
 
 def _cmd_check(args) -> None:
@@ -242,12 +238,12 @@ def _cmd_check(args) -> None:
     model = _lindblad_model(cfg)
     # the block before the full generator: in the other order (block assembled or
     # restricted) an n = 5 check + spectrum + perturb process peaks 14 MB higher
-    sup = _generator(model, _sector(cfg))
+    sup = build_superoperator(model, _sector(cfg))
     full = sup if sup.is_full_space else build_superoperator(model)
     gamma_bar = average_damping(full)
     w = _eig(sup.matrix, left=False)[0]
-    cls = _classify(w, gamma_bar, args.tau_rel)
-    d2 = _verify_d2(w, gamma_bar)
+    cls = classify_cross(w, gamma_bar, args.tau_rel)
+    d2 = verify_d2(w, gamma_bar)
     report = {
         "config": cfg.raw,
         "tolerances": dict(TOLERANCES, tau_rel=args.tau_rel),
@@ -305,7 +301,7 @@ def _cmd_threshold(args) -> None:
         params.mu,
         args.gamma_min,
         args.gamma_max,
-        sector=cfg.sector if cfg.sector == "dmz0" else "full",
+        sector=cfg.sector,
         rel_precision=args.rel_precision,
         tau_rel=args.tau_rel,
     )

@@ -249,15 +249,11 @@ def _at_coupling(a: np.ndarray, d: np.ndarray, gamma: float, out=None) -> np.nda
     return out
 
 
-def _generator(model: LindbladModel, index=None) -> SuperOperator:
-    """``-i ad H + gamma D`` on the flat positions ``index`` (default: all)."""
+def build_superoperator(model: LindbladModel, index=None) -> SuperOperator:
+    """Generator ``-i ad H + gamma D``, N^2 x N^2 or only its block on the flat positions
+    ``index``, which must be invariant (:class:`SectorNotInvariant` otherwise)."""
     a, d = _split(model, index)
     return SuperOperator(_at_coupling(a, d, model.gamma, out=d), model.dim, index)
-
-
-def build_superoperator(model: LindbladModel) -> SuperOperator:
-    """Full generator ``-i ad H + gamma D`` as an N^2 x N^2 matrix."""
-    return _generator(model)
 
 
 def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:

@@ -222,13 +222,10 @@ class CrossClassification:
 
 
 def classify_cross(
-    dec: SpectralDecomposition, gamma_bar: float, tau_rel: float = DEFAULT_TAU_REL
+    eigenvalues: np.ndarray, gamma_bar: float, tau_rel: float = DEFAULT_TAU_REL
 ) -> CrossClassification:
     """Assign every eigenvalue to the horizontal line, the vertical line, or neither."""
-    return _classify(dec.eigenvalues, gamma_bar, tau_rel)
-
-
-def _classify(w: np.ndarray, gamma_bar: float, tau_rel: float) -> CrossClassification:
+    w = np.asarray(eigenvalues, dtype=complex)
     if tau_rel <= 0:
         raise ValidationError(f"tau_rel must be positive, got {tau_rel}")
     tau = tau_rel * max(1.0, float(np.abs(w).max(initial=0.0)))
@@ -276,19 +273,16 @@ class D2Report:
     h_pairing: np.ndarray = field(repr=False)
 
 
-def verify_d2(dec: SpectralDecomposition, gamma_bar: float) -> D2Report:
-    """Check mirror symmetry across the vertical line and the real axis.
+def verify_d2(eigenvalues: np.ndarray, gamma_bar: float) -> D2Report:
+    """Check mirror symmetry of the spectrum across the vertical line and the real axis.
 
     For each eigenvalue, the reflection across the vertical line is
     ``-conj(lambda + gamma_bar) - gamma_bar`` and across the real axis is
     ``conj(lambda)``; each reflected value must be matched by a spectrum
-    member (greedy one-to-one).  The maxima of the matching distances are
-    reported rather than a boolean.
+    member (greedy one-to-one, in the order given).  The maxima of the
+    matching distances are reported rather than a boolean.
     """
-    return _verify_d2(dec.eigenvalues, gamma_bar)
-
-
-def _verify_d2(w: np.ndarray, gamma_bar: float) -> D2Report:
+    w = np.asarray(eigenvalues, dtype=complex)
     v_targets = -np.conj(w + gamma_bar) - gamma_bar
     h_targets = np.conj(w)
     v_pairing, v_dists = _greedy_pairing(w, v_targets)

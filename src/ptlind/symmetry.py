@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotInvolution, NotUnitary, ValidationError
-from .liouville import SuperOperator, average_damping, propagator, sector_restrict, traceless_part
+from .liouville import SuperOperator, _assemble, average_damping, propagator, traceless_part
 from .operators import dagger, product_map, site_reversal, site_operator
 from .xxz import XXZParams, row_superoperators
 
@@ -45,9 +45,9 @@ class ParitySuperOp:
     """Unitary involution ``rho -> A rho B``.
 
     The (A, B) pair is the source of truth.  The N^2 x N^2 matrix
-    ``kron(A, B.T)`` is derived from it lazily, on first access, and so are
-    restrictions to invariant sectors.  The PT checks apply the parity through
-    A and B; on the full space in its natural order they never read the matrix.
+    ``kron(A, B.T)`` is derived from it lazily, on first access.  A block on
+    invariant positions is assembled from A and B without it, and the PT
+    checks never read it.
     """
 
     left_op: np.ndarray
@@ -63,12 +63,10 @@ class ParitySuperOp:
     def matrix(self) -> np.ndarray:
         return product_map(self.left_op, self.right_op)
 
-    def as_superoperator(self) -> SuperOperator:
-        return SuperOperator(self.matrix, self.hilbert_dim)
-
     def matrix_on(self, index) -> np.ndarray:
-        """Matrix on the invariant flat basis positions ``index``, in their order."""
-        return sector_restrict(self.as_superoperator(), index).matrix
+        """Block on the invariant flat positions ``index``, in their order, assembled there
+        alone (:class:`SectorNotInvariant` if the parity couples them to the rest)."""
+        return _assemble([(1.0, self.left_op, self.right_op.T)], self.hilbert_dim, index)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -112,22 +110,20 @@ def _kron_identity_residual(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``P m P`` for a matrix ``m`` on the flat positions ``index``, through P's factors.
+    """``P m P`` for a matrix ``m`` on the flat positions ``index``.
 
-    With rows and columns split into (j, k) pairs, ``P = kron(a, b.T)`` acts as
-    ``a`` on j and ``b.T`` on k, so each side is two N x N matmuls batched over
-    the other N^3 indices: O(N^5) on the full space instead of O(N^6).  A block
-    on any other positions (a sector or a reordered basis) must be invariant
-    under the parity, as ``matrix_on`` checks; it is embedded at its positions
-    in the full space, sandwiched there, and gathered back.
+    On the full space in its natural order P is applied through its factors: with
+    rows and columns split into (j, k) pairs, ``P = kron(a, b.T)`` acts as ``a`` on
+    j and ``b.T`` on k, so each side is two N x N matmuls batched over the other
+    N^3 indices, O(N^5) instead of O(N^6).  On any other positions (a sector or a
+    reordered basis) the parity's block is assembled there, as ``matrix_on`` does,
+    and multiplied in.
     """
     n = parity.hilbert_dim
     n2 = n * n
     if not np.array_equal(index, np.arange(n2)):
-        parity.matrix_on(index)
-        embedded = np.zeros((n2, n2), dtype=complex)
-        embedded[np.ix_(index, index)] = m
-        return _sandwich(parity, embedded, np.arange(n2))[np.ix_(index, index)]
+        p = parity.matrix_on(index)
+        return p @ m @ p
     a, bt = parity.left_op, parity.right_op.T
     # left: (P m)[(j, k), c] = sum a[j, j'] bt[k, k'] m[(j', k'), c]
     pm = np.matmul(bt, (a @ m.reshape(n, n * n2)).reshape(n, n, n2))

@@ -26,8 +26,8 @@ from .operators import dagger, is_hermitian, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
-    _classify,
     _eig,
+    classify_cross,
     eig_biortho,
     steady_state,
 )
@@ -61,7 +61,7 @@ def _parts(params: XXZParams, sector: str) -> tuple:
 
 def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
     w, _, _ = _eig(_at_coupling(a, d, gamma), left=False)
-    cls = _classify(w, gamma, tau_rel)
+    cls = classify_cross(w, gamma, tau_rel)
     return len(cls.off_cross) == 0, cls
 
 

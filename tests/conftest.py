@@ -1,10 +1,12 @@
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ptlind import LindbladModel, ValidationError
+from ptlind import LindbladModel, ValidationError, build_superoperator, sector_restrict
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, global_spin_flip
+from ptlind.xxz import sector_basis, xxz_model
 
 
 @pytest.fixture
@@ -56,6 +58,28 @@ def kron_terms(model: LindbladModel) -> tuple:
         dis -= np.kron(ldl, eye)
         dis -= np.kron(eye, ldl.T)
     return coherent, dis
+
+
+def full_build(params, sector):
+    """Oracle: the XXZ generator at ``params.gamma``, built whole and then restricted to
+    ``sector`` (``"full"`` or ``"dmz0"``)."""
+    sup = build_superoperator(xxz_model(params))
+    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
+
+
+def count_calls(monkeypatch, target: str) -> list:
+    """Wrap the function at the dotted path ``target`` (``module.name``), the way an
+    outside tracer does; returns the list that each call's positional arguments join."""
+    module, name = target.rsplit(".", 1)
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, wrapper)
+    return calls
 
 
 def bits(a: np.ndarray) -> np.ndarray:

@@ -78,8 +78,8 @@ def test_criterion_02_reference_spectra():
     for gamma in (0.02, 0.2, 2.0):
         sup = build_superoperator(xxz_model(XXZParams(4, 0.5, 1.0, gamma)))
         dec = eig_biortho(sector_restrict(sup, labels))
-        cls = classify_cross(dec, gamma_bar=gamma, tau_rel=1e-8)
-        d2 = verify_d2(dec, gamma_bar=gamma)
+        cls = classify_cross(dec.eigenvalues, gamma_bar=gamma, tau_rel=1e-8)
+        d2 = verify_d2(dec.eigenvalues, gamma_bar=gamma)
         scale = max(1.0, dec.spectral_radius)
         outcomes[gamma] = (dec.dim, len(cls.on_h), len(cls.on_v), len(cls.off_cross),
                            max(d2.max_v_error, d2.max_h_error) / scale)

@@ -13,16 +13,14 @@ from ptlind import (
     ValidationError,
     XXZParams,
     average_damping,
-    build_superoperator,
     classify_cross,
     eig_biortho,
-    sector_basis,
-    sector_restrict,
     verify_d2,
-    xxz_model,
 )
 from ptlind.cli import TOLERANCES, main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
+
+from conftest import count_calls, full_build
 
 FIG_TOP = {
     "model": "xxz",
@@ -34,12 +32,6 @@ FIG_TOP = {
 }
 
 QUBIT = {"model": "single_qubit", "omega": 1.0, "gamma": 0.1}
-
-
-def sector_generator(params, sector):
-    """The generator built on the full space, then restricted to ``sector``."""
-    sup = build_superoperator(xxz_model(params))
-    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -186,8 +178,17 @@ class TestSpectrumCommand:
         cfg = write_config(tmp_path, dict(FIG_TOP, delta=0.7, mu=0.6, gamma=0.3, sector=sector))
         out, ref = tmp_path / "eigs.csv", tmp_path / "ref.csv"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-        write_spectrum_csv(eig_biortho(sector_generator(params, sector)), str(ref))
+        write_spectrum_csv(eig_biortho(full_build(params, sector)).eigenvalues, str(ref))
         assert out.read_bytes() == ref.read_bytes()
+
+    def test_runs_through_the_public_functions(self, tmp_path, monkeypatch):
+        built = count_calls(monkeypatch, "ptlind.cli.build_superoperator")
+        written = count_calls(monkeypatch, "ptlind.cli.write_spectrum_csv")
+        cfg = write_config(tmp_path, FIG_TOP)
+        out = tmp_path / "eigs.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert len(built) == 1 and built[0][1].size == 70
+        assert len(written) == 1 and written[0][0].size == 70 and written[0][1] == str(out)
 
     def test_empty_spectrum_refused(self, tmp_path):
         empty = SpectralDecomposition(
@@ -201,7 +202,7 @@ class TestSpectrumCommand:
             index=np.zeros(0, dtype=np.int64),
         )
         with pytest.raises(ValidationError):
-            write_spectrum_csv(empty, str(tmp_path / "empty.csv"))
+            write_spectrum_csv(empty.eigenvalues, str(tmp_path / "empty.csv"))
 
 
 class TestCheckCommand:
@@ -229,10 +230,10 @@ class TestCheckCommand:
         cfg = write_config(tmp_path, dict(FIG_TOP, delta=0.7, mu=0.6, gamma=0.3))
         assert main(["check", "--config", cfg]) == 0
         report = json.loads(capsys.readouterr().out)
-        gamma_bar = average_damping(sector_generator(params, "full"))
-        dec = eig_biortho(sector_generator(params, "dmz0"))
-        cls = classify_cross(dec, gamma_bar)
-        d2 = verify_d2(dec, gamma_bar)
+        gamma_bar = average_damping(full_build(params, "full"))
+        dec = eig_biortho(full_build(params, "dmz0"))
+        cls = classify_cross(dec.eigenvalues, gamma_bar)
+        d2 = verify_d2(dec.eigenvalues, gamma_bar)
         assert report["gamma_bar"] == gamma_bar
         assert report["classification"] == {
             "tau": cls.tau,
@@ -378,6 +379,44 @@ class TestExitCodes:
         assert err["error"] == "SchemaError"
         assert err["key"] == "custom.hamiltonian[0][0]"
 
+    @pytest.mark.parametrize("key", ["delta", "custom.hamiltonian[1][1]"])
+    def test_integer_beyond_binary64_carries_its_key(self, tmp_path, capsys, key):
+        # json reads 1e400 as inf but an integer literal as an exact int, which no
+        # float holds
+        huge = "1" + "0" * 400
+        path = tmp_path / "model.json"
+        if key == "delta":
+            path.write_text(json.dumps(FIG_TOP).replace('"delta": 0.5', f'"delta": {huge}'))
+        else:
+            path.write_text(
+                '{"model": "custom", "gamma": 0.1, "custom": {'
+                f'"hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [{huge}, 0]]], '
+                '"lindblads": [[[[0, 0], [0, 0]], [[1, 0], [0, 0]]]]}}'
+            )
+        assert main(["check", "--config", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["key"] == key
+        assert "must be finite" in err["message"]
+
+    def test_too_many_jump_operators_carry_their_key(self, tmp_path, capsys):
+        # N = 2 admits at most N^2 - 1 = 3 jump operators
+        jump = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
+        payload = {
+            "model": "custom",
+            "gamma": 0.1,
+            "custom": {
+                "hamiltonian": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+                "lindblads": [jump] * 4,
+            },
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["check", "--config", cfg]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["key"] == "custom.lindblads"
+        assert "limit 3" in err["message"]
+
 
 def test_echoed_tolerances_are_pinned(tmp_path, capsys):
     # every JSON report echoes this table; a change to it changes every report
@@ -402,10 +441,11 @@ class TestRunFromCheckout:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
 
-        def run(module, *argv):
+        def run(module, *argv, **extra_env):
             return subprocess.run(
                 [sys.executable, "-m", module, *argv],
-                env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                env=dict(env, **extra_env), cwd=tmp_path,
+                capture_output=True, text=True, timeout=120,
             )
 
         return run
@@ -427,3 +467,19 @@ class TestRunFromCheckout:
         proc = run(module, "threshold", "--config", cfg)
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("sector", ["full", "dmz0"])
+    def test_gamma_pt_does_not_depend_on_the_blas_thread_count(self, run, tmp_path, sector):
+        # only gamma_pt: on the full space the reported min_off_distance of a probe
+        # moves in its last bits between one and two threads
+        cfg = write_config(tmp_path, dict(FIG_TOP, sector=sector))
+        gamma_pt = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"result-{threads}.json"
+            proc = run(
+                "ptlind", "threshold", "--config", cfg, "--out", str(out),
+                "--gamma-min", "0.02", "--gamma-max", "0.2", OPENBLAS_NUM_THREADS=threads,
+            )
+            assert proc.returncode == 0, proc.stderr
+            gamma_pt.append(float.hex(json.loads(out.read_text())["gamma_pt"]))
+        assert gamma_pt[0] == gamma_pt[1]

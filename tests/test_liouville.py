@@ -23,7 +23,7 @@ from ptlind import (
     traceless_part,
     vec,
 )
-from ptlind.liouville import _assemble, _generator, _split
+from ptlind.liouville import _assemble, _split
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
@@ -340,13 +340,13 @@ class TestSupportAssembly:
         for block, term in zip((a, d), terms):
             assert np.array_equal(bits(block), bits(sector_restrict(term, keep).matrix))
         restricted = sector_restrict(build_superoperator(model), keep).matrix
-        assert np.array_equal(bits(_generator(model, keep).matrix), bits(restricted))
+        assert np.array_equal(bits(build_superoperator(model, keep).matrix), bits(restricted))
 
     def test_permuted_positions(self, rng):
         model = random_model(rng, dim=3)
         order = rng.permutation(9)
         restricted = sector_restrict(build_superoperator(model), order).matrix
-        assert np.array_equal(bits(_generator(model, order).matrix), bits(restricted))
+        assert np.array_equal(bits(build_superoperator(model, order).matrix), bits(restricted))
 
     def test_leaking_term_refused(self):
         # sigma^x on site 1 changes the magnetization: its jump terms leave dmz0
@@ -356,12 +356,12 @@ class TestSupportAssembly:
         with pytest.raises(SectorNotInvariant):
             _split(model, sector_basis(3, 0))
         with pytest.raises(SectorNotInvariant):
-            _generator(model, sector_basis(3, 0))
+            build_superoperator(model, sector_basis(3, 0))
 
     @pytest.mark.parametrize("keep", [[0, 0], [-1], [64], [0.0, 3.0]])
     def test_malformed_positions_rejected(self, keep):
         with pytest.raises(ValidationError):
-            _generator(xxz_model(XXZParams(3, 0.5, 0.5, 0.3)), keep)
+            build_superoperator(xxz_model(XXZParams(3, 0.5, 0.5, 0.3)), keep)
 
     @pytest.mark.parametrize("leak, refused", [(1e-11, True), (1e-13, False)])
     def test_direct_and_restricted_blocks_share_the_invariance_rule(self, leak, refused):
@@ -419,7 +419,7 @@ class TestAssemblyMemory:
         keep = sector_basis(5, 0)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _generator(model, keep)
+        build_superoperator(model, keep)
         assert tracemalloc.get_traced_memory()[1] - base < self.BLOCK
 
 
@@ -436,7 +436,7 @@ class TestOverflowingCoupling:
 
     def test_direct_block_refuses(self):
         with pytest.raises(ValidationError, match="gamma = 1e[+]308 overflows"):
-            _generator(xxz_model(XXZParams(2, 0.5, 1.0, 1e308)), sector_basis(2, 0))
+            build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 1e308)), sector_basis(2, 0))
 
     def test_largest_finite_product_accepted(self):
         # max |D| is 1 here, so gamma * D stays finite up to the largest double

@@ -138,7 +138,7 @@ class TestSteadyState:
 
 class TestClassifyCross:
     def test_unbroken_panel_counts(self, fig_top_decomposition):
-        cls = classify_cross(fig_top_decomposition, gamma_bar=0.02)
+        cls = classify_cross(fig_top_decomposition.eigenvalues, gamma_bar=0.02)
         assert len(cls.off_cross) == 0
         assert len(cls.on_h) == 16
         assert len(cls.on_v) == 54
@@ -146,13 +146,13 @@ class TestClassifyCross:
     def test_broken_coupling_has_off_cross_modes(self):
         sup = build_superoperator(xxz_model(XXZParams(4, 0.5, 1.0, 2.0)))
         dec = eig_biortho(sector_restrict(sup, sector_basis(4, 0)))
-        cls = classify_cross(dec, gamma_bar=2.0)
+        cls = classify_cross(dec.eigenvalues, gamma_bar=2.0)
         assert len(cls.off_cross) > 0
 
     def test_closed_system_all_on_vertical_line(self, rng):
         h = random_hermitian(rng, 3)
         dec = eig_biortho(build_superoperator(LindbladModel(h, (np.zeros((3, 3)),), 0.0)))
-        cls = classify_cross(dec, gamma_bar=0.0)
+        cls = classify_cross(dec.eigenvalues, gamma_bar=0.0)
         assert len(cls.off_cross) == 0
         # with gamma_bar = 0 both lines pass through the imaginary axis: the
         # zero modes count as populations, everything else as coherences
@@ -160,15 +160,15 @@ class TestClassifyCross:
 
     def test_tie_break_prefers_populations(self):
         dec = eig_biortho(build_superoperator(single_qubit(gamma=0.1)))
-        cls = classify_cross(dec, gamma_bar=0.1)
+        cls = classify_cross(dec.eigenvalues, gamma_bar=0.1)
         # 0 and -2 gamma on the real axis, the conjugate pair on the vertical line
         assert len(cls.on_h) == 2
         assert len(cls.on_v) == 2
 
     def test_partition_stable_under_tau_wiggle(self, fig_top_decomposition):
-        base = classify_cross(fig_top_decomposition, 0.02, tau_rel=1e-8)
-        lo = classify_cross(fig_top_decomposition, 0.02, tau_rel=0.9e-8)
-        hi = classify_cross(fig_top_decomposition, 0.02, tau_rel=1.1e-8)
+        base = classify_cross(fig_top_decomposition.eigenvalues, 0.02, tau_rel=1e-8)
+        lo = classify_cross(fig_top_decomposition.eigenvalues, 0.02, tau_rel=0.9e-8)
+        hi = classify_cross(fig_top_decomposition.eigenvalues, 0.02, tau_rel=1.1e-8)
         assert base.on_h == lo.on_h == hi.on_h
         assert base.on_v == lo.on_v == hi.on_v
 
@@ -178,14 +178,14 @@ class TestVerifyD2:
     def test_xxz_dihedral_symmetry(self, gamma):
         sup = build_superoperator(xxz_model(XXZParams(4, 0.5, 1.0, gamma)))
         dec = eig_biortho(sector_restrict(sup, sector_basis(4, 0)))
-        rep = verify_d2(dec, gamma_bar=gamma)
+        rep = verify_d2(dec.eigenvalues, gamma_bar=gamma)
         scale = max(1.0, dec.spectral_radius)
         assert rep.max_v_error <= 1e-8 * scale
         assert rep.max_h_error <= 1e-8 * scale
 
     def test_single_qubit_pairing_structure(self):
         dec = eig_biortho(build_superoperator(single_qubit(gamma=0.1)))
-        rep = verify_d2(dec, gamma_bar=0.1)
+        rep = verify_d2(dec.eigenvalues, gamma_bar=0.1)
         assert rep.max_v_error <= 1e-12
         assert rep.max_h_error <= 1e-12
         w = dec.eigenvalues
@@ -201,7 +201,7 @@ class TestVerifyD2:
         # conjugate-pair symmetry follows from hermiticity preservation alone
         for _ in range(5):
             dec = eig_biortho(build_superoperator(random_model(rng)))
-            rep = verify_d2(dec, gamma_bar=0.0)
+            rep = verify_d2(dec.eigenvalues, gamma_bar=0.0)
             assert rep.max_h_error <= 1e-8 * max(1.0, dec.spectral_radius)
 
 

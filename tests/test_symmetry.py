@@ -10,6 +10,7 @@ from ptlind import (
     NotInvolution,
     NotUnitary,
     SectorNotInvariant,
+    SuperOperator,
     build_superoperator,
     check_inversion,
     check_pt,
@@ -88,7 +89,7 @@ class TestXXZParity:
         # the parity maps the zero-magnetization block to itself
         p = xxz_parity(3)
         labels = sector_basis(3, 0)
-        restricted = sector_restrict(p.as_superoperator(), labels, tol=1e-12)
+        restricted = sector_restrict(SuperOperator(p.matrix, p.hilbert_dim), labels, tol=1e-12)
         assert np.linalg.norm(restricted.matrix @ restricted.matrix - np.eye(20)) < 1e-12
 
 
@@ -317,3 +318,16 @@ class TestNoDenseParityProducts:
         # parity, built lazily on first access, would add a fifth
         assert peak < 4.5 * self.BLOCK
         assert "matrix" not in vars(parity)
+
+    def test_check_pt_on_a_sector_block(self, traced):
+        # n = 4: the parity's block is assembled on the 70 dmz0 positions, so no
+        # 256 x 256 matrix (1 MB) is formed
+        full = build_superoperator(xxz_model(XXZParams(4, 0.5, 1.0, 0.3)))
+        sup = sector_restrict(full, sector_basis(4, 0))
+        parity = xxz_parity(4)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_pt(sup, parity)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert rep.pt_residual <= 1e-12
+        assert peak < 16 * 256**2

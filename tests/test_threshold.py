@@ -20,16 +20,11 @@ from ptlind import (
     is_unbroken,
     observable_decay,
     scaling_study,
-    sector_restrict,
 )
 from ptlind.threshold import _parts
-from ptlind.xxz import XXZParams, sector_basis, spin_current, xxz_model
+from ptlind.xxz import XXZParams, spin_current, xxz_model
 
-
-def full_build(params, sector):
-    """The generator at ``params.gamma``, built whole and then restricted."""
-    sup = build_superoperator(xxz_model(params))
-    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
+from conftest import count_calls, full_build
 
 
 class TestIsUnbroken:
@@ -61,6 +56,11 @@ class TestFindGammaPt:
         assert a.evaluations == b.evaluations
         assert a.gamma_pt == b.gamma_pt
 
+    def test_every_probe_classifies_through_the_public_function(self, monkeypatch):
+        calls = count_calls(monkeypatch, "ptlind.threshold.classify_cross")
+        result = find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, rel_precision=0.01)
+        assert len(calls) == len(result.evaluations)
+
     def test_two_site_chain_never_breaks(self):
         # the six-dimensional block has a single conjugate coherence pair,
         # which the mirror symmetry pins to the vertical line at any coupling
@@ -91,7 +91,7 @@ class TestFindGammaPt:
         h = np.diag([0.0, 1.0, 2.0]).astype(complex)
         for gamma in (1e-5, 1e-4, 1e-3):
             sup = build_superoperator(LindbladModel(h, (L,), gamma))
-            cls = classify_cross(eig_biortho(sup), average_damping(sup))
+            cls = classify_cross(eig_biortho(sup).eigenvalues, average_damping(sup))
             assert len(cls.off_cross) > 0
 
     def test_invalid_inputs(self):
@@ -139,7 +139,8 @@ class TestBracketOverflow:
 
 def reference_evaluation(params, sector):
     """One bisection probe recomputed from the full build and the bi-orthonormal solve."""
-    cls = classify_cross(eig_biortho(full_build(params, sector)), gamma_bar=params.gamma)
+    dec = eig_biortho(full_build(params, sector))
+    cls = classify_cross(dec.eigenvalues, gamma_bar=params.gamma)
     off = len(cls.off_cross)
     return params.gamma, off, float(min(cls.distances[list(cls.off_cross)])) if off else 0.0
 
@@ -162,7 +163,7 @@ class TestSplitGeneratorIsBitExact:
     def test_is_unbroken_on_five_sites(self, gamma):
         params = XXZParams(5, 0.5, 1.0, gamma)
         ok, cls = is_unbroken(params)
-        ref = classify_cross(eig_biortho(full_build(params, "dmz0")), gamma_bar=gamma)
+        ref = classify_cross(eig_biortho(full_build(params, "dmz0")).eigenvalues, gamma_bar=gamma)
         assert ok is (len(ref.off_cross) == 0)
         assert (cls.on_h, cls.on_v, cls.off_cross, cls.tau) == (ref.on_h, ref.on_v, ref.off_cross, ref.tau)
         assert np.array_equal(cls.distances, ref.distances)
