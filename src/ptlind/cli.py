@@ -352,6 +352,7 @@ def _cmd_scaling(args) -> None:
         rel_precision=args.rel_precision,
         gamma_min=args.gamma_min,
         gamma_max=args.gamma_max,
+        sector=cfg.sector,
         tau_rel=args.tau_rel,
     )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

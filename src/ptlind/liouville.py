@@ -333,15 +333,23 @@ def hermiticity_residual(sup: SuperOperator) -> float:
     the antilinear map rho -> rho^dag.  Zero (to rounding) for any
     Lindblad-built superoperator; of order 1 for maps like ``rho -> i rho``.
     """
-    perm = _conjugate_rows(sup.index, sup.hilbert_dim)
-    if np.any(perm < 0):
-        raise ValidationError(
-            "basis is not closed under |j><k| -> |k><j|; "
-            "hermiticity conjugation is undefined on this sector"
-        )
-    # one temporary: the gathered copy is conjugated and differenced in place
-    diff = sup.matrix[np.ix_(perm, perm)]
-    np.conjugate(diff, out=diff)
+    n = sup.hilbert_dim
+    if np.array_equal(sup.index, np.arange(n * n)):
+        # natural full space: |j><k| -> |k><j| swaps the two row and the two column
+        # factors of the (N, N, N, N) view, a strided transpose with no index arrays
+        diff = np.empty((n * n, n * n), dtype=complex)
+        swapped = sup.matrix.reshape(n, n, n, n).transpose(1, 0, 3, 2)
+        np.conjugate(swapped, out=diff.reshape(n, n, n, n))
+    else:
+        perm = _conjugate_rows(sup.index, n)
+        if np.any(perm < 0):
+            raise ValidationError(
+                "basis is not closed under |j><k| -> |k><j|; "
+                "hermiticity conjugation is undefined on this sector"
+            )
+        diff = sup.matrix[np.ix_(perm, perm)]
+        np.conjugate(diff, out=diff)
+    # one temporary: the swapped copy is conjugated and differenced in place
     diff -= sup.matrix
     return float(np.linalg.norm(diff, axis=0).max())
 

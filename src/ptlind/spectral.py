@@ -131,12 +131,12 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     """Eigenvalues, left and right eigenvectors, sorted by (Re descending, Im ascending).
 
     With ``left=False`` the left vectors are not computed and come back as None.
-    Callers that need only the eigenvalues take that route and discard the right
-    vectors: LAPACK runs the same Schur path whenever any eigenvectors are
-    requested, so the eigenvalues are bit-equal with or without the left ones.
-    Its eigenvalues-only route (``scipy.linalg.eigvals``) rounds the last bits
-    differently on blocks of dimension 75 and up, which moves reported
-    off-cross distances.
+    LAPACK runs the same Schur path and the same back-substitution for the right
+    vectors whenever any eigenvectors are requested, so the eigenvalues and the
+    right vectors are bit-equal with or without the left ones (tested on the n = 4
+    and n = 5 ``dmz0`` blocks and the n = 4 full space).  Its eigenvalues-only
+    route (``scipy.linalg.eigvals``) rounds the last bits differently on blocks of
+    dimension 75 and up, which moves reported off-cross distances.
     """
     if not np.all(np.isfinite(m)):
         raise ValidationError("superoperator matrix has non-finite entries")
@@ -147,6 +147,16 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     w, vl, vr = out if left else (out[0], None, out[1])
     order = np.lexsort((w.imag, -w.real))
     return w[order], None if vl is None else vl[:, order], vr[:, order]
+
+
+def _unit_columns(vr: np.ndarray) -> None:
+    """Scale each nonzero column of ``vr`` to unit 2-norm, in place.
+
+    Norms go column by column: ``norm(vr, axis=0)`` rounds the last bit differently,
+    and that reaches the steady state.
+    """
+    nrm = np.array([np.linalg.norm(vr[:, k]) for k in range(vr.shape[1])])
+    vr /= np.where(nrm > 0, nrm, 1.0)
 
 
 def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
@@ -161,13 +171,11 @@ def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
     # LAPACK returns left vectors x with x^H m = lambda x^H, i.e. m^dag x = conj(lambda) x.
     # Rescale v so that <u, v> = 1 for every simple pair; pairs with |<u, v>| < 1e-14
     # are numerically defective and stay unnormalised.
-    # Norms go column by column: norm(vr, axis=0) rounds the last bit differently (it
-    # reaches the steady state), and on the residual it holds two n x n temporaries.
-    nrm = np.array([np.linalg.norm(vr[:, k]) for k in range(w.size)])
-    vr /= np.where(nrm > 0, nrm, 1.0)
+    _unit_columns(vr)
     d = np.einsum("ij,ij->j", vr.conj(), vl)
     vl /= np.where(simple & (np.abs(d) >= 1e-14), d, 1.0)
     mv = m @ vr
+    # column by column: on the residual, norm(axis=0) holds two n x n temporaries
     residuals = np.array([np.linalg.norm(mv[:, k] - w[k] * vr[:, k]) for k in range(w.size)])
 
     return SpectralDecomposition(
@@ -182,24 +190,37 @@ def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
     )
 
 
+def _zero_mode(
+    eigenvalues: np.ndarray, right_vectors: np.ndarray, index: np.ndarray,
+    hilbert_dim: int, matrix_norm: float,
+) -> tuple:
+    """Position of the smallest ``|eigenvalue|`` and its right vector at unit trace.
+
+    The arithmetic of :func:`steady_state`, on the arrays of a right-vector solve.
+    """
+    k = int(np.argmin(np.abs(eigenvalues)))
+    if abs(eigenvalues[k]) > 1e-9 * max(1.0, matrix_norm):
+        raise NoZeroMode(
+            f"smallest |eigenvalue| is {abs(eigenvalues[k]):.3e}, "
+            f"above 1.0e-09 * {matrix_norm:.3e}"
+        )
+    u = right_vectors[:, k]
+    j, kk = np.divmod(index, hilbert_dim)
+    trace = sum(u[j == kk])
+    if abs(trace) < 1e-300:
+        raise NoZeroMode("zero mode has vanishing trace; cannot normalise to a state")
+    return k, u / trace
+
+
 def steady_state(dec: SpectralDecomposition) -> np.ndarray:
     """Right null vector rescaled to unit trace.
 
     Raises :class:`NoZeroMode` unless an eigenvalue within
     ``1e-9 * max(1, matrix_norm)`` of zero exists.
     """
-    k = int(np.argmin(np.abs(dec.eigenvalues)))
-    if abs(dec.eigenvalues[k]) > 1e-9 * max(1.0, dec.matrix_norm):
-        raise NoZeroMode(
-            f"smallest |eigenvalue| is {abs(dec.eigenvalues[k]):.3e}, "
-            f"above 1.0e-09 * {dec.matrix_norm:.3e}"
-        )
-    u = dec.right_vectors[:, k]
-    j, kk = np.divmod(dec.index, dec.hilbert_dim)
-    trace = sum(u[j == kk])
-    if abs(trace) < 1e-300:
-        raise NoZeroMode("zero mode has vanishing trace; cannot normalise to a state")
-    return u / trace
+    return _zero_mode(
+        dec.eigenvalues, dec.right_vectors, dec.index, dec.hilbert_dim, dec.matrix_norm
+    )[1]
 
 
 @dataclass(frozen=True)

@@ -16,20 +16,28 @@ of inventing a threshold.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BracketInvalid, ValidationError
-from .liouville import _at_coupling, _overflows, _split, build_superoperator, propagator
+from .liouville import (
+    SuperOperator,
+    _at_coupling,
+    _overflows,
+    _split,
+    build_superoperator,
+    propagator,
+)
 from .operators import dagger, is_hermitian, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
     _eig,
+    _unit_columns,
+    _zero_mode,
     classify_cross,
-    eig_biortho,
-    steady_state,
 )
 from .xxz import XXZParams, sector_basis, xxz_model
 
@@ -224,6 +232,49 @@ class DecayResult:
     n_fit_points: int
 
 
+@dataclass(frozen=True)
+class _Relaxation:
+    """The full-space generator of one ``XXZParams`` and its right-vector spectrum.
+
+    ``right_vectors`` have unit columns, ``zero_mode`` is the position of the
+    steady state ``rho_inf`` among the ``eigenvalues``.  Every array is read-only.
+    """
+
+    generator: SuperOperator
+    eigenvalues: np.ndarray
+    right_vectors: np.ndarray
+    zero_mode: int
+    rho_inf: np.ndarray
+
+
+_RELAXATION: dict = {}
+_RELAXATION_LOCK = threading.Lock()
+
+
+def _relaxation(params: XXZParams) -> _Relaxation:
+    """The one full-space solve that :func:`coherence_probe_state` and
+    :func:`observable_decay` share, memoised for the last params.
+
+    The key is the exact parameter values (``float.hex``, so 0.0 and -0.0 differ).
+    The old entry is dropped before a new solve, and the lock lets one solve run at
+    a time, so at most one is alive.
+    """
+    key = (int(params.n_sites), *(float(v).hex() for v in (params.delta, params.mu, params.gamma)))
+    with _RELAXATION_LOCK:
+        entry = _RELAXATION.get(key)
+        if entry is None:
+            _RELAXATION.clear()
+            sup = build_superoperator(xxz_model(params))
+            w, _, vr = _eig(sup.matrix, left=False)
+            _unit_columns(vr)
+            k0, u = _zero_mode(w, vr, sup.index, sup.hilbert_dim, float(np.linalg.norm(sup.matrix)))
+            rho_inf = unvec(u)
+            for a in (sup.matrix, w, vr, rho_inf):
+                a.flags.writeable = False
+            entry = _RELAXATION[key] = _Relaxation(sup, w, vr, k0, rho_inf)
+    return entry
+
+
 def observable_decay(
     params: XXZParams,
     observable: np.ndarray,
@@ -255,8 +306,8 @@ def observable_decay(
     if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValidationError("t_grid must be a non-empty strictly increasing array of times >= 0")
 
-    sup = build_superoperator(xxz_model(params))
-    rho_inf = unvec(steady_state(eig_biortho(sup)))
+    relax = _relaxation(params)
+    sup, rho_inf = relax.generator, relax.rho_inf
 
     steps = np.diff(np.concatenate(([0.0], t_grid)))
     step_props: dict = {}
@@ -297,24 +348,22 @@ def coherence_probe_state(
     positive; it is checked.
     """
     obs = np.asarray(observable, dtype=complex)
-    sup = build_superoperator(xxz_model(params))
-    dec = eig_biortho(sup)
-    rho_inf = unvec(steady_state(dec))
-    k0 = int(np.argmin(np.abs(dec.eigenvalues)))
+    relax = _relaxation(params)
+    w, vr = relax.eigenvalues, relax.right_vectors
     best, best_overlap = None, 0.0
-    for k in range(dec.dim):
-        if k == k0 or abs(dec.eigenvalues[k].imag) < 1e-12:
+    for k in range(w.size):
+        if k == relax.zero_mode or abs(w[k].imag) < 1e-12:
             continue
-        overlap = abs(np.trace(unvec(dec.right_vectors[:, k]) @ obs))
+        overlap = abs(np.trace(unvec(vr[:, k]) @ obs))
         if overlap > best_overlap:
             best, best_overlap = k, overlap
     if best is None:
         raise ValidationError("no oscillating mode couples to this observable")
-    u = unvec(dec.right_vectors[:, best])
+    u = unvec(vr[:, best])
     pert = u + dagger(u)
     pert = pert / np.linalg.norm(pert, 2)
-    rho0 = rho_inf + weight * pert
+    rho0 = relax.rho_inf + weight * pert
     rho0 = (rho0 + dagger(rho0)) / 2.0
     if np.linalg.eigvalsh(rho0).min() < -1e-12:
         raise ValidationError(f"probe weight {weight} makes the state non-positive; reduce it")
-    return rho0, float(abs(dec.eigenvalues[best].imag))
+    return rho0, float(abs(w[best].imag))

@@ -4,8 +4,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ptlind import LindbladModel, ValidationError, build_superoperator, sector_restrict
-from ptlind.operators import SIGMA_MINUS, SIGMA_Z, global_spin_flip
+from ptlind import (
+    LindbladModel,
+    ValidationError,
+    build_superoperator,
+    eig_biortho,
+    propagator,
+    sector_restrict,
+    steady_state,
+)
+from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, global_spin_flip, unvec, vec
 from ptlind.xxz import sector_basis, xxz_model
 
 
@@ -65,6 +73,39 @@ def full_build(params, sector):
     ``sector`` (``"full"`` or ``"dmz0"``)."""
     sup = build_superoperator(xxz_model(params))
     return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
+
+
+def biortho_probe_state(params, observable, weight=0.05) -> tuple:
+    """Oracle: ``coherence_probe_state`` on a fresh bi-orthonormal solve (``eig_biortho``
+    and ``steady_state``) of the full-space generator; returns ``(rho0, omega)``."""
+    dec = eig_biortho(build_superoperator(xxz_model(params)))
+    rho_inf = unvec(steady_state(dec))
+    k0 = int(np.argmin(np.abs(dec.eigenvalues)))
+    overlaps = [
+        0.0 if k == k0 or abs(dec.eigenvalues[k].imag) < 1e-12
+        else abs(np.trace(unvec(dec.right_vectors[:, k]) @ observable))
+        for k in range(dec.dim)
+    ]
+    best = int(np.argmax(overlaps))
+    u = unvec(dec.right_vectors[:, best])
+    pert = u + dagger(u)
+    rho0 = rho_inf + weight * (pert / np.linalg.norm(pert, 2))
+    return (rho0 + dagger(rho0)) / 2.0, float(abs(dec.eigenvalues[best].imag))
+
+
+def biortho_deviations(params, observable, rho0, t_grid) -> np.ndarray:
+    """Oracle: ``observable_decay``'s deviations ``tr[(rho(t) - rho_inf) obs]`` on a fresh
+    bi-orthonormal solve, one step propagator per distinct rounded step."""
+    sup = build_superoperator(xxz_model(params))
+    rho_inf = unvec(steady_state(eig_biortho(sup)))
+    props, x, out = {}, vec(rho0), []
+    for dt in np.diff(np.concatenate(([0.0], t_grid))):
+        key = round(float(dt), 15)
+        if key not in props:
+            props[key] = propagator(sup, float(dt)).matrix
+        x = props[key] @ x
+        out.append(np.trace((unvec(x) - rho_inf) @ observable).real)
+    return np.array(out)
 
 
 def count_calls(monkeypatch, target: str) -> list:

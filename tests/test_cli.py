@@ -17,6 +17,7 @@ from ptlind import (
     eig_biortho,
     verify_d2,
 )
+from ptlind import threshold
 from ptlind.cli import TOLERANCES, main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
 
@@ -341,6 +342,26 @@ class TestScalingCommand:
         assert lines[1].startswith("4,")
         report = json.loads(capsys.readouterr().out)
         assert report["slope"] is None  # one point fixes no slope
+
+    @pytest.mark.parametrize("sector", ["full", "dmz0"])
+    def test_bisects_on_the_configured_sector(self, tmp_path, monkeypatch, sector):
+        sectors, find = [], threshold.find_gamma_pt
+
+        def recorded(*args, **kwargs):
+            sectors.append(kwargs["sector"])
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, "find_gamma_pt", recorded)
+        cfg = write_config(tmp_path, dict(FIG_TOP, sector=sector))
+        code = main(
+            [
+                "scaling", "--config", cfg, "--n-list", "3,4",
+                "--out", str(tmp_path / "table.csv"), "--out-fit", str(tmp_path / "fit.json"),
+                "--gamma-min", "0.02", "--gamma-max", "0.2", "--rel-precision", "0.05",
+            ]
+        )
+        assert code == 0
+        assert sectors == [sector, sector]
 
 
 class TestExitCodes:

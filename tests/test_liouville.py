@@ -23,7 +23,7 @@ from ptlind import (
     traceless_part,
     vec,
 )
-from ptlind.liouville import _assemble, _split
+from ptlind.liouville import _assemble, _conjugate_rows, _split
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
@@ -195,6 +195,16 @@ class TestHermiticityResidual:
         pos = np.argsort(index)[k * n + j]
         expected = np.linalg.norm(m - m.conj()[np.ix_(pos, pos)], axis=0).max()
         assert hermiticity_residual(SuperOperator(m, n, index)) == expected
+
+    def test_natural_full_space_swap_equals_the_gather(self, rng):
+        # a custom generator times a complex scalar: c L(rho^dag) != (c L rho)^dag
+        model = random_model(rng, dim=5, n_jumps=2)
+        m = build_superoperator(model).matrix * (1.0 + 0.5j)
+        perm = _conjugate_rows(np.arange(25), 5)
+        expected = np.linalg.norm(m[np.ix_(perm, perm)].conj() - m, axis=0).max()
+        got = hermiticity_residual(SuperOperator(m, 5))
+        assert got > 0.1
+        assert float.hex(got) == float.hex(float(expected))
 
 
 class TestSectorRestrict:

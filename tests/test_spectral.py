@@ -18,9 +18,10 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import site_operator
+from ptlind.spectral import _eig
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
-from conftest import random_hermitian, random_model, single_qubit
+from conftest import bits, random_hermitian, random_model, single_qubit
 
 
 def sigma_z_string_vec(n):
@@ -93,6 +94,20 @@ class TestEigBiortho:
         dec = eig_biortho(SuperOperator(np.diag(w), 18, np.arange(300)))
         assert np.array_equal(dec.eigenvalues.real, w)
         assert dec.clusters == ((126, 127, 128, 129, 130),)
+
+
+class TestRightVectorsOnly:
+    @pytest.mark.parametrize("n,sector,dim", [(4, "dmz0", 70), (5, "dmz0", 252), (4, "full", 256)])
+    def test_bit_equal_to_the_solve_with_left_vectors(self, n, sector, dim):
+        # the shared relaxation solve and the threshold probe skip the left vectors
+        keep = sector_basis(n, 0) if sector == "dmz0" else None
+        m = build_superoperator(xxz_model(XXZParams(n, 0.5, 1.0, 0.05)), keep).matrix
+        assert m.shape == (dim, dim)
+        w, vl, vr = _eig(m, left=False)
+        w_both, vl_both, vr_both = _eig(m)
+        assert vl is None and vl_both.shape == (dim, dim)
+        assert np.array_equal(bits(w), bits(w_both))
+        assert np.array_equal(bits(vr), bits(vr_both))
 
 
 class TestSteadyState:

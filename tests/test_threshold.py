@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,10 +23,11 @@ from ptlind import (
     observable_decay,
     scaling_study,
 )
-from ptlind.threshold import _parts
+from ptlind import threshold
+from ptlind.threshold import _parts, _relaxation
 from ptlind.xxz import XXZParams, spin_current, xxz_model
 
-from conftest import count_calls, full_build
+from conftest import biortho_deviations, biortho_probe_state, bits, count_calls, full_build
 
 
 class TestIsUnbroken:
@@ -259,3 +262,113 @@ class TestObservableDecay:
         # refused as input, not left to end in the solver's untyped LinAlgError
         with pytest.raises(ValidationError, match="observable must be Hermitian"):
             observable_decay(XXZParams(2, 0.5, 1.0, 0.1), np.diag([np.nan, 1.0, 1.0, 1.0]))
+
+
+class TestSharedRelaxationSolve:
+    """``coherence_probe_state`` and ``observable_decay`` share one right-vector solve."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        threshold._RELAXATION.clear()
+
+    @pytest.mark.parametrize("params", [
+        XXZParams(4, 0.5, 1.0, 0.05),
+        XXZParams(4, 0.41, 0.63, 0.087),
+        XXZParams(3, 0.5, 1.0, 0.05),
+    ])
+    def test_bit_equal_to_the_biorthonormal_recipe(self, params):
+        current = spin_current(params.n_sites)
+        rho0, omega = coherence_probe_state(params, current)
+        ref_rho0, ref_omega = biortho_probe_state(params, current)
+        assert np.array_equal(bits(rho0), bits(ref_rho0))
+        assert float.hex(omega) == float.hex(ref_omega)
+        for t_grid, start in ((np.arange(0.5, 50.0, np.pi / omega), rho0), (np.linspace(0.5, 50.0, 200), None)):
+            result = observable_decay(params, current, rho0=start, t_grid=t_grid)
+            if start is None:
+                dim = params.hilbert_dim
+                start = (np.eye(dim) + current / (2.0 * np.linalg.norm(current, 2))) / dim
+            expected = biortho_deviations(params, current, np.asarray(start, dtype=complex), t_grid)
+            assert np.array_equal(bits(result.deviations), bits(expected))
+
+    def test_one_solve_per_recipe_and_a_fresh_one_per_params(self, monkeypatch):
+        # each solve records its size and how many entries were alive when it started
+        solves, eig = [], threshold._eig
+
+        def counted(m, left=True):
+            solves.append((m.shape[0], left, len(threshold._RELAXATION)))
+            return eig(m, left)
+
+        monkeypatch.setattr(threshold, "_eig", counted)
+        builds = count_calls(monkeypatch, "ptlind.threshold.build_superoperator")
+        params = XXZParams(4, 0.5, 1.0, 0.05)
+        current = spin_current(4)
+        rho0, omega = coherence_probe_state(params, current)
+        observable_decay(params, current, rho0=rho0, t_grid=np.arange(0.5, 50.0, np.pi / omega))
+        assert solves == [(256, False, 0)] and len(builds) == 1
+        observable_decay(params.with_gamma(0.06), current, t_grid=np.linspace(0.5, 5.0, 10))
+        assert solves == [(256, False, 0)] * 2 and len(builds) == 2
+        assert len(threshold._RELAXATION) == 1
+
+    def test_returned_state_is_the_callers(self):
+        params = XXZParams(3, 0.5, 1.0, 0.05)
+        rho0, _ = coherence_probe_state(params, spin_current(3))
+        before = rho0.copy()
+        rho0 += 1.0
+        again, _ = coherence_probe_state(params, spin_current(3))
+        assert np.array_equal(bits(again), bits(before))
+        relax = _relaxation(params)
+        for a in (relax.generator.matrix, relax.eigenvalues, relax.right_vectors, relax.rho_inf):
+            assert not a.flags.writeable
+
+    def test_signed_zero_coupling_has_its_own_entry(self, monkeypatch):
+        solves = count_calls(monkeypatch, "ptlind.threshold._eig")
+        positive, negative = XXZParams(2, 0.5, 1.0, 0.0), XXZParams(2, 0.5, 1.0, -0.0)
+        assert positive == negative
+        first = _relaxation(positive)
+        assert _relaxation(positive) is first and len(solves) == 1
+        second = _relaxation(negative)
+        assert second is not first and len(solves) == 2
+        # one slot: the -0.0 solve dropped the 0.0 entry
+        assert len(threshold._RELAXATION) == 1
+        _relaxation(positive)
+        assert len(solves) == 3
+
+    def test_threads_share_the_slot_safely(self, monkeypatch):
+        # more threads than cores, alternating params, with frequent thread switches
+        params = [XXZParams(2, 0.5, 1.0, 0.1), XXZParams(2, 0.7, 0.4, 0.2)]
+        expected = [biortho_probe_state(p, spin_current(2)) for p in params]
+        failures, in_flight, most, count_lock, eig = [], [0], [0], threading.Lock(), threshold._eig
+
+        def solve(m, left=True):
+            with count_lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            try:
+                return eig(m, left)
+            finally:
+                with count_lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(threshold, "_eig", solve)
+
+        def work(offset):
+            for i in range(40):
+                k = (i + offset) % 2
+                rho0, omega = coherence_probe_state(params[k], spin_current(2))
+                if not (np.array_equal(bits(rho0), bits(expected[k][0])) and omega == expected[k][1]):
+                    failures.append((offset, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert failures == []
+        assert most == [1]  # never two solves at once
+        assert len(threshold._RELAXATION) == 1
