@@ -20,6 +20,7 @@ numerical failure; machine-readable errors go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -203,23 +204,34 @@ def _xxz_params(cfg: ModelConfig) -> XXZParams:
     return cfg.spec
 
 
+def _write_csv(path: str, rows, header: str | None = None) -> None:
+    """Rows of numbers, one line each: floats with 17 significant digits (binary64
+    round-trip exact), integers as they are."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.16e}" if isinstance(x, float) else str(x) for x in row) + "\n")
+
+
 def write_spectrum_csv(eigenvalues: np.ndarray, path: str):
     """Eigenvalues as ``re,im`` rows, 17 significant digits, in the order given."""
     w = np.asarray(eigenvalues, dtype=complex)
     if w.size == 0:
         raise ValidationError("refusing to write an empty spectrum")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("re,im\n")
-        for lam in w:
-            fh.write(f"{lam.real:.16e},{lam.imag:.16e}\n")
+    _write_csv(path, zip(w.real, w.imag), "re,im")
 
 
 def _finite_or_none(x: float):
     return float(x) if np.isfinite(x) else None
 
 
-def _write_json(obj: dict, path: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _report(cfg: ModelConfig, args, path: str | None, fields: dict) -> None:
+    """Write ``fields`` as a JSON report to ``path`` (stdout if None), echoing the config
+    and the tolerances in force: the table, overridden by the command's tolerance options."""
+    given = {key: value for key, value in vars(args).items() if key in ("tau_rel", "rel_precision")}
+    report = dict(fields, config=cfg.raw, tolerances=dict(TOLERANCES, **given))
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -227,14 +239,12 @@ def _write_json(obj: dict, path: str | None):
             fh.write(text)
 
 
-def _cmd_spectrum(args) -> None:
-    cfg = parse_config(args.config)
+def _cmd_spectrum(cfg: ModelConfig, args) -> None:
     sup = build_superoperator(_lindblad_model(cfg), _sector(cfg))
     write_spectrum_csv(_eig(sup.matrix, left=False)[0], args.out)
 
 
-def _cmd_check(args) -> None:
-    cfg = parse_config(args.config)
+def _cmd_check(cfg: ModelConfig, args) -> None:
     model = _lindblad_model(cfg)
     # the block before the full generator: in the other order (block assembled or
     # restricted) an n = 5 check + spectrum + perturb process peaks 14 MB higher
@@ -245,8 +255,6 @@ def _cmd_check(args) -> None:
     cls = classify_cross(w, gamma_bar, args.tau_rel)
     d2 = verify_d2(w, gamma_bar)
     report = {
-        "config": cfg.raw,
-        "tolerances": dict(TOLERANCES, tau_rel=args.tau_rel),
         "gamma_bar": gamma_bar,
         "hermiticity_residual": hermiticity_residual(full),
         "classification": {
@@ -265,20 +273,15 @@ def _cmd_check(args) -> None:
             "involution_residual": sym.involution_residual,
             "unitarity_residual": sym.unitarity_residual,
         }
-    _write_json(report, args.out)
+    _report(cfg, args, args.out, report)
 
 
-def _cmd_perturb(args) -> None:
-    cfg = parse_config(args.config)
+def _cmd_perturb(cfg: ModelConfig, args) -> None:
     model = _lindblad_model(cfg)
     rep = population_matrix(model)
     deg = degeneracy_report(model.hamiltonian)
-    with open(args.out_v, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rep.v_matrix:
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
-    report = {
-        "config": cfg.raw,
-        "tolerances": TOLERANCES,
+    _write_csv(args.out_v, rep.v_matrix)
+    _report(cfg, args, args.out, {
         "energies": [float(e) for e in rep.energies],
         "xi": [[z.real, z.imag] for z in rep.xi],
         "symmetry_defect": rep.symmetry_defect,
@@ -288,26 +291,19 @@ def _cmd_perturb(args) -> None:
             "degenerate_pairs": [list(p) for p in deg.degenerate_pairs],
             "degenerate_gap_pairs": [[list(a), list(b)] for a, b in deg.degenerate_gap_pairs],
         },
-    }
-    _write_json(report, args.out)
+    })
 
 
-def _cmd_threshold(args) -> None:
-    cfg = parse_config(args.config)
+def _bisection(cfg: ModelConfig, args) -> dict:
+    """The config's sector and the bracket options, as keywords of the bisection."""
+    keys = ("gamma_min", "gamma_max", "rel_precision", "tau_rel")
+    return dict({key: getattr(args, key) for key in keys}, sector=cfg.sector)
+
+
+def _cmd_threshold(cfg: ModelConfig, args) -> None:
     params = _xxz_params(cfg)
-    result = find_gamma_pt(
-        params.n_sites,
-        params.delta,
-        params.mu,
-        args.gamma_min,
-        args.gamma_max,
-        sector=cfg.sector,
-        rel_precision=args.rel_precision,
-        tau_rel=args.tau_rel,
-    )
-    report = {
-        "config": cfg.raw,
-        "tolerances": dict(TOLERANCES, tau_rel=args.tau_rel, rel_precision=args.rel_precision),
+    result = find_gamma_pt(params.n_sites, params.delta, params.mu, **_bisection(cfg, args))
+    _report(cfg, args, args.out, {
         "gamma_pt": result.gamma_pt,
         "bracket": list(result.bracket),
         "sector": result.sector,
@@ -315,61 +311,32 @@ def _cmd_threshold(args) -> None:
             {"gamma": g, "off_cross": k, "min_off_distance": d}
             for (g, k, d) in result.evaluations
         ],
-    }
-    _write_json(report, args.out)
+    })
 
 
-def _cmd_evolve(args) -> None:
-    cfg = parse_config(args.config)
+def _cmd_evolve(cfg: ModelConfig, args) -> None:
     params = _xxz_params(cfg)
     observable = spin_current(params.n_sites)
     t_grid = np.linspace(args.t_min, args.t_max, args.points)
     result = observable_decay(params, observable, t_grid=t_grid)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,deviation\n")
-        for t, d in zip(result.times, result.deviations):
-            fh.write(f"{t:.16e},{d:.16e}\n")
-    _write_json(
-        {
-            "config": cfg.raw,
-            "tolerances": TOLERANCES,
-            "observable": "spin_current",
-            "fitted_rate": _finite_or_none(result.fitted_rate),
-            "n_fit_points": result.n_fit_points,
-        },
-        None,
-    )
+    _write_csv(args.out, zip(result.times, result.deviations), "t,deviation")
+    _report(cfg, args, None, {
+        "observable": "spin_current",
+        "fitted_rate": _finite_or_none(result.fitted_rate),
+        "n_fit_points": result.n_fit_points,
+    })
 
 
-def _cmd_scaling(args) -> None:
-    cfg = parse_config(args.config)
+def _cmd_scaling(cfg: ModelConfig, args) -> None:
     params = _xxz_params(cfg)
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    result = scaling_study(
-        n_list,
-        params.delta,
-        params.mu,
-        rel_precision=args.rel_precision,
-        gamma_min=args.gamma_min,
-        gamma_max=args.gamma_max,
-        sector=cfg.sector,
-        tau_rel=args.tau_rel,
-    )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,gamma_pt\n")
-        for n, g in result.entries:
-            fh.write(f"{n},{g:.16e}\n")
-    _write_json(
-        {
-            "config": cfg.raw,
-            "tolerances": dict(TOLERANCES, tau_rel=args.tau_rel, rel_precision=args.rel_precision),
-            "n_list": n_list,
-            "entries": [[n, g] for n, g in result.entries],
-            "slope": _finite_or_none(result.slope),
-            "intercept": _finite_or_none(result.intercept),
-        },
-        args.out_fit,
-    )
+    result = scaling_study(args.n_list, params.delta, params.mu, **_bisection(cfg, args))
+    _write_csv(args.out, result.entries, "n,gamma_pt")
+    _report(cfg, args, args.out_fit, {
+        "n_list": args.n_list,
+        "entries": [[n, g] for n, g in result.entries],
+        "slope": _finite_or_none(result.slope),
+        "intercept": _finite_or_none(result.intercept),
+    })
 
 
 class _Parser(argparse.ArgumentParser):
@@ -377,71 +344,84 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _checked(convert, accept, rule: str):
+    """An argparse ``type`` that converts like ``convert``, and under its name (argparse
+    reports "invalid float value"), then refuses a value that ``accept`` rejects."""
+    @functools.wraps(convert)
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
+
+
+def _chain_lengths(text: str) -> list:
+    """``--n-list``: comma-separated integers; blank entries are skipped."""
+    try:
+        return [int(token) for token in text.split(",") if token.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
+# options that more than one subcommand takes, each declared once: (flag, keywords)
+_REPORT_OUT = ("--out", {"default": None, "help": "JSON report path (default: stdout)"})
+_TAU_REL = ("--tau-rel", {"type": float, "default": TOLERANCES["tau_rel"]})
+_BRACKET = (
+    ("--gamma-min", {"type": float, "default": 1e-3}),
+    ("--gamma-max", {"type": float, "default": 20.0}),
+    ("--rel-precision", {"type": float, "default": 1e-3}),
+    _TAU_REL,
+)
+_FINITE = _checked(float, math.isfinite, "must be finite")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptlind", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, helptext):
+    commands = (
+        ("spectrum", _cmd_spectrum, "write the eigenvalue point cloud to CSV",
+         (("--out", {"required": True}),)),
+        ("check", _cmd_check, "symmetry, mirror-image, and classification report",
+         (_REPORT_OUT, _TAU_REL)),
+        ("perturb", _cmd_perturb, "population decay matrix, its spectrum, degeneracies",
+         (("--out-v", {"required": True, "help": "CSV path for the decay matrix"}), _REPORT_OUT)),
+        ("threshold", _cmd_threshold, "bisect the symmetry-breaking coupling",
+         (_REPORT_OUT, *_BRACKET)),
+        ("evolve", _cmd_evolve, "spin-current relaxation time series", (
+            ("--out", {"required": True, "help": "CSV path for the time series"}),
+            ("--t-min", {"type": _FINITE, "default": 0.5}),
+            ("--t-max", {"type": _FINITE, "default": 50.0}),
+            ("--points", {"type": _checked(int, lambda k: k >= 0, "must be >= 0"), "default": 200}),
+        )),
+        ("scaling", _cmd_scaling, "threshold versus chain length plus log-linear fit", (
+            ("--n-list", {"type": _chain_lengths, "default": "2,3,4"}),
+            ("--out", {"required": True, "help": "CSV path for the (n, gamma_pt) table"}),
+            ("--out-fit", {"default": None, "help": "JSON fit report path (default: stdout)"}),
+            *_BRACKET,
+        )),
+    )
+    for name, func, helptext, options in commands:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="model config JSON")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-        return p
-
-    p = add("spectrum", _cmd_spectrum, "write the eigenvalue point cloud to CSV")
-    p.add_argument("--out", required=True)
-
-    p = add("check", _cmd_check, "symmetry, mirror-image, and classification report")
-    p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
-    p.add_argument("--tau-rel", type=float, default=TOLERANCES["tau_rel"])
-
-    p = add("perturb", _cmd_perturb, "population decay matrix, its spectrum, degeneracies")
-    p.add_argument("--out-v", required=True, help="CSV path for the decay matrix")
-    p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
-
-    p = add("threshold", _cmd_threshold, "bisect the symmetry-breaking coupling")
-    p.add_argument("--out", default=None, help="JSON report path (default: stdout)")
-    p.add_argument("--gamma-min", type=float, default=1e-3)
-    p.add_argument("--gamma-max", type=float, default=20.0)
-    p.add_argument("--rel-precision", type=float, default=1e-3)
-    p.add_argument("--tau-rel", type=float, default=TOLERANCES["tau_rel"])
-
-    p = add("evolve", _cmd_evolve, "spin-current relaxation time series")
-    p.add_argument("--out", required=True, help="CSV path for the time series")
-    p.add_argument("--t-min", type=float, default=0.5)
-    p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--points", type=int, default=200)
-
-    p = add("scaling", _cmd_scaling, "threshold versus chain length plus log-linear fit")
-    p.add_argument("--n-list", default="2,3,4")
-    p.add_argument("--out", required=True, help="CSV path for the (n, gamma_pt) table")
-    p.add_argument("--out-fit", default=None, help="JSON fit report path (default: stdout)")
-    p.add_argument("--gamma-min", type=float, default=1e-3)
-    p.add_argument("--gamma-max", type=float, default=20.0)
-    p.add_argument("--rel-precision", type=float, default=1e-3)
-    p.add_argument("--tau-rel", type=float, default=TOLERANCES["tau_rel"])
-
     return parser
-
-
-def _emit_error(exc: Exception):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SchemaError):
-        payload["key"] = exc.key
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def run_command(argv) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        args.func(args)
+        args.func(parse_config(args.config), args)
         return 0
-    except ValidationError as exc:
-        _emit_error(exc)
-        return 1
-    except NumericalError as exc:
-        _emit_error(exc)
-        return 2
+    except (ValidationError, NumericalError) as exc:
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SchemaError):
+            payload["key"] = exc.key
+        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 def main(argv=None) -> int:

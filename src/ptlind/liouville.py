@@ -308,6 +308,8 @@ def propagator(sup: SuperOperator, t: float) -> SuperOperator:
     """
     if not np.isfinite(t):
         raise ValidationError(f"propagation time must be finite, got {t}")
+    if _overflows(sup.matrix, t):
+        raise ValidationError(f"propagation time t = {t} overflows t * matrix")
     return sup.replace_matrix(mat_exp(t * sup.matrix))
 
 

@@ -100,10 +100,9 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
         raise ValidationError(f"unknown operator kind {kind!r}")
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} out of range 1..{n_sites}")
-    out = np.array([[1.0 + 0.0j]])
-    for j in range(1, n_sites + 1):
-        out = np.kron(out, _SITE_KINDS[kind] if j == site else IDENTITY_2)
-    return out
+    left = np.eye(2 ** (site - 1), dtype=complex)
+    right = np.eye(2 ** (n_sites - site), dtype=complex)
+    return np.kron(np.kron(left, _SITE_KINDS[kind]), right)
 
 
 def site_reversal(n_sites: int) -> np.ndarray:

@@ -242,13 +242,20 @@ class CrossClassification:
     distances: np.ndarray = field(repr=False)
 
 
+def _require_positive(name: str, value: float) -> None:
+    """Refuse a tolerance that is not a positive, finite number."""
+    if value <= 0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
 def classify_cross(
     eigenvalues: np.ndarray, gamma_bar: float, tau_rel: float = DEFAULT_TAU_REL
 ) -> CrossClassification:
     """Assign every eigenvalue to the horizontal line, the vertical line, or neither."""
     w = np.asarray(eigenvalues, dtype=complex)
-    if tau_rel <= 0:
-        raise ValidationError(f"tau_rel must be positive, got {tau_rel}")
+    _require_positive("tau_rel", tau_rel)
     tau = tau_rel * max(1.0, float(np.abs(w).max(initial=0.0)))
     dist_h = np.abs(w.imag)
     dist_v = np.abs(w.real + gamma_bar)

@@ -35,6 +35,7 @@ from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
     _eig,
+    _require_positive,
     _unit_columns,
     _zero_mode,
     classify_cross,
@@ -121,8 +122,7 @@ def find_gamma_pt(
             raise ValidationError(f"{name} must be finite, got {value}")
     if not 0 < gamma_min < gamma_max:
         raise ValidationError(f"need 0 < gamma_min < gamma_max, got ({gamma_min}, {gamma_max})")
-    if rel_precision <= 0:
-        raise ValidationError(f"rel_precision must be positive, got {rel_precision}")
+    _require_positive("rel_precision", rel_precision)
     a, d = _parts(XXZParams(n_sites, delta, mu, gamma_min), sector)
     if _overflows(d, gamma_max):
         raise ValidationError(f"gamma_max = {gamma_max} overflows gamma * D")
@@ -275,6 +275,17 @@ def _relaxation(params: XXZParams) -> _Relaxation:
     return entry
 
 
+def _observable(params: XXZParams, observable: np.ndarray) -> np.ndarray:
+    """``observable`` as a complex matrix; refused unless Hermitian on the chain's space."""
+    obs = np.asarray(observable, dtype=complex)
+    dim = params.hilbert_dim
+    if obs.shape != (dim, dim):
+        raise ValidationError(f"observable shape {obs.shape} does not match dim {dim}")
+    if not is_hermitian(obs):
+        raise ValidationError("observable must be Hermitian")
+    return obs
+
+
 def observable_decay(
     params: XXZParams,
     observable: np.ndarray,
@@ -287,17 +298,15 @@ def observable_decay(
     positive for any Hermitian observable; the default grid is 200 uniform
     points on [0.5, 50].  Repeated grid spacings reuse one step propagator.
     """
-    obs = np.asarray(observable, dtype=complex)
+    obs = _observable(params, observable)
     dim = params.hilbert_dim
-    if obs.shape != (dim, dim):
-        raise ValidationError(f"observable shape {obs.shape} does not match dim {dim}")
-    if not is_hermitian(obs):
-        raise ValidationError("observable must be Hermitian")
     if rho0 is None:
         rho0 = (np.eye(dim) + obs / (2.0 * np.linalg.norm(obs, 2))) / dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValidationError(f"rho0 shape {rho0.shape} does not match dim {dim}")
+    if not np.all(np.isfinite(rho0)):
+        raise ValidationError("rho0 must be finite")
     if abs(np.trace(rho0) - 1.0) > 1e-9:
         raise ValidationError(f"rho0 must have unit trace, got {np.trace(rho0):.6g}")
     if t_grid is None:
@@ -347,7 +356,7 @@ def coherence_probe_state(
     the fit entirely.  ``weight`` must be small enough to keep the state
     positive; it is checked.
     """
-    obs = np.asarray(observable, dtype=complex)
+    obs = _observable(params, observable)
     relax = _relaxation(params)
     w, vr = relax.eigenvalues, relax.right_vectors
     best, best_overlap = None, 0.0

@@ -13,7 +13,18 @@ from ptlind import (
     sector_restrict,
     steady_state,
 )
-from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, global_spin_flip, unvec, vec
+from ptlind.operators import (
+    IDENTITY_2,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    global_spin_flip,
+    unvec,
+    vec,
+)
 from ptlind.xxz import sector_basis, xxz_model
 
 
@@ -66,6 +77,16 @@ def kron_terms(model: LindbladModel) -> tuple:
         dis -= np.kron(ldl, eye)
         dis -= np.kron(eye, ldl.T)
     return coherent, dis
+
+
+def chain_site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
+    """Oracle: ``site_operator`` as the n-fold Kronecker chain ``I (x) ... sigma ... (x) I``,
+    one factor per site, before the identities on each side were grouped."""
+    sigma = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}[kind]
+    out = np.array([[1.0 + 0.0j]])
+    for j in range(1, n_sites + 1):
+        out = np.kron(out, sigma if j == site else IDENTITY_2)
+    return out
 
 
 def full_build(params, sector):

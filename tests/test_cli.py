@@ -439,6 +439,54 @@ class TestExitCodes:
         assert "limit 3" in err["message"]
 
 
+_BRACKET = ["--gamma-min", "0.02", "--gamma-max", "0.2"]
+_TABLE = ["--n-list", "4", "--out", "t.csv", *_BRACKET]
+_SERIES = ["--out", "s.csv"]
+
+
+class TestRefusedOptions:
+    """Values that used to end in a traceback, a numpy warning or a silent result are
+    refused as invalid input; those that were refused before keep their text."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["check", "--tau-rel", "nan"], "tau_rel must be finite, got nan"),
+            (["check", "--tau-rel", "inf"], "tau_rel must be finite, got inf"),
+            (["threshold", *_BRACKET, "--rel-precision", "nan"],
+             "rel_precision must be finite, got nan"),
+            (["threshold", *_BRACKET, "--rel-precision", "inf"],
+             "rel_precision must be finite, got inf"),
+            (["threshold", *_BRACKET, "--tau-rel", "nan"], "tau_rel must be finite, got nan"),
+            (["scaling", *_TABLE, "--rel-precision", "nan"],
+             "rel_precision must be finite, got nan"),
+            (["scaling", *_TABLE, "--tau-rel", "inf"], "tau_rel must be finite, got inf"),
+            (["evolve", *_SERIES, "--points", "-1"], "argument --points: must be >= 0, got '-1'"),
+            (["scaling", "--n-list", "4,x", "--out", "t.csv"],
+             "argument --n-list: not a list of integers: '4,x'"),
+            (["evolve", *_SERIES, "--t-max", "inf"], "argument --t-max: must be finite, got 'inf'"),
+            (["evolve", *_SERIES, "--t-min", "nan"], "argument --t-min: must be finite, got 'nan'"),
+            # refused before, text unchanged
+            (["evolve", *_SERIES, "--points", "0"],
+             "t_grid must be a non-empty strictly increasing array of times >= 0"),
+            (["evolve", *_SERIES, "--points", "2.5"],
+             "argument --points: invalid int value: '2.5'"),
+            (["evolve", *_SERIES, "--t-max", "x"], "argument --t-max: invalid float value: 'x'"),
+            (["check", "--tau-rel", "0"], "tau_rel must be positive, got 0.0"),
+            (["threshold", "--rel-precision", "0"], "rel_precision must be positive, got 0.0"),
+        ],
+    )
+    def test_refused_as_invalid_input(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, FIG_TOP)
+        command, *options = argv
+        assert main([command, "--config", cfg, *options]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
 def test_echoed_tolerances_are_pinned(tmp_path, capsys):
     # every JSON report echoes this table; a change to it changes every report
     assert TOLERANCES == {

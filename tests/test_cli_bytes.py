@@ -1,0 +1,41 @@
+"""The CLI's outputs, byte for byte, against a table recorded before a change.
+
+The cases and the recorder are in ``cli_bytes.py``; it runs them all in one
+subprocess at one BLAS thread.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+HERE = Path(__file__).resolve().parent
+
+
+def test_outputs_match_the_recorded_table():
+    recorded = json.loads((HERE / "cli_bytes.json").read_text())
+    here = {
+        "python": "%d.%d" % sys.version_info[:2],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    if any(recorded["environment"][key] != value for key, value in here.items()):
+        pytest.skip(f"table recorded under {recorded['environment']}, this is {here}")
+    env = dict(
+        os.environ, PYTHONPATH=str(HERE.parent / "src"), OPENBLAS_NUM_THREADS="1", COLUMNS="80"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "cli_bytes.py")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    now = json.loads(proc.stdout)
+    assert now["environment"] == recorded["environment"]
+    cases = recorded["cases"].keys() | now["cases"].keys()
+    changed = sorted(c for c in cases if recorded["cases"].get(c) != now["cases"].get(c))
+    assert changed == [], f"outputs differ from the recorded table in {changed}"

@@ -165,6 +165,14 @@ class TestPropagator:
         with pytest.raises(ValidationError):
             propagator(sup, np.inf)
 
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_overflowing_time_refused_before_any_arithmetic(self, t):
+        sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows t \\* matrix"):
+                propagator(sup, t)
+
 
 class TestHermiticityResidual:
     def test_built_liouvillians_preserve_hermiticity(self, rng):

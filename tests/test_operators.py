@@ -22,6 +22,7 @@ from ptlind.operators import IDENTITY_2, SIGMA_PLUS, SIGMA_MINUS, SIGMA_X, SIGMA
 from conftest import (
     BasisConvention,
     almost_equal,
+    chain_site_operator,
     random_density,
     random_hermitian,
     transpose_permutation,
@@ -111,6 +112,13 @@ class TestSiteOperator:
                 oa = site_operator(a, 1, 3)
                 ob = site_operator(b, 2, 3)
                 assert np.abs(oa @ ob - ob @ oa).max() == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_the_n_fold_chain(self, n):
+        for kind in "xyz+-":
+            for site in range(1, n + 1):
+                oracle = chain_site_operator(kind, site, n)
+                assert np.array_equal(site_operator(kind, site, n), oracle)
 
     def test_site_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,7 @@ from ptlind import (
     LindbladModel,
     NoZeroMode,
     SuperOperator,
+    ValidationError,
     build_superoperator,
     classify_cross,
     collinearity_error,
@@ -179,6 +180,15 @@ class TestClassifyCross:
         # 0 and -2 gamma on the real axis, the conjugate pair on the vertical line
         assert len(cls.on_h) == 2
         assert len(cls.on_v) == 2
+
+    @pytest.mark.parametrize(
+        "tau_rel,rule",
+        [(np.nan, "finite"), (np.inf, "finite"), (0.0, "positive"), (-np.inf, "positive")],
+    )
+    def test_tolerance_must_be_positive_and_finite(self, tau_rel, rule):
+        # nan would put every eigenvalue off the cross, inf every one on the real axis
+        with pytest.raises(ValidationError, match=f"^tau_rel must be {rule}, got {tau_rel}$"):
+            classify_cross(np.array([0.0, -1.0 + 1.0j]), 1.0, tau_rel=tau_rel)
 
     def test_partition_stable_under_tau_wiggle(self, fig_top_decomposition):
         base = classify_cross(fig_top_decomposition.eigenvalues, 0.02, tau_rel=1e-8)

@@ -103,6 +103,17 @@ class TestFindGammaPt:
         with pytest.raises(ValidationError):
             find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, rel_precision=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tolerances_refused(self, monkeypatch, value):
+        # a nan rel_precision used to stop the bisection before its first step and
+        # report the midpoint of the unbisected bracket
+        probes = count_calls(monkeypatch, "ptlind.threshold.classify_cross")
+        with pytest.raises(ValidationError, match=f"^rel_precision must be finite, got {value}$"):
+            find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, rel_precision=value)
+        assert probes == []
+        with pytest.raises(ValidationError, match=f"^tau_rel must be finite, got {value}$"):
+            find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, tau_rel=value)
+
 
 class TestBracketOverflow:
     @pytest.fixture(autouse=True)
@@ -204,6 +215,11 @@ class TestScalingStudy:
         with pytest.raises(ValidationError):
             scaling_study([4, 6], 0.5, 1.0)
 
+    @pytest.mark.parametrize("name", ["rel_precision", "tau_rel"])
+    def test_non_finite_tolerance_refused(self, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite, got nan$"):
+            scaling_study([4], 0.5, 1.0, gamma_min=0.02, gamma_max=0.2, **{name: float("nan")})
+
 
 class TestObservableDecay:
     def test_identity_observable_has_no_deviation(self, rng):
@@ -262,6 +278,26 @@ class TestObservableDecay:
         # refused as input, not left to end in the solver's untyped LinAlgError
         with pytest.raises(ValidationError, match="observable must be Hermitian"):
             observable_decay(XXZParams(2, 0.5, 1.0, 0.1), np.diag([np.nan, 1.0, 1.0, 1.0]))
+
+    def test_non_finite_state_rejected(self):
+        # its trace is still 1, and every deviation and the rate used to come back nan
+        rho0 = np.eye(4, dtype=complex) / 4.0
+        rho0[0, 1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="rho0 must be finite"):
+                observable_decay(XXZParams(2, 0.5, 1.0, 0.1), spin_current(2), rho0=rho0)
+
+    def test_probe_state_checks_its_observable_the_same_way(self):
+        params = XXZParams(2, 0.5, 1.0, 0.1)
+        ket_bra = np.zeros((4, 4), dtype=complex)
+        ket_bra[0, 1] = 1.0  # |0><1|, not Hermitian
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad, message in ((np.eye(3), "does not match dim 4"), (ket_bra, "Hermitian")):
+                for recipe in (coherence_probe_state, observable_decay):
+                    with pytest.raises(ValidationError, match=message):
+                        recipe(params, bad)
 
 
 class TestSharedRelaxationSolve:
