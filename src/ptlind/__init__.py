@@ -69,7 +69,6 @@ from .symmetry import (
     SymmetryReport,
     check_inversion,
     check_pt,
-    check_pt_rows,
     parity_from_pair,
     xxz_parity,
 )
@@ -85,10 +84,8 @@ from .threshold import (
 )
 from .xxz import (
     XXZParams,
-    ladder_liouvillian,
-    ladder_matrix,
-    row_superoperators,
     sector_basis,
+    sector_positions,
     spin_current,
     xxz_model,
 )

@@ -40,12 +40,11 @@ from .perturbation import degeneracy_report, population_matrix
 from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, _eig, classify_cross, verify_d2
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
-from .xxz import XXZParams, sector_basis, spin_current, xxz_model
+from .xxz import SECTORS, XXZParams, sector_positions, spin_current, xxz_model
 
 __all__ = ["ModelConfig", "parse_config", "write_spectrum_csv", "run_command", "main"]
 
 _MODELS = ("xxz", "single_qubit", "custom")
-_SECTORS = ("full", "dmz0")
 
 TOLERANCES = {
     "tau_rel": DEFAULT_TAU_REL,
@@ -131,8 +130,8 @@ def parse_config(path: str) -> ModelConfig:
     if model not in _MODELS:
         raise SchemaError("model", f"must be one of {_MODELS}, got {model!r}")
     sector = raw.get("sector", "full")
-    if sector not in _SECTORS:
-        raise SchemaError("sector", f"must be one of {_SECTORS}, got {sector!r}")
+    if sector not in SECTORS:
+        raise SchemaError("sector", f"must be one of {SECTORS}, got {sector!r}")
     gamma = _require_number(raw, "gamma")
     if gamma < 0:
         raise SchemaError("gamma", "must be non-negative")
@@ -194,8 +193,8 @@ def _lindblad_model(cfg: ModelConfig) -> LindbladModel:
 
 
 def _sector(cfg: ModelConfig):
-    """Flat positions of the config's sector; None for the full space."""
-    return sector_basis(cfg.spec.n_sites, 0) if cfg.sector == "dmz0" else None
+    """Flat positions of the config's sector; None for the full space (any non-chain model)."""
+    return sector_positions(cfg.spec.n_sites, cfg.sector) if cfg.model == "xxz" else None
 
 
 def _xxz_params(cfg: ModelConfig) -> XXZParams:
@@ -231,7 +230,10 @@ def _report(cfg: ModelConfig, args, path: str | None, fields: dict) -> None:
     and the tolerances in force: the table, overridden by the command's tolerance options."""
     given = {key: value for key, value in vars(args).items() if key in ("tau_rel", "rel_precision")}
     report = dict(fields, config=cfg.raw, tolerances=dict(TOLERANCES, **given))
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity has no JSON token
+        raise NumericalError(f"report holds a non-finite number: {exc}") from None
     if path is None:
         sys.stdout.write(text)
     else:

@@ -13,21 +13,20 @@ which in turn lets the propagator be inverted without inverting a matrix:
 
 For the boundary-driven XXZ chain the parity conjugates by the site
 reversal R combined with the full sigma^z string on the left and by R alone
-on the right; the identity above then holds for each of the three ladder
-rows of the generator separately.
+on the right.  The identity then holds for each of the three ladder rows of
+the generator separately; ``tests/test_symmetry.py::TestCheckPTRows`` checks
+that against the two-copy oracle in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NotInvolution, NotUnitary, ValidationError
 from .liouville import SuperOperator, _assemble, average_damping, propagator, traceless_part
-from .operators import dagger, product_map, site_reversal, site_operator
-from .xxz import XXZParams, row_superoperators
+from .operators import dagger, site_reversal, site_operator
 
 __all__ = [
     "ParitySuperOp",
@@ -35,7 +34,6 @@ __all__ = [
     "parity_from_pair",
     "xxz_parity",
     "check_pt",
-    "check_pt_rows",
     "check_inversion",
 ]
 
@@ -44,10 +42,9 @@ __all__ = [
 class ParitySuperOp:
     """Unitary involution ``rho -> A rho B``.
 
-    The (A, B) pair is the source of truth.  The N^2 x N^2 matrix
-    ``kron(A, B.T)`` is derived from it lazily, on first access.  A block on
-    invariant positions is assembled from A and B without it, and the PT
-    checks never read it.
+    The (A, B) pair is the whole parity: a block of its N^2 x N^2 matrix
+    ``kron(A, B.T)`` on invariant positions is assembled from A and B, and
+    the full matrix is never formed.
     """
 
     left_op: np.ndarray
@@ -59,20 +56,17 @@ class ParitySuperOp:
     def hilbert_dim(self) -> int:
         return self.left_op.shape[0]
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return product_map(self.left_op, self.right_op)
-
     def matrix_on(self, index) -> np.ndarray:
         """Block on the invariant flat positions ``index``, in their order, assembled there
         alone (:class:`SectorNotInvariant` if the parity couples them to the rest)."""
         return _assemble([(1.0, self.left_op, self.right_op.T)], self.hilbert_dim, index)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """``A x B`` for an N x N operator ``x``."""
         x = np.asarray(x, dtype=complex)
-        if x.ndim == 2:
-            return self.left_op @ x @ self.right_op
-        return self.matrix @ x
+        if x.shape != self.left_op.shape:
+            raise ValidationError(f"parity acts on {self.left_op.shape} operators, got {x.shape}")
+        return self.left_op @ x @ self.right_op
 
 
 def parity_from_pair(a: np.ndarray, b: np.ndarray) -> ParitySuperOp:
@@ -168,16 +162,6 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
         unitarity_residual=parity.unitarity_residual,
         gamma_bar=average_damping(liou),
     )
-
-
-def check_pt_rows(params: XXZParams) -> list:
-    """PT residual of each of the three ladder rows of the XXZ generator.
-
-    Each row is made traceless with its own average damping before the
-    check; the identity holds row by row, not just for the sum.
-    """
-    parity = xxz_parity(params.n_sites)
-    return [check_pt(row, parity).pt_residual for row in row_superoperators(params)]
 
 
 def check_inversion(liou: SuperOperator, parity: ParitySuperOp, t: float) -> float:

@@ -40,7 +40,7 @@ from .spectral import (
     _zero_mode,
     classify_cross,
 )
-from .xxz import XXZParams, sector_basis, xxz_model
+from .xxz import XXZParams, sector_positions, xxz_model
 
 __all__ = [
     "ThresholdResult",
@@ -62,9 +62,7 @@ def _parts(params: XXZParams, sector: str) -> tuple:
     assembled on the sector directly and must leave it invariant on its own; then so
     does every such sum.
     """
-    if sector not in ("full", "dmz0"):
-        raise ValidationError(f"unknown sector {sector!r}; use 'full' or 'dmz0'")
-    keep = sector_basis(params.n_sites, 0) if sector == "dmz0" else None
+    keep = sector_positions(params.n_sites, sector)
     return _split(xxz_model(params), keep)
 
 
@@ -199,6 +197,8 @@ def scaling_study(
     broken at arbitrarily small coupling, has no threshold to fit.
     """
     n_list = [int(n) for n in n_list]
+    if not n_list or len(set(n_list)) != len(n_list):
+        raise ValidationError(f"chain lengths must be non-empty and distinct, got {n_list}")
     if any(n < 2 or n > 5 for n in n_list):
         raise ValidationError(f"chain lengths must lie in 2..5 (desk scale), got {n_list}")
     entries = []
@@ -312,7 +312,8 @@ def observable_decay(
     if t_grid is None:
         t_grid = np.linspace(0.5, 50.0, 200)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
+    finite = t_grid.ndim == 1 and t_grid.size > 0 and np.isfinite(t_grid).all()
+    if not finite or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValidationError("t_grid must be a non-empty strictly increasing array of times >= 0")
 
     relax = _relaxation(params)
@@ -356,6 +357,8 @@ def coherence_probe_state(
     the fit entirely.  ``weight`` must be small enough to keep the state
     positive; it is checked.
     """
+    if not np.isfinite(weight):
+        raise ValidationError(f"probe weight must be finite, got {weight}")
     obs = _observable(params, observable)
     relax = _relaxation(params)
     w, vr = relax.eigenvalues, relax.right_vectors

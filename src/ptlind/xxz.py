@@ -1,4 +1,4 @@
-"""Boundary-driven XXZ chain: model, spin current, sectors, ladder form.
+"""Boundary-driven XXZ chain: model, spin current, sectors.
 
 The chain Hamiltonian is
 
@@ -14,16 +14,9 @@ All four operators are always kept, so the model shape is independent of
 ``mu`` (two of them vanish at mu = +-1).  This normalisation makes the
 dissipator trace exactly -4^n, hence the average damping equals gamma.
 
-Besides the support-based Kronecker assembly of ``liouville``, the generator
-is also built in a second, independent way: the operator space B(H) is
-identified with the two-copy product space H (x) H through
-
-    |psi><phi|   <->   |psi> (x) S |phi|,    S = global spin flip,
-
-under which the generator becomes a local operator on the two copies (one
-boundary-field row, two jump rows, and a constant shift).  Both routes must
-agree entrywise; the test suite pins this down because the spin-flip
-bookkeeping is the error-prone step.
+The two-copy (ladder) form of the generator, each of whose rows is
+PT-symmetric on its own, is a test oracle in ``tests/conftest.py``;
+``tests/test_symmetry.py`` checks the identity row by row.
 """
 
 from __future__ import annotations
@@ -33,18 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .liouville import LindbladModel, SuperOperator
-from .operators import global_spin_flip, site_operator
+from .liouville import LindbladModel
+from .operators import site_operator
 
 __all__ = [
     "XXZParams",
     "xxz_model",
     "spin_current",
+    "SECTORS",
     "sector_basis",
-    "ladder_matrix",
-    "ladder_liouvillian",
-    "row_superoperators",
+    "sector_positions",
 ]
+
+SECTORS = ("full", "dmz0")
 
 
 @dataclass(frozen=True)
@@ -57,6 +51,8 @@ class XXZParams:
     gamma: float
 
     def __post_init__(self):
+        if not isinstance(self.n_sites, (int, np.integer)):
+            raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 2:
             raise ValidationError(f"need at least 2 sites, got {self.n_sites}")
         if not np.isfinite(self.delta):
@@ -127,57 +123,9 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
     return np.flatnonzero(mags[:, None] - mags == dmz)
 
 
-def _ladder_reorder(n_sites: int) -> tuple:
-    """``I (x) S`` as a row and column reordering: ``pi @ m @ pi == m[_ladder_reorder(n)]``."""
-    flip = np.argmax(global_spin_flip(n_sites).real, axis=1)  # S[k, flip[k]] = 1
-    order = (np.arange(flip.size)[:, None] * flip.size + flip).reshape(-1)
-    return np.ix_(order, order)
-
-
-def _ladder_rows(params: XXZParams) -> tuple:
-    """The three rows of the two-copy form of the generator, as matrices on H (x) H."""
-    n = params.n_sites
-    dim = params.hilbert_dim
-    one = np.eye(dim, dtype=complex)
-    h = _hamiltonian(n, params.delta)
-    bias = (params.gamma * params.mu / 4.0) * (
-        site_operator("z", 1, n) - site_operator("z", n, n)
-    )
-    x = 1j * h - bias
-    row1 = np.kron(one, x) - np.kron(x, one)
-    row2 = (params.gamma * (1.0 + params.mu) / 2.0) * (
-        np.kron(site_operator("+", 1, n), site_operator("-", 1, n))
-        + np.kron(site_operator("-", n, n), site_operator("+", n, n))
-    )
-    row3 = (params.gamma * (1.0 - params.mu) / 2.0) * (
-        np.kron(site_operator("-", 1, n), site_operator("+", 1, n))
-        + np.kron(site_operator("+", n, n), site_operator("-", n, n))
-    ) - params.gamma * np.kron(one, one)
-    return row1, row2, row3
-
-
-def ladder_matrix(params: XXZParams) -> np.ndarray:
-    """Generator in the two-copy basis (sum of the three ladder rows)."""
-    row1, row2, row3 = _ladder_rows(params)
-    return row1 + row2 + row3
-
-
-def ladder_liouvillian(params: XXZParams) -> SuperOperator:
-    """Generator built through the two-copy route, in the row-major convention.
-
-    Must agree entrywise with ``build_superoperator(xxz_model(params))``;
-    kept as a permanently-enabled cross-check of the spin-flip bookkeeping.
-    """
-    matrix = ladder_matrix(params)[_ladder_reorder(params.n_sites)]
-    return SuperOperator(matrix, params.hilbert_dim)
-
-
-def row_superoperators(params: XXZParams) -> tuple:
-    """The three ladder rows converted to the row-major convention.
-
-    Row 1 is the coherent part plus the boundary-field term, rows 2 and 3
-    are the two groups of jump terms (row 3 carries the constant shift).
-    Their sum is the full generator exactly.
-    """
-    ix = _ladder_reorder(params.n_sites)
-    return tuple(SuperOperator(row[ix], params.hilbert_dim) for row in _ladder_rows(params))
+def sector_positions(n_sites: int, sector: str) -> np.ndarray | None:
+    """Flat positions of a sector named in ``SECTORS``: ``sector_basis(n_sites, 0)`` for
+    ``"dmz0"``, None for ``"full"``.  Any other name is refused."""
+    if sector not in SECTORS:
+        raise ValidationError(f"unknown sector {sector!r}; use {' or '.join(map(repr, SECTORS))}")
+    return sector_basis(n_sites, 0) if sector == "dmz0" else None

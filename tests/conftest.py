@@ -6,12 +6,15 @@ import pytest
 
 from ptlind import (
     LindbladModel,
+    SuperOperator,
     ValidationError,
     build_superoperator,
+    check_pt,
     eig_biortho,
     propagator,
     sector_restrict,
     steady_state,
+    xxz_parity,
 )
 from ptlind.operators import (
     IDENTITY_2,
@@ -22,10 +25,11 @@ from ptlind.operators import (
     SIGMA_Z,
     dagger,
     global_spin_flip,
+    site_operator,
     unvec,
     vec,
 )
-from ptlind.xxz import sector_basis, xxz_model
+from ptlind.xxz import XXZParams, _hamiltonian, sector_positions, xxz_model
 
 
 @pytest.fixture
@@ -93,7 +97,8 @@ def full_build(params, sector):
     """Oracle: the XXZ generator at ``params.gamma``, built whole and then restricted to
     ``sector`` (``"full"`` or ``"dmz0"``)."""
     sup = build_superoperator(xxz_model(params))
-    return sup if sector == "full" else sector_restrict(sup, sector_basis(params.n_sites, 0))
+    keep = sector_positions(params.n_sites, sector)
+    return sup if keep is None else sector_restrict(sup, keep)
 
 
 def biortho_probe_state(params, observable, weight=0.05) -> tuple:
@@ -158,6 +163,80 @@ def ladder_vectorization_map(n_sites: int) -> np.ndarray:
     """
     dim = 2**n_sites
     return np.kron(np.eye(dim, dtype=complex), global_spin_flip(n_sites))
+
+
+# The two-copy (ladder) oracle.  The operator space B(H) is identified with the
+# two-copy product space H (x) H through
+#
+#     |psi><phi|   <->   |psi> (x) S |phi|,    S = global spin flip,
+#
+# under which the XXZ generator becomes a local operator on the two copies (one
+# boundary-field row, two jump rows, and a constant shift).  It must agree entrywise
+# with the support-based assembly, and each row is PT-symmetric on its own.
+def _ladder_reorder(n_sites: int) -> tuple:
+    """``I (x) S`` as a row and column reordering: ``pi @ m @ pi == m[_ladder_reorder(n)]``."""
+    flip = np.argmax(global_spin_flip(n_sites).real, axis=1)  # S[k, flip[k]] = 1
+    order = (np.arange(flip.size)[:, None] * flip.size + flip).reshape(-1)
+    return np.ix_(order, order)
+
+
+def _ladder_rows(params: XXZParams) -> tuple:
+    """The three rows of the two-copy form of the generator, as matrices on H (x) H."""
+    n = params.n_sites
+    dim = params.hilbert_dim
+    one = np.eye(dim, dtype=complex)
+    h = _hamiltonian(n, params.delta)
+    bias = (params.gamma * params.mu / 4.0) * (
+        site_operator("z", 1, n) - site_operator("z", n, n)
+    )
+    x = 1j * h - bias
+    row1 = np.kron(one, x) - np.kron(x, one)
+    row2 = (params.gamma * (1.0 + params.mu) / 2.0) * (
+        np.kron(site_operator("+", 1, n), site_operator("-", 1, n))
+        + np.kron(site_operator("-", n, n), site_operator("+", n, n))
+    )
+    row3 = (params.gamma * (1.0 - params.mu) / 2.0) * (
+        np.kron(site_operator("-", 1, n), site_operator("+", 1, n))
+        + np.kron(site_operator("+", n, n), site_operator("-", n, n))
+    ) - params.gamma * np.kron(one, one)
+    return row1, row2, row3
+
+
+def ladder_matrix(params: XXZParams) -> np.ndarray:
+    """Generator in the two-copy basis (sum of the three ladder rows)."""
+    row1, row2, row3 = _ladder_rows(params)
+    return row1 + row2 + row3
+
+
+def ladder_liouvillian(params: XXZParams) -> SuperOperator:
+    """Generator built through the two-copy route, in the row-major convention.
+
+    Must agree entrywise with ``build_superoperator(xxz_model(params))``;
+    kept as a permanently-enabled cross-check of the spin-flip bookkeeping.
+    """
+    matrix = ladder_matrix(params)[_ladder_reorder(params.n_sites)]
+    return SuperOperator(matrix, params.hilbert_dim)
+
+
+def row_superoperators(params: XXZParams) -> tuple:
+    """The three ladder rows converted to the row-major convention.
+
+    Row 1 is the coherent part plus the boundary-field term, rows 2 and 3
+    are the two groups of jump terms (row 3 carries the constant shift).
+    Their sum is the full generator exactly.
+    """
+    ix = _ladder_reorder(params.n_sites)
+    return tuple(SuperOperator(row[ix], params.hilbert_dim) for row in _ladder_rows(params))
+
+
+def check_pt_rows(params: XXZParams) -> list:
+    """PT residual of each of the three ladder rows of the XXZ generator.
+
+    Each row is made traceless with its own average damping before the
+    check; the identity holds row by row, not just for the sum.
+    """
+    parity = xxz_parity(params.n_sites)
+    return [check_pt(row, parity).pt_residual for row in row_superoperators(params)]
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,9 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, hs_inner, site_operator
-from ptlind.xxz import XXZParams, ladder_liouvillian, sector_basis, spin_current, xxz_model
+from ptlind.xxz import XXZParams, sector_basis, spin_current, xxz_model
 
-from conftest import random_density, random_model
+from conftest import ladder_liouvillian, random_density, random_model
 
 
 def report(name: str, ok: bool, detail: str = ""):

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from ptlind import (
+    NumericalError,
     ParseError,
     SchemaError,
     ValidationError,
@@ -18,7 +21,7 @@ from ptlind import (
     verify_d2,
 )
 from ptlind import threshold
-from ptlind.cli import TOLERANCES, main, parse_config, write_spectrum_csv
+from ptlind.cli import TOLERANCES, _report, main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
 
 from conftest import count_calls, full_build
@@ -474,6 +477,12 @@ class TestRefusedOptions:
             (["evolve", *_SERIES, "--t-max", "x"], "argument --t-max: invalid float value: 'x'"),
             (["check", "--tau-rel", "0"], "tau_rel must be positive, got 0.0"),
             (["threshold", "--rel-precision", "0"], "rel_precision must be positive, got 0.0"),
+            # new refusals: an empty list used to give a null fit, a repeated one a fit
+            # through two copies of one point
+            (["scaling", "--n-list", "", "--out", "t.csv"],
+             "chain lengths must be non-empty and distinct, got []"),
+            (["scaling", "--n-list", "4,4", "--out", "t.csv"],
+             "chain lengths must be non-empty and distinct, got [4, 4]"),
         ],
     )
     def test_refused_as_invalid_input(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -485,6 +494,19 @@ class TestRefusedOptions:
         assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_refuses_a_non_finite_number(tmp_path, capsys, value):
+    # json.dumps would write the tokens NaN or Infinity, which are not JSON
+    cfg = parse_config(write_config(tmp_path, QUBIT))
+    out = tmp_path / "report.json"
+    with pytest.raises(NumericalError, match="non-finite"):
+        _report(cfg, argparse.Namespace(), str(out), {"nested": {"value": value}})
+    with pytest.raises(NumericalError):
+        _report(cfg, argparse.Namespace(), None, {"value": value})
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_echoed_tolerances_are_pinned(tmp_path, capsys):
@@ -536,6 +558,17 @@ class TestRunFromCheckout:
         proc = run(module, "threshold", "--config", cfg)
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "SchemaError"
+
+    def test_non_finite_report_is_a_numerical_failure(self, run, tmp_path):
+        # at gamma = 1e300 the squared entries in the PT residual's norms overflow; the
+        # report used to exit 0 with "pt_residual": NaN.  In a subprocess because numpy's
+        # overflow warning is an error in the test run.
+        payload = {"model": "xxz", "n": 3, "delta": 0.5, "mu": 1.0, "gamma": 1e300}
+        cfg = write_config(tmp_path, payload)
+        proc = run("ptlind", "check", "--config", cfg)
+        assert proc.returncode == 2
+        assert proc.stdout == ""  # no report, so no NaN token
+        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "NumericalError"
 
     @pytest.mark.parametrize("sector", ["full", "dmz0"])
     def test_gamma_pt_does_not_depend_on_the_blas_thread_count(self, run, tmp_path, sector):

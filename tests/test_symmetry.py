@@ -11,10 +11,10 @@ from ptlind import (
     NotUnitary,
     SectorNotInvariant,
     SuperOperator,
+    ValidationError,
     build_superoperator,
     check_inversion,
     check_pt,
-    check_pt_rows,
     hermiticity_residual,
     left_identity_residual,
     parity_from_pair,
@@ -22,16 +22,24 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.cli import TOLERANCES
-from ptlind.operators import SIGMA_PLUS, SIGMA_X, dagger, site_operator, site_reversal
-from ptlind.symmetry import _kron_identity_residual, _sandwich
-from ptlind.xxz import (
-    XXZParams,
-    row_superoperators,
-    sector_basis,
-    xxz_model,
+from ptlind.operators import (
+    SIGMA_PLUS,
+    SIGMA_X,
+    dagger,
+    product_map,
+    site_operator,
+    site_reversal,
 )
+from ptlind.symmetry import _kron_identity_residual, _sandwich
+from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
-from conftest import ladder_vectorization_map, random_hermitian, single_qubit
+from conftest import (
+    check_pt_rows,
+    ladder_vectorization_map,
+    random_hermitian,
+    row_superoperators,
+    single_qubit,
+)
 
 
 def sigma_z_string(n):
@@ -44,12 +52,13 @@ def sigma_z_string(n):
 class TestParityFromPair:
     def test_identity_pair(self):
         p = parity_from_pair(np.eye(3), np.eye(3))
-        assert np.array_equal(p.matrix, np.eye(9))
+        assert np.array_equal(product_map(p.left_op, p.right_op), np.eye(9))
 
     def test_sigma_x_pair(self):
         p = parity_from_pair(SIGMA_X, SIGMA_X)
-        assert np.linalg.norm(p.matrix @ p.matrix - np.eye(4)) < 1e-14
-        assert np.linalg.norm(dagger(p.matrix) @ p.matrix - np.eye(4)) < 1e-14
+        m = product_map(p.left_op, p.right_op)
+        assert np.linalg.norm(m @ m - np.eye(4)) < 1e-14
+        assert np.linalg.norm(dagger(m) @ m - np.eye(4)) < 1e-14
 
     def test_raising_operator_rejected(self):
         with pytest.raises(NotUnitary):
@@ -57,7 +66,7 @@ class TestParityFromPair:
 
     def test_unitary_involution_properties(self):
         p = xxz_parity(3)
-        m = p.matrix
+        m = product_map(p.left_op, p.right_op)
         eye = np.eye(m.shape[0])
         assert np.linalg.norm(dagger(m) @ m - eye) < 1e-12
         assert np.linalg.norm(dagger(m) - m) < 1e-12  # P^dag = P^-1 = P
@@ -70,10 +79,17 @@ class TestXXZParity:
         out = p.apply(np.eye(2**n, dtype=complex))
         assert np.abs(out - sigma_z_string(n)).max() < 1e-14
 
+    def test_apply_takes_operators_only(self):
+        p = xxz_parity(2)
+        for bad in (np.ones(16), np.ones((4, 4, 1)), np.eye(8)):
+            with pytest.raises(ValidationError, match="parity acts on \\(4, 4\\) operators"):
+                p.apply(bad)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_squares_to_identity(self, n):
         p = xxz_parity(n)
-        assert np.linalg.norm(p.matrix @ p.matrix - np.eye(4**n)) < 1e-14
+        m = product_map(p.left_op, p.right_op)
+        assert np.linalg.norm(m @ m - np.eye(4**n)) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_ladder_construction_matches_operator_map(self, n):
@@ -83,13 +99,15 @@ class TestXXZParity:
         ladder_form = np.kron(r @ sigma_z_string(n), r)
         pi = ladder_vectorization_map(n)
         converted = pi @ ladder_form @ pi
-        assert np.abs(converted - xxz_parity(n).matrix).max() < 1e-14
+        p = xxz_parity(n)
+        assert np.abs(converted - product_map(p.left_op, p.right_op)).max() < 1e-14
 
     def test_commutes_with_sector_restriction(self):
         # the parity maps the zero-magnetization block to itself
         p = xxz_parity(3)
         labels = sector_basis(3, 0)
-        restricted = sector_restrict(SuperOperator(p.matrix, p.hilbert_dim), labels, tol=1e-12)
+        m = product_map(p.left_op, p.right_op)
+        restricted = sector_restrict(SuperOperator(m, p.hilbert_dim), labels, tol=1e-12)
         assert np.linalg.norm(restricted.matrix @ restricted.matrix - np.eye(20)) < 1e-12
 
 
@@ -164,7 +182,8 @@ class TestCheckPTRows:
         residuals = check_pt_rows(params)
         assert max(residuals) <= 1e-12
         row1, row2, row3 = row_superoperators(params)
-        p = xxz_parity(2).matrix
+        parity = xxz_parity(2)
+        p = product_map(parity.left_op, parity.right_op)
         jump3 = row3.matrix + params.gamma * np.eye(16)
         assert np.abs(p @ row2.matrix @ p + jump3).max() < 1e-13
 
@@ -247,7 +266,8 @@ class TestFactoredParity:
     def test_involution_residual_matches_dense(self, n):
         parity = xxz_parity(n)
         assert parity.involution_residual == 0.0
-        assert np.linalg.norm(parity.matrix @ parity.matrix - np.eye(4**n)) == 0.0
+        m = product_map(parity.left_op, parity.right_op)
+        assert np.linalg.norm(m @ m - np.eye(4**n)) == 0.0
 
     def test_involution_residual_of_a_non_involution(self, rng):
         # a random unitary pair does not square to the identity; the factored
@@ -263,9 +283,9 @@ class TestFactoredParity:
 
     def test_matrix_is_derived_on_first_access(self):
         parity = xxz_parity(3)
-        assert "matrix" not in vars(parity)
-        assert np.array_equal(parity.matrix, np.kron(parity.left_op, parity.right_op.T))
-        assert parity.matrix is parity.matrix
+        assert not hasattr(parity, "matrix")  # the N^2 x N^2 matrix is never kept
+        whole = parity.matrix_on(np.arange(64))
+        assert np.array_equal(whole, np.kron(parity.left_op, parity.right_op.T))
 
 
 class TestParityLeavingTheSector:

@@ -215,6 +215,17 @@ class TestScalingStudy:
         with pytest.raises(ValidationError):
             scaling_study([4, 6], 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "n_list,shown", [([], "[]"), ([4, 4], "[4, 4]"), ((3, 4, 3), "[3, 4, 3]")]
+    )
+    def test_empty_or_repeated_lengths_refused(self, monkeypatch, n_list, shown):
+        # an empty list used to give a null fit, a repeated one a fit through one point
+        probes = count_calls(monkeypatch, "ptlind.threshold.find_gamma_pt")
+        with pytest.raises(ValidationError) as err:
+            scaling_study(n_list, 0.5, 1.0)
+        assert str(err.value) == f"chain lengths must be non-empty and distinct, got {shown}"
+        assert probes == []
+
     @pytest.mark.parametrize("name", ["rel_precision", "tau_rel"])
     def test_non_finite_tolerance_refused(self, name):
         with pytest.raises(ValidationError, match=f"^{name} must be finite, got nan$"):
@@ -273,6 +284,26 @@ class TestObservableDecay:
             observable_decay(params, np.eye(4), rho0=2.0 * np.eye(4) / 4.0)
         with pytest.raises(ValidationError):
             observable_decay(params, np.eye(4), t_grid=np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_refused_before_the_solve(self, monkeypatch, bad):
+        # used to pass the grid check and fail in propagator after the full-space solve
+        solves = count_calls(monkeypatch, "ptlind.threshold._relaxation")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^t_grid must be"):
+                observable_decay(XXZParams(2, 0.5, 1.0, 0.1), spin_current(2), t_grid=[0.5, bad])
+        assert solves == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_probe_weight_must_be_finite(self, monkeypatch, bad):
+        # nan used to end in scipy's LinAlgError, inf in numpy's invalid-value warning
+        solves = count_calls(monkeypatch, "ptlind.threshold._relaxation")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^probe weight must be finite, got {bad}$"):
+                coherence_probe_state(XXZParams(2, 0.5, 1.0, 0.1), spin_current(2), weight=bad)
+        assert solves == []
 
     def test_non_finite_observable_rejected(self):
         # refused as input, not left to end in the solver's untyped LinAlgError

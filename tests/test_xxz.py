@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,18 +12,17 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import site_operator, site_reversal, vec
-from ptlind.xxz import (
-    XXZParams,
+from ptlind.xxz import SECTORS, XXZParams, sector_basis, sector_positions, spin_current, xxz_model
+
+from conftest import (
+    BasisConvention,
+    count_calls,
     _ladder_rows,
     ladder_liouvillian,
     ladder_matrix,
+    ladder_vectorization_map,
     row_superoperators,
-    sector_basis,
-    spin_current,
-    xxz_model,
 )
-
-from conftest import BasisConvention, ladder_vectorization_map
 
 
 def total_magnetization(n):
@@ -56,6 +57,17 @@ class TestModel:
             XXZParams(2, 0.5, 1.5, 0.1)
         with pytest.raises(ValidationError):
             XXZParams(2, 0.5, 0.0, -0.1)
+
+    def test_chain_length_must_be_an_integer(self):
+        # 2.5 used to be accepted and then fail with a TypeError in site_operator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (2.5, np.float64(3.0), "3"):
+                with pytest.raises(ValidationError) as err:
+                    XXZParams(bad, 0.5, 0.0, 0.1)
+                assert str(err.value) == f"n_sites must be an integer, got {bad!r}"
+            params = XXZParams(np.int64(3), 0.5, 0.0, 0.1)
+            assert xxz_model(params).dim == 8
 
 
 class TestSpinCurrent:
@@ -156,6 +168,32 @@ class TestSectorBasis:
     def test_sector_is_invariant_to_tight_tolerance(self):
         sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 0.6, 0.9)))
         sector_restrict(sup, sector_basis(3, 0), tol=1e-13)  # must not raise
+
+
+class TestSectorPositions:
+    def test_the_table(self):
+        # parse_config's SchemaError text prints this tuple
+        assert SECTORS == ("full", "dmz0")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_name_resolves(self, n):
+        assert sector_positions(n, "full") is None
+        keep = sector_positions(n, "dmz0")
+        assert keep.dtype == np.int64
+        assert np.array_equal(keep, sector_basis(n, 0))
+
+    @pytest.mark.parametrize("name", ["dmz1", "Full", "", None])
+    def test_unknown_name_refused(self, name):
+        with pytest.raises(ValidationError) as err:
+            sector_positions(3, name)
+        assert str(err.value) == f"unknown sector {name!r}; use 'full' or 'dmz0'"
+
+    def test_calls_sector_basis_through_the_module(self, monkeypatch):
+        # an outside tracer that wraps xxz.sector_basis sees the resolver's call
+        calls = count_calls(monkeypatch, "ptlind.xxz.sector_basis")
+        sector_positions(4, "dmz0")
+        sector_positions(4, "full")
+        assert calls == [(4, 0)]
 
 
 class TestChainSymmetries:
