@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -34,10 +35,23 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .liouville import LindbladModel, average_damping, build_superoperator, hermiticity_residual
+from .liouville import (
+    LindbladModel,
+    _refuse_large,
+    average_damping,
+    build_superoperator,
+    hermiticity_residual,
+)
 from .operators import SIGMA_MINUS, SIGMA_Z, is_hermitian
 from .perturbation import degeneracy_report, population_matrix
-from .spectral import DEFAULT_TAU_REL, DEGENERACY_REL_TOL, _eig, classify_cross, verify_d2
+from .spectral import (
+    DEFAULT_TAU_REL,
+    DEGENERACY_REL_TOL,
+    _eig,
+    _LastSolve,
+    classify_cross,
+    verify_d2,
+)
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
 from .xxz import SECTORS, XXZParams, sector_positions, spin_current, xxz_model
@@ -188,8 +202,11 @@ def parse_config(path: str) -> ModelConfig:
 
 
 def _lindblad_model(cfg: ModelConfig) -> LindbladModel:
-    """The config's model; the xxz chain is built here, once per command that needs it."""
-    return xxz_model(cfg.spec) if cfg.model == "xxz" else cfg.spec
+    """The config's model, refused if its coupling overflows the generator's norms; the
+    xxz chain is built here, once per command that needs it."""
+    model = xxz_model(cfg.spec) if cfg.model == "xxz" else cfg.spec
+    _refuse_large(model.hamiltonian, model.lindblads, model.gamma)
+    return model
 
 
 def _sector(cfg: ModelConfig):
@@ -241,19 +258,37 @@ def _report(cfg: ModelConfig, args, path: str | None, fields: dict) -> None:
             fh.write(text)
 
 
+_BLOCK_SOLVE = _LastSolve()
+
+
+def _block_eigenvalues(cfg: ModelConfig, build) -> np.ndarray:
+    """Eigenvalues of the config's sector block, which ``build()`` assembles.
+
+    ``check`` and ``spectrum`` read the same array, so the last one solved in this
+    process is kept (read-only), keyed on the config's canonical JSON text; ``build``
+    runs only for a config other than the last one.
+    """
+    key = json.dumps(cfg.raw, sort_keys=True)
+    return _BLOCK_SOLVE(key, lambda: _eig(build().matrix, left=False)[0])
+
+
 def _cmd_spectrum(cfg: ModelConfig, args) -> None:
-    sup = build_superoperator(_lindblad_model(cfg), _sector(cfg))
-    write_spectrum_csv(_eig(sup.matrix, left=False)[0], args.out)
+    w = _block_eigenvalues(cfg, lambda: build_superoperator(_lindblad_model(cfg), _sector(cfg)))
+    write_spectrum_csv(w, args.out)
 
 
 def _cmd_check(cfg: ModelConfig, args) -> None:
     model = _lindblad_model(cfg)
-    # the block before the full generator: in the other order (block assembled or
-    # restricted) an n = 5 check + spectrum + perturb process peaks 14 MB higher
-    sup = build_superoperator(model, _sector(cfg))
-    full = sup if sup.is_full_space else build_superoperator(model)
+    keep = _sector(cfg)
+    if keep is None:  # the block is the full generator: built once
+        full = build_superoperator(model)
+        w = _block_eigenvalues(cfg, lambda: full)
+    else:
+        # the block is solved before the full generator is built: in the other order
+        # an n = 5 check + spectrum + perturb process peaks 14 MB higher
+        w = _block_eigenvalues(cfg, lambda: build_superoperator(model, keep))
+        full = build_superoperator(model)
     gamma_bar = average_damping(full)
-    w = _eig(sup.matrix, left=False)[0]
     cls = classify_cross(w, gamma_bar, args.tau_rel)
     d2 = verify_d2(w, gamma_bar)
     report = {
@@ -341,7 +376,16 @@ def _cmd_scaling(cfg: ModelConfig, args) -> None:
     })
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in any float spelling is an option's value: argparse alone
+        # reads "-1e-3" and "-inf" as unknown flags and says "expected one argument"
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # argparse usage errors are validation failures
         raise ValidationError(message)
 

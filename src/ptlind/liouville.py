@@ -57,14 +57,15 @@ class LindbladModel:
             raise ValidationError(f"Hamiltonian must be square, got {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValidationError("Hamiltonian has non-finite entries")
-        if not is_hermitian(h):
-            raise ValidationError("Hamiltonian is not Hermitian")
         ls = tuple(np.asarray(L, dtype=complex) for L in self.lindblads)
         for m, L in enumerate(ls):
             if L.shape != h.shape:
                 raise ValidationError(f"lindblads[{m}] has shape {L.shape}, expected {h.shape}")
             if not np.all(np.isfinite(L)):
                 raise ValidationError(f"lindblads[{m}] has non-finite entries")
+        _refuse_large(h, ls)  # before any norm is taken
+        if not is_hermitian(h):
+            raise ValidationError("Hamiltonian is not Hermitian")
         n = h.shape[0]
         if len(ls) > n * n - 1:
             raise ValidationError(f"{len(ls)} jump operators exceed the limit {n * n - 1}")
@@ -225,15 +226,50 @@ def _split(model: LindbladModel, index=None) -> tuple:
     return tuple(_assemble(terms, model.dim, index) for terms in _terms(model))
 
 
+def _largest_part(a: np.ndarray) -> float:
+    """The largest real or imaginary part of ``a`` in magnitude, read through a float view
+    (no temporary, and no warning where ``|z|`` itself would overflow)."""
+    parts = np.asarray(a, dtype=complex).reshape(-1).view(np.float64)
+    return float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
+
+
 def _overflows(d: np.ndarray, gamma: float) -> bool:
     """Whether ``gamma * d`` overflows.
 
     It stays finite exactly while gamma times the largest real or imaginary part of
     ``d`` does; the product of two Python floats overflows to inf without a warning.
     """
-    parts = np.asarray(d, dtype=complex).reshape(-1).view(np.float64)
-    d_max = float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
-    return not math.isfinite(float(gamma) * d_max)
+    return not math.isfinite(float(gamma) * _largest_part(d))
+
+
+# A Frobenius norm squares its entries: below this bound the norms that the library
+# takes of a generator, and of the difference of two such matrices, stay finite.
+_NORM_LIMIT = math.sqrt(np.finfo(float).max) / 4
+
+
+def _refuse_large(hamiltonian: np.ndarray, lindblads, gamma: float | None = None) -> None:
+    """The magnitude rule: refuse a model whose generator norms could overflow.
+
+    The Frobenius norms are bounded from the largest real or imaginary part ``h`` of
+    ``H`` and ``l_m`` of each jump, in Python floats (which overflow to inf without a
+    warning): ``|-i ad H| <= 2 sqrt(2) N^1.5 h`` and ``|D| <= sum_m (4 + 4 sqrt(N)) N^2
+    l_m^2``, since ``|kron(A, B)| = |A| |B|``.  Without ``gamma`` each term must stay
+    below ``_NORM_LIMIT`` on its own; with it, ``-i ad H + gamma D`` must.
+    """
+    n = hamiltonian.shape[0]
+    h = _largest_part(hamiltonian)
+    coherent = 2.0 * math.sqrt(2.0) * n**1.5 * h
+    parts = [_largest_part(L) for L in lindblads]
+    dissipative = sum((4.0 + 4.0 * math.sqrt(n)) * n * n * p * p for p in parts)
+    if gamma is not None:
+        if not coherent + float(gamma) * dissipative < _NORM_LIMIT:
+            raise ValidationError(f"coupling gamma = {gamma} overflows the generator's norms")
+    elif not coherent < _NORM_LIMIT:
+        raise ValidationError(f"Hamiltonian entries up to {h:.3e} overflow the generator's norms")
+    elif not dissipative < _NORM_LIMIT:
+        raise ValidationError(
+            f"jump operator entries up to {max(parts):.3e} overflow the generator's norms"
+        )
 
 
 def _at_coupling(a: np.ndarray, d: np.ndarray, gamma: float, out=None) -> np.ndarray:

@@ -19,6 +19,8 @@ and reported as such.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +149,36 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     w, vl, vr = out if left else (out[0], None, out[1])
     order = np.lexsort((w.imag, -w.real))
     return w[order], None if vl is None else vl[:, order], vr[:, order]
+
+
+def _read_only(value):
+    """``value``, with every array in it or in its dataclass fields made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
+class _LastSolve:
+    """A memo with one slot: the value computed for the last key, made read-only.
+
+    A call with a new key drops the kept value before it computes the next one, and
+    the lock lets one computation run at a time, so at most one value is alive.  A
+    computation that raises leaves the slot empty.
+    """
+
+    def __init__(self):
+        self.entries: dict = {}  # at most one: key -> value
+        self.lock = threading.Lock()
+
+    def __call__(self, key, compute):
+        with self.lock:
+            if key not in self.entries:
+                self.entries.clear()
+                self.entries[key] = _read_only(compute())
+            return self.entries[key]
 
 
 def _unit_columns(vr: np.ndarray) -> None:

@@ -16,7 +16,6 @@ of inventing a threshold.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .liouville import (
     SuperOperator,
     _at_coupling,
     _overflows,
+    _refuse_large,
     _split,
     build_superoperator,
     propagator,
@@ -34,6 +34,7 @@ from .operators import dagger, is_hermitian, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
+    _LastSolve,
     _eig,
     _require_positive,
     _unit_columns,
@@ -247,32 +248,27 @@ class _Relaxation:
     rho_inf: np.ndarray
 
 
-_RELAXATION: dict = {}
-_RELAXATION_LOCK = threading.Lock()
+_RELAXATION = _LastSolve()
 
 
 def _relaxation(params: XXZParams) -> _Relaxation:
     """The one full-space solve that :func:`coherence_probe_state` and
-    :func:`observable_decay` share, memoised for the last params.
+    :func:`observable_decay` share, kept in a one-slot memo for the last params.
 
     The key is the exact parameter values (``float.hex``, so 0.0 and -0.0 differ).
-    The old entry is dropped before a new solve, and the lock lets one solve run at
-    a time, so at most one is alive.
     """
     key = (int(params.n_sites), *(float(v).hex() for v in (params.delta, params.mu, params.gamma)))
-    with _RELAXATION_LOCK:
-        entry = _RELAXATION.get(key)
-        if entry is None:
-            _RELAXATION.clear()
-            sup = build_superoperator(xxz_model(params))
-            w, _, vr = _eig(sup.matrix, left=False)
-            _unit_columns(vr)
-            k0, u = _zero_mode(w, vr, sup.index, sup.hilbert_dim, float(np.linalg.norm(sup.matrix)))
-            rho_inf = unvec(u)
-            for a in (sup.matrix, w, vr, rho_inf):
-                a.flags.writeable = False
-            entry = _RELAXATION[key] = _Relaxation(sup, w, vr, k0, rho_inf)
-    return entry
+
+    def solve() -> _Relaxation:
+        model = xxz_model(params)
+        _refuse_large(model.hamiltonian, model.lindblads, model.gamma)
+        sup = build_superoperator(model)
+        w, _, vr = _eig(sup.matrix, left=False)
+        _unit_columns(vr)
+        k0, u = _zero_mode(w, vr, sup.index, sup.hilbert_dim, float(np.linalg.norm(sup.matrix)))
+        return _Relaxation(sup, w, vr, k0, unvec(u))
+
+    return _RELAXATION(key, solve)
 
 
 def _observable(params: XXZParams, observable: np.ndarray) -> np.ndarray:

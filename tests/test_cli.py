@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ptlind import (
+    ConvergenceFailure,
     NumericalError,
     ParseError,
     SchemaError,
@@ -20,7 +22,7 @@ from ptlind import (
     eig_biortho,
     verify_d2,
 )
-from ptlind import threshold
+from ptlind import cli, threshold
 from ptlind.cli import TOLERANCES, _report, main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
 
@@ -36,6 +38,12 @@ FIG_TOP = {
 }
 
 QUBIT = {"model": "single_qubit", "omega": 1.0, "gamma": 0.1}
+
+
+@pytest.fixture(autouse=True)
+def empty_block_solve():
+    """No test sees a block solve kept from an earlier one: call counts do not depend on order."""
+    cli._BLOCK_SOLVE.entries.clear()
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -253,6 +261,100 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["pt"] is None
         assert report["d2"]["max_h_error"] <= 1e-8
+
+
+CUSTOM = {
+    "model": "custom",
+    "gamma": 0.3,
+    "custom": {
+        "hamiltonian": [
+            [[1.0, 0.0], [0.2, -0.5], [0.0, 0.0]],
+            [[0.2, 0.5], [0.0, 0.0], [0.3, 0.0]],
+            [[0.0, 0.0], [0.3, 0.0], [-1.0, 0.0]],
+        ],
+        "lindblads": [[
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.8], [0.0, 0.0]],
+        ]],
+    },
+}
+SHARED = pytest.mark.parametrize(
+    "payload", [FIG_TOP, dict(FIG_TOP, n=3, sector="full"), CUSTOM],
+    ids=["n4_dmz0", "n3_full", "custom"],
+)
+
+
+class TestSharedBlockSolve:
+    """``check`` and ``spectrum`` on one config solve its block once per process."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        return count_calls(monkeypatch, "ptlind.cli._eig")
+
+    @SHARED
+    def test_spectrum_after_check(self, tmp_path, solves, payload):
+        cfg = write_config(tmp_path, payload)
+        warm, cold = tmp_path / "warm.csv", tmp_path / "cold.csv"
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["spectrum", "--config", cfg, "--out", str(warm)]) == 0
+        assert len(solves) == 1
+        cli._BLOCK_SOLVE.entries.clear()
+        assert main(["spectrum", "--config", cfg, "--out", str(cold)]) == 0
+        assert len(solves) == 2
+        assert warm.read_bytes() == cold.read_bytes()
+
+    @SHARED
+    def test_check_after_spectrum(self, tmp_path, solves, payload):
+        cfg = write_config(tmp_path, payload)
+        warm, cold = tmp_path / "warm.json", tmp_path / "cold.json"
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "eigs.csv")]) == 0
+        assert main(["check", "--config", cfg, "--out", str(warm)]) == 0
+        assert len(solves) == 1
+        cli._BLOCK_SOLVE.entries.clear()
+        assert main(["check", "--config", cfg, "--out", str(cold)]) == 0
+        assert len(solves) == 2
+        assert warm.read_bytes() == cold.read_bytes()
+
+    @pytest.mark.parametrize("sector,cold", [("dmz0", 2), ("full", 1)])
+    def test_check_builds_the_full_generator_once(self, tmp_path, monkeypatch, sector, cold):
+        built = count_calls(monkeypatch, "ptlind.cli.build_superoperator")
+        cfg = write_config(tmp_path, dict(FIG_TOP, n=3, sector=sector))
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert len(built) == cold  # the block (unless it is the full space), then the full
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert len(built) == cold + 1  # a kept solve: the full generator only
+
+    @pytest.mark.parametrize("first,second", [(0.02, math.nextafter(0.02, 1.0)), (0.0, -0.0)])
+    def test_another_coupling_is_solved_afresh(self, tmp_path, solves, first, second):
+        one = write_config(tmp_path, dict(FIG_TOP, gamma=first), "one.json")
+        two = write_config(tmp_path, dict(FIG_TOP, gamma=second), "two.json")
+        for cfg, count in ((one, 1), (two, 2), (one, 3), (one, 3)):
+            assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "eigs.csv")]) == 0
+            assert len(solves) == count
+            assert len(cli._BLOCK_SOLVE.entries) == 1
+
+    def test_kept_eigenvalues_are_read_only(self, tmp_path):
+        cfg = write_config(tmp_path, FIG_TOP)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "eigs.csv")]) == 0
+        (kept,) = cli._BLOCK_SOLVE.entries.values()
+        assert kept.shape == (70,) and not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+
+    def test_a_failed_solve_leaves_the_slot_empty(self, tmp_path, monkeypatch):
+        one = write_config(tmp_path, FIG_TOP, "one.json")
+        two = write_config(tmp_path, dict(FIG_TOP, gamma=0.03), "two.json")
+        assert main(["spectrum", "--config", one, "--out", str(tmp_path / "one.csv")]) == 0
+        assert len(cli._BLOCK_SOLVE.entries) == 1
+
+        def fail(m, left=True):
+            raise ConvergenceFailure("dense eigensolver failed")
+
+        monkeypatch.setattr(cli, "_eig", fail)
+        assert main(["spectrum", "--config", two, "--out", str(tmp_path / "two.csv")]) == 2
+        assert cli._BLOCK_SOLVE.entries == {}
+        assert not (tmp_path / "two.csv").exists()
 
 
 class TestPerturbCommand:
@@ -483,6 +585,21 @@ class TestRefusedOptions:
              "chain lengths must be non-empty and distinct, got []"),
             (["scaling", "--n-list", "4,4", "--out", "t.csv"],
              "chain lengths must be non-empty and distinct, got [4, 4]"),
+            # negative numbers in exponent form, or infinite, reach the library
+            (["check", "--tau-rel", "-1e-3"], "tau_rel must be positive, got -0.001"),
+            (["check", "--tau-rel", "-inf"], "tau_rel must be positive, got -inf"),
+            (["threshold", "--gamma-min", "-1e-3"],
+             "need 0 < gamma_min < gamma_max, got (-0.001, 20.0)"),
+            (["threshold", "--gamma-max", "-1E+2"],
+             "need 0 < gamma_min < gamma_max, got (0.001, -100.0)"),
+            (["threshold", "--gamma-min", "-inf"], "gamma_min must be finite, got -inf"),
+            (["threshold", *_BRACKET, "--rel-precision", "-1e-3"],
+             "rel_precision must be positive, got -0.001"),
+            (["scaling", *_TABLE, "--tau-rel", "-.5e-3"], "tau_rel must be positive, got -0.0005"),
+            (["evolve", *_SERIES, "--t-min", "-1e-3"],
+             "t_grid must be a non-empty strictly increasing array of times >= 0"),
+            (["evolve", *_SERIES, "--t-max", "-Infinity"],
+             "argument --t-max: must be finite, got '-Infinity'"),
         ],
     )
     def test_refused_as_invalid_input(self, tmp_path, monkeypatch, capsys, argv, message):
@@ -494,6 +611,58 @@ class TestRefusedOptions:
         assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestMagnitudeRule:
+    """A model whose generator norms would overflow is refused before numpy can warn."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def refused(self, tmp_path, capsys, payload, argv, message):
+        command, *options = argv
+        assert main([command, "--config", write_config(tmp_path, payload), *options]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--out", "eigs.csv"],
+        ["check"],
+        ["perturb", "--out-v", "V.csv"],
+        ["threshold", *_BRACKET],
+        ["evolve", "--out", "s.csv", "--points", "10"],
+        ["scaling", "--n-list", "3", "--out", "t.csv", *_BRACKET],
+    ])
+    def test_huge_anisotropy_refused_by_every_command(self, tmp_path, capsys, argv):
+        payload = {"model": "xxz", "n": 3, "delta": 1e300, "mu": 1.0, "gamma": 0.02}
+        message = "Hamiltonian entries up to 2.000e+300 overflow the generator's norms"
+        self.refused(tmp_path, capsys, payload, argv, message)
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--out", "eigs.csv"],
+        ["check"],
+        ["perturb", "--out-v", "V.csv"],
+        ["evolve", "--out", "s.csv", "--points", "10"],
+    ])
+    def test_huge_coupling_refused(self, tmp_path, capsys, argv):
+        payload = {"model": "xxz", "n": 3, "delta": 0.5, "mu": 1.0, "gamma": 1e300}
+        message = "coupling gamma = 1e+300 overflows the generator's norms"
+        self.refused(tmp_path, capsys, payload, argv, message)
+
+    @pytest.mark.parametrize("sector", ["full", "dmz0"])
+    def test_report_stays_finite_just_below_the_rule(self, tmp_path, capsys, sector):
+        # the rule refuses n = 3 from gamma = 3.42e150 on
+        cfg = write_config(tmp_path, dict(FIG_TOP, n=3, gamma=3.4e150, sector=sector))
+        assert main(["check", "--config", cfg]) == 0
+        json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(token))
+        cfg = write_config(tmp_path, dict(FIG_TOP, n=3, gamma=3.5e150, sector=sector))
+        assert main(["check", "--config", cfg]) == 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -559,16 +728,19 @@ class TestRunFromCheckout:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "SchemaError"
 
-    def test_non_finite_report_is_a_numerical_failure(self, run, tmp_path):
-        # at gamma = 1e300 the squared entries in the PT residual's norms overflow; the
-        # report used to exit 0 with "pt_residual": NaN.  In a subprocess because numpy's
-        # overflow warning is an error in the test run.
+    def test_overflowing_coupling_is_invalid_input(self, run, tmp_path):
+        # at gamma = 1e300 the squared entries in the PT residual's norms would overflow;
+        # the report used to exit 0 with "pt_residual": NaN, then exit 2 after numpy's
+        # warnings.  Python's own warning filter makes any numpy warning an error here.
         payload = {"model": "xxz", "n": 3, "delta": 0.5, "mu": 1.0, "gamma": 1e300}
         cfg = write_config(tmp_path, payload)
-        proc = run("ptlind", "check", "--config", cfg)
-        assert proc.returncode == 2
-        assert proc.stdout == ""  # no report, so no NaN token
-        assert json.loads(proc.stderr.splitlines()[-1])["error"] == "NumericalError"
+        proc = run("ptlind", "check", "--config", cfg, PYTHONWARNINGS="error")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "ValidationError",
+            "message": "coupling gamma = 1e+300 overflows the generator's norms",
+        }
 
     @pytest.mark.parametrize("sector", ["full", "dmz0"])
     def test_gamma_pt_does_not_depend_on_the_blas_thread_count(self, run, tmp_path, sector):

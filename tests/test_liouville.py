@@ -23,11 +23,20 @@ from ptlind import (
     traceless_part,
     vec,
 )
-from ptlind.liouville import _assemble, _conjugate_rows, _split
+from ptlind.liouville import _NORM_LIMIT, _assemble, _conjugate_rows, _refuse_large, _split
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
-from ptlind.xxz import XXZParams, sector_basis, xxz_model
+from ptlind.threshold import coherence_probe_state, observable_decay
+from ptlind.xxz import XXZParams, sector_basis, spin_current, xxz_model
 
-from conftest import bits, kron_terms, random_density, random_hermitian, random_model, single_qubit
+from conftest import (
+    bits,
+    count_calls,
+    kron_terms,
+    random_density,
+    random_hermitian,
+    random_model,
+    single_qubit,
+)
 
 
 def sorted_eigs(matrix):
@@ -460,6 +469,55 @@ class TestOverflowingCoupling:
         # max |D| is 1 here, so gamma * D stays finite up to the largest double
         model = xxz_model(XXZParams(2, 0.5, 1.0, 1e307))
         assert np.all(np.isfinite(build_superoperator(model).matrix))
+
+
+class TestMagnitudeRule:
+    """Models whose generator norms could overflow are refused where they enter."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_huge_hamiltonian_refused_before_any_norm(self):
+        # is_hermitian's norm used to print numpy's "overflow encountered in dot"
+        with pytest.raises(ValidationError, match="Hamiltonian entries up to 2.000e[+]300 overflow"):
+            xxz_model(XXZParams(3, 1e300, 1.0, 0.02))
+
+    def test_huge_jump_refused(self):
+        with pytest.raises(ValidationError, match="jump operator entries up to 1.000e[+]200 overflow"):
+            LindbladModel(SIGMA_Z, (1e200 * SIGMA_MINUS,), 0.1)
+
+    def test_relaxation_refuses_a_huge_coupling_before_its_solve(self, monkeypatch):
+        solves = count_calls(monkeypatch, "ptlind.threshold._eig")
+        params = XXZParams(3, 0.5, 1.0, 1e300)
+        for recipe in (observable_decay, coherence_probe_state):
+            with pytest.raises(ValidationError, match="coupling gamma = 1e[+]300 overflows"):
+                recipe(params, spin_current(3))
+        assert solves == []
+
+    def test_accepted_models_have_finite_norms(self, rng):
+        def accepted(h, ls, gamma) -> bool:
+            try:
+                _refuse_large(h, ls, gamma)
+            except ValidationError:
+                return False
+            return True
+
+        for _ in range(6):
+            base = random_model(rng)
+            h, ls, gamma = base.hamiltonian, base.lindblads, base.gamma
+            while accepted(2.0 * h, ls, 0.0):
+                h = 2.0 * h
+            while accepted(base.hamiltonian, ls, 2.0 * gamma):
+                gamma *= 2.0
+            # at the largest power-of-two scale of H, or of gamma, that the rule accepts
+            for model in (LindbladModel(h, ls, 0.0), LindbladModel(base.hamiltonian, ls, gamma)):
+                sup = build_superoperator(model)
+                assert np.linalg.norm(sup.matrix) < _NORM_LIMIT
+                assert np.isfinite(hermiticity_residual(sup))
+                assert np.isfinite(np.linalg.norm(sup.matrix - sup.matrix.T))
 
 
 class TestDiagonalShifts:

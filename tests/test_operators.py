@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ptlind import (
     ValidationError,
@@ -22,6 +25,7 @@ from ptlind.operators import IDENTITY_2, SIGMA_PLUS, SIGMA_MINUS, SIGMA_X, SIGMA
 from conftest import (
     BasisConvention,
     almost_equal,
+    bits,
     chain_site_operator,
     random_density,
     random_hermitian,
@@ -167,6 +171,15 @@ class TestMatExp:
             mat_exp(bad)
 
 
+# entries in thousandths up to 1e3, so no product underflows; and any finite complex number
+_MILLIS = st.builds(complex, *[st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)] * 2)
+_FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+def square(n, entries):
+    return arrays(np.complex128, (n, n), elements=entries)
+
+
 class TestVectorization:
     def test_roundtrip(self, rng):
         rho = random_density(rng, 3)
@@ -184,6 +197,20 @@ class TestVectorization:
         for _ in range(5):
             rho = random_density(rng, 4)
             assert np.abs(product_map(a, b) @ vec(rho) - vec(a @ rho @ b)).max() < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[square(n, _MILLIS)] * 3)))
+    def test_product_map_convention(self, abr):
+        a, b, rho = abr
+        got = product_map(a, b) @ vec(rho)
+        scale = np.linalg.norm(a) * np.linalg.norm(rho) * np.linalg.norm(b)
+        assert np.abs(got - vec(a @ rho @ b)).max() <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: square(n, _FINITE)))
+    def test_unvec_inverts_vec_bit_for_bit(self, rho):
+        # signed zeros and subnormals included
+        assert np.array_equal(bits(unvec(vec(rho))), bits(rho))
 
     def test_transpose_permutation(self, rng):
         rho = random_density(rng, 3)

@@ -336,7 +336,7 @@ class TestSharedRelaxationSolve:
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        threshold._RELAXATION.clear()
+        threshold._RELAXATION.entries.clear()
 
     @pytest.mark.parametrize("params", [
         XXZParams(4, 0.5, 1.0, 0.05),
@@ -362,7 +362,7 @@ class TestSharedRelaxationSolve:
         solves, eig = [], threshold._eig
 
         def counted(m, left=True):
-            solves.append((m.shape[0], left, len(threshold._RELAXATION)))
+            solves.append((m.shape[0], left, len(threshold._RELAXATION.entries)))
             return eig(m, left)
 
         monkeypatch.setattr(threshold, "_eig", counted)
@@ -374,7 +374,7 @@ class TestSharedRelaxationSolve:
         assert solves == [(256, False, 0)] and len(builds) == 1
         observable_decay(params.with_gamma(0.06), current, t_grid=np.linspace(0.5, 5.0, 10))
         assert solves == [(256, False, 0)] * 2 and len(builds) == 2
-        assert len(threshold._RELAXATION) == 1
+        assert len(threshold._RELAXATION.entries) == 1
 
     def test_returned_state_is_the_callers(self):
         params = XXZParams(3, 0.5, 1.0, 0.05)
@@ -396,7 +396,7 @@ class TestSharedRelaxationSolve:
         second = _relaxation(negative)
         assert second is not first and len(solves) == 2
         # one slot: the -0.0 solve dropped the 0.0 entry
-        assert len(threshold._RELAXATION) == 1
+        assert len(threshold._RELAXATION.entries) == 1
         _relaxation(positive)
         assert len(solves) == 3
 
@@ -438,4 +438,4 @@ class TestSharedRelaxationSolve:
         assert not any(w.is_alive() for w in workers)
         assert failures == []
         assert most == [1]  # never two solves at once
-        assert len(threshold._RELAXATION) == 1
+        assert len(threshold._RELAXATION.entries) == 1
