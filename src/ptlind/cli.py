@@ -47,7 +47,7 @@ from .perturbation import degeneracy_report, population_matrix
 from .spectral import (
     DEFAULT_TAU_REL,
     DEGENERACY_REL_TOL,
-    _eig,
+    _eigenvalues,
     _LastSolve,
     classify_cross,
     verify_d2,
@@ -269,7 +269,7 @@ def _block_eigenvalues(cfg: ModelConfig, build) -> np.ndarray:
     runs only for a config other than the last one.
     """
     key = json.dumps(cfg.raw, sort_keys=True)
-    return _BLOCK_SOLVE(key, lambda: _eig(build().matrix, left=False)[0])
+    return _BLOCK_SOLVE(key, lambda: _eigenvalues(build().matrix))
 
 
 def _cmd_spectrum(cfg: ModelConfig, args) -> None:

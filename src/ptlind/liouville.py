@@ -256,10 +256,14 @@ def _refuse_large(hamiltonian: np.ndarray, lindblads, gamma: float | None = None
     l_m^2``, since ``|kron(A, B)| = |A| |B|``.  Without ``gamma`` each term must stay
     below ``_NORM_LIMIT`` on its own; with it, ``-i ad H + gamma D`` must.
     """
-    n = hamiltonian.shape[0]
-    h = _largest_part(hamiltonian)
-    coherent = 2.0 * math.sqrt(2.0) * n**1.5 * h
     parts = [_largest_part(L) for L in lindblads]
+    _refuse_large_parts(hamiltonian.shape[0], _largest_part(hamiltonian), parts, gamma)
+
+
+def _refuse_large_parts(n: int, h: float, parts, gamma: float | None = None) -> None:
+    """:func:`_refuse_large` on the largest parts themselves: ``h`` of an N x N ``H``
+    and ``parts`` of the jumps."""
+    coherent = 2.0 * math.sqrt(2.0) * n**1.5 * h
     dissipative = sum((4.0 + 4.0 * math.sqrt(n)) * n * n * p * p for p in parts)
     if gamma is not None:
         if not coherent + float(gamma) * dissipative < _NORM_LIMIT:

@@ -34,7 +34,7 @@ from .liouville import (
     traceless_dissipator,
 )
 from .operators import is_hermitian, vec
-from .spectral import DEFAULT_TAU_REL, _eig, eig_biortho
+from .spectral import DEFAULT_TAU_REL, _eigenvalues, eig_biortho
 
 __all__ = [
     "PerturbationReport",
@@ -144,8 +144,8 @@ def velocity_check(
     sup = SuperOperator(_at_coupling(coherent, dis_m, gamma), model.dim, sector)
     dec = eig_biortho(sup)
     w = dec.eigenvalues
-    w_plus = _eig(_at_coupling(coherent, dis_m, gamma + dgamma), left=False)[0]
-    w_minus = _eig(_at_coupling(coherent, dis_m, gamma - dgamma), left=False)[0]
+    w_plus = _eigenvalues(_at_coupling(coherent, dis_m, gamma + dgamma))
+    w_minus = _eigenvalues(_at_coupling(coherent, dis_m, gamma - dgamma))
 
     line_tol = DEFAULT_TAU_REL * max(1.0, dec.spectral_radius)
     entries = []

@@ -20,14 +20,16 @@ and reported as such.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import ConvergenceFailure, NoZeroMode, ValidationError
-from .liouville import SuperOperator, _conjugate_rows
+from .liouville import SuperOperator, _conjugate_rows, _largest_part
 
 __all__ = [
     "SpectralDecomposition",
@@ -129,16 +131,24 @@ def _cluster_close_eigenvalues(w: np.ndarray, tol: float) -> tuple:
     return tuple(tuple(np.flatnonzero(labels == r).tolist()) for r in roots[counts > 1])
 
 
+def _order(w: np.ndarray) -> np.ndarray:
+    """Positions that sort ``w`` by (Re descending, Im ascending)."""
+    return np.lexsort((w.imag, -w.real))
+
+
 def _eig(m: np.ndarray, left: bool = True) -> tuple:
     """Eigenvalues, left and right eigenvectors, sorted by (Re descending, Im ascending).
 
     With ``left=False`` the left vectors are not computed and come back as None.
-    LAPACK runs the same Schur path and the same back-substitution for the right
-    vectors whenever any eigenvectors are requested, so the eigenvalues and the
-    right vectors are bit-equal with or without the left ones (tested on the n = 4
-    and n = 5 ``dmz0`` blocks and the n = 4 full space).  Its eigenvalues-only
-    route (``scipy.linalg.eigvals``) rounds the last bits differently on blocks of
-    dimension 75 and up, which moves reported off-cross distances.
+    LAPACK's ``zgeev`` runs the same Schur path and the same back-substitution for
+    the right vectors whenever any eigenvectors are requested, so the eigenvalues and
+    the right vectors are bit-equal with or without the left ones (tested on the
+    n = 4 and n = 5 ``dmz0`` blocks and the n = 4 full space).  The last bits of the
+    eigenvalues depend on two things: the Schur job (full Schur form, or eigenvalues
+    only) and the workspace, from which the multishift QR with aggressive early
+    deflation that ``zgeev`` uses from dimension 75 on picks its deflation window.
+    Its eigenvalues-only job (``scipy.linalg.eigvals``) changes both; for the
+    eigenvalues alone, :func:`_eigenvalues` keeps both and skips the vectors.
     """
     if not np.all(np.isfinite(m)):
         raise ValidationError("superoperator matrix has non-finite entries")
@@ -147,8 +157,47 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"dense eigensolver failed on dim {m.shape[0]}: {exc}") from exc
     w, vl, vr = out if left else (out[0], None, out[1])
-    order = np.lexsort((w.imag, -w.real))
+    order = _order(w)
     return w[order], None if vl is None else vl[:, order], vr[:, order]
+
+
+# zgeev scales a matrix first when its largest |entry| lies outside this range.
+_UNSCALED_LOW = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+_UNSCALED_HIGH = 1.0 / _UNSCALED_LOW
+
+
+def _unscaled(m: np.ndarray) -> bool:
+    """Whether LAPACK leaves ``m`` unscaled, read from its largest real or imaginary
+    part ``p`` (``p <= |entry| <= sqrt(2) p``, and False for a non-finite ``m``)."""
+    return _UNSCALED_LOW <= _largest_part(m) <= _UNSCALED_HIGH / 2
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """``_eig(m, left=False)[0]`` bit for bit, without computing any eigenvector.
+
+    These are ``zgeev``'s steps for the right vectors, less the vectors: balance
+    (permute and scale), then the full Schur form with no Schur vectors, on the
+    workspace that ``zgeev`` takes for right vectors.  ``zgees``' own workspace or
+    ``zgeev``'s eigenvalues-only job would change the last bits from dimension 75
+    on.  A matrix that ``zgeev`` would scale first (its largest entry, or the
+    balanced one's, far from 1), a non-complex, empty or non-finite one goes to
+    :func:`_eig`, which also refuses non-finite entries.
+    """
+    m = np.asarray(m)
+    if m.dtype != np.complex128 or not _unscaled(m):
+        return _eig(m, left=False)[0]
+    balanced = lapack.zgebal(m, permute=1, scale=1)[0]
+    if not _unscaled(balanced):
+        return _eig(m, left=False)[0]
+    n = m.shape[0]
+    lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
+    # the selector is never called: sort_t=0 reorders nothing
+    _, _, w, _, _, info = lapack.zgees(
+        lambda _: 0, balanced, compute_v=0, sort_t=0, lwork=lwork, overwrite_a=1
+    )
+    if info != 0:  # pragma: no cover - LAPACK rarely fails here
+        raise ConvergenceFailure(f"dense eigensolver failed on dim {n}: zgees info {info}")
+    return w[_order(w)]
 
 
 def _read_only(value):

@@ -103,15 +103,30 @@ def _kron_identity_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(off.sum() * np.linalg.norm(y) ** 2 + np.linalg.norm(diag_blocks) ** 2))
 
 
+def _signed_permutation(x: np.ndarray) -> tuple | None:
+    """``(columns, signs)`` of a matrix whose every row holds one nonzero, +1 or -1
+    (real): row ``i`` is ``signs[i]`` at ``columns[i]``.  None for any other matrix."""
+    rows, cols = np.nonzero(x)
+    if not np.array_equal(rows, np.arange(x.shape[0])):
+        return None
+    vals = x[rows, cols]
+    if np.any(vals.imag != 0) or np.any(np.abs(vals.real) != 1):
+        return None
+    return cols, vals.real
+
+
 def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``P m P`` for a matrix ``m`` on the flat positions ``index``.
 
-    On the full space in its natural order P is applied through its factors: with
-    rows and columns split into (j, k) pairs, ``P = kron(a, b.T)`` acts as ``a`` on
-    j and ``b.T`` on k, so each side is two N x N matmuls batched over the other
-    N^3 indices, O(N^5) instead of O(N^6).  On any other positions (a sector or a
-    reordered basis) the parity's block is assembled there, as ``matrix_on`` does,
-    and multiplied in.
+    On the full space in its natural order P is applied through its factors.  When
+    both ``a`` and ``b.T`` are signed permutations, as ``xxz_parity``'s are, so is
+    ``P = kron(a, b.T)``: ``P[r, pi(r)] = s(r)``, and ``(P m P)[r, c] = s(r)
+    m[pi(r), pi^-1(c)] s(pi^-1(c))`` is one gather and two sign flips, exact where
+    the products below round.  Otherwise, with rows and columns split into (j, k)
+    pairs, P acts as ``a`` on j and ``b.T`` on k, so each side is two N x N matmuls
+    batched over the other N^3 indices, O(N^5) instead of O(N^6).  On any other
+    positions (a sector or a reordered basis) the parity's block is assembled there,
+    as ``matrix_on`` does, and multiplied in.
     """
     n = parity.hilbert_dim
     n2 = n * n
@@ -119,6 +134,18 @@ def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.nda
         p = parity.matrix_on(index)
         return p @ m @ p
     a, bt = parity.left_op, parity.right_op.T
+    left, right = _signed_permutation(a), _signed_permutation(bt)
+    if left is not None and right is not None:
+        (cols_a, signs_a), (cols_bt, signs_bt) = left, right
+        pi = (cols_a[:, None] * n + cols_bt).reshape(-1)
+        sign = np.outer(signs_a, signs_bt).reshape(-1)
+        inverse = np.empty_like(pi)
+        inverse[pi] = np.arange(n2)
+        out = m[np.ix_(pi, inverse)]
+        parts = out.view(np.float64).reshape(n2, n2, 2)  # real signs flip both parts
+        parts *= sign[:, None, None]
+        parts *= sign[inverse][None, :, None]
+        return out
     # left: (P m)[(j, k), c] = sum a[j, j'] bt[k, k'] m[(j', k'), c]
     pm = np.matmul(bt, (a @ m.reshape(n, n * n2)).reshape(n, n, n2))
     # right: (X P)[r, (j, k)] = (a.T X_r bt)[j, k] with X_r row r of X as an N x N matrix

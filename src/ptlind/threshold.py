@@ -36,6 +36,7 @@ from .spectral import (
     CrossClassification,
     _LastSolve,
     _eig,
+    _eigenvalues,
     _require_positive,
     _unit_columns,
     _zero_mode,
@@ -68,8 +69,7 @@ def _parts(params: XXZParams, sector: str) -> tuple:
 
 
 def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
-    w, _, _ = _eig(_at_coupling(a, d, gamma), left=False)
-    cls = classify_cross(w, gamma, tau_rel)
+    cls = classify_cross(_eigenvalues(_at_coupling(a, d, gamma)), gamma, tau_rel)
     return len(cls.off_cross) == 0, cls
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .liouville import LindbladModel
+from .liouville import LindbladModel, _refuse_large_parts
 from .operators import site_operator
 
 __all__ = [
@@ -89,8 +89,14 @@ def _jump_operators(n: int, mu: float) -> tuple:
 
 
 def xxz_model(params: XXZParams) -> LindbladModel:
-    """The boundary-driven chain as a four-channel Lindblad model."""
+    """The boundary-driven chain as a four-channel Lindblad model.
+
+    The largest entry of H, (n - 1)|delta| on its diagonal once delta outweighs the
+    hopping, is held to the magnitude rule before H is summed, where a huge delta
+    would overflow.  The jumps, with |mu| <= 1, stay far below it.
+    """
     n = params.n_sites
+    _refuse_large_parts(2**n, (n - 1) * abs(params.delta), ())
     return LindbladModel(_hamiltonian(n, params.delta), _jump_operators(n, params.mu), params.gamma)
 
 

@@ -37,6 +37,10 @@ CONFIGS = {
     },
     "qubit.json": {"model": "single_qubit", "omega": 1.0, "gamma": 0.1},
     "no_gamma.json": {"model": "xxz", "n": 4, "delta": 0.5, "mu": 1.0},
+    "n5_dmz0.json": {
+        "model": "xxz", "n": 5, "delta": 0.5, "mu": 1.0, "gamma": 0.02, "sector": "dmz0",
+    },
+    "n4_full.json": {"model": "xxz", "n": 4, "delta": 0.5, "mu": 1.0, "gamma": 0.02},
 }
 
 _BRACKET = ["--gamma-min", "0.02", "--gamma-max", "0.2", "--rel-precision", "0.05"]
@@ -87,6 +91,12 @@ CASES = [
     ["scaling", "--config", "n4_dmz0.json", "--n-list", "6", "--out", "table.csv"],
     ["scaling", "--config", "n4_dmz0.json", "--n-list", "4", "--out", "table.csv",
      "--rel-precision", "-1"],
+    # blocks of dimension 75 and up, where LAPACK's multishift QR takes over
+    ["spectrum", "--config", "n5_dmz0.json", "--out", "eigs.csv"],
+    ["check", "--config", "n5_dmz0.json"],
+    ["threshold", "--config", "n5_dmz0.json", *_BRACKET],
+    ["spectrum", "--config", "n4_full.json", "--out", "eigs.csv"],
+    ["check", "--config", "n4_full.json"],
 ]
 
 

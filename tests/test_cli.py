@@ -290,7 +290,7 @@ class TestSharedBlockSolve:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        return count_calls(monkeypatch, "ptlind.cli._eig")
+        return count_calls(monkeypatch, "ptlind.cli._eigenvalues")
 
     @SHARED
     def test_spectrum_after_check(self, tmp_path, solves, payload):
@@ -348,10 +348,10 @@ class TestSharedBlockSolve:
         assert main(["spectrum", "--config", one, "--out", str(tmp_path / "one.csv")]) == 0
         assert len(cli._BLOCK_SOLVE.entries) == 1
 
-        def fail(m, left=True):
+        def fail(m):
             raise ConvergenceFailure("dense eigensolver failed")
 
-        monkeypatch.setattr(cli, "_eig", fail)
+        monkeypatch.setattr(cli, "_eigenvalues", fail)
         assert main(["spectrum", "--config", two, "--out", str(tmp_path / "two.csv")]) == 2
         assert cli._BLOCK_SOLVE.entries == {}
         assert not (tmp_path / "two.csv").exists()
@@ -631,7 +631,7 @@ class TestMagnitudeRule:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
-    @pytest.mark.parametrize("argv", [
+    EVERY_COMMAND = pytest.mark.parametrize("argv", [
         ["spectrum", "--out", "eigs.csv"],
         ["check"],
         ["perturb", "--out-v", "V.csv"],
@@ -639,9 +639,18 @@ class TestMagnitudeRule:
         ["evolve", "--out", "s.csv", "--points", "10"],
         ["scaling", "--n-list", "3", "--out", "t.csv", *_BRACKET],
     ])
+
+    @EVERY_COMMAND
     def test_huge_anisotropy_refused_by_every_command(self, tmp_path, capsys, argv):
         payload = {"model": "xxz", "n": 3, "delta": 1e300, "mu": 1.0, "gamma": 0.02}
         message = "Hamiltonian entries up to 2.000e+300 overflow the generator's norms"
+        self.refused(tmp_path, capsys, payload, argv, message)
+
+    @EVERY_COMMAND
+    def test_anisotropy_overflowing_the_hamiltonian_sum_refused(self, tmp_path, capsys, argv):
+        # 2 delta overflows while H is summed; the rule runs on delta before the sum
+        payload = {"model": "xxz", "n": 3, "delta": 1e308, "mu": 1.0, "gamma": 0.02}
+        message = "Hamiltonian entries up to inf overflow the generator's norms"
         self.refused(tmp_path, capsys, payload, argv, message)
 
     @pytest.mark.parametrize("argv", [
@@ -741,6 +750,20 @@ class TestRunFromCheckout:
             "error": "ValidationError",
             "message": "coupling gamma = 1e+300 overflows the generator's norms",
         }
+
+    def test_overflowing_anisotropy_is_invalid_input(self, run, tmp_path):
+        # summing H at delta = 1e308 used to end in numpy's "overflow encountered in add",
+        # a traceback under -W error
+        payload = {"model": "xxz", "n": 3, "delta": 1e308, "mu": 1.0, "gamma": 0.02}
+        cfg = write_config(tmp_path, payload)
+        proc = run("ptlind", "spectrum", "--config", cfg, "--out", "eigs.csv", PYTHONWARNINGS="error")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": "ValidationError",
+            "message": "Hamiltonian entries up to inf overflow the generator's norms",
+        }
+        assert not (tmp_path / "eigs.csv").exists()
 
     @pytest.mark.parametrize("sector", ["full", "dmz0"])
     def test_gamma_pt_does_not_depend_on_the_blas_thread_count(self, run, tmp_path, sector):

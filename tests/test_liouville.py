@@ -485,6 +485,12 @@ class TestMagnitudeRule:
         with pytest.raises(ValidationError, match="Hamiltonian entries up to 2.000e[+]300 overflow"):
             xxz_model(XXZParams(3, 1e300, 1.0, 0.02))
 
+    @pytest.mark.parametrize("delta", [1e308, -1.7e308])
+    def test_anisotropy_refused_before_the_hamiltonian_is_summed(self, delta):
+        # the sum of the n - 1 = 2 bond terms used to overflow with numpy's warning
+        with pytest.raises(ValidationError, match="Hamiltonian entries up to inf overflow"):
+            xxz_model(XXZParams(3, delta, 1.0, 0.02))
+
     def test_huge_jump_refused(self):
         with pytest.raises(ValidationError, match="jump operator entries up to 1.000e[+]200 overflow"):
             LindbladModel(SIGMA_Z, (1e200 * SIGMA_MINUS,), 0.1)

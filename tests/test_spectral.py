@@ -19,10 +19,10 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import site_operator
-from ptlind.spectral import _eig
-from ptlind.xxz import XXZParams, sector_basis, xxz_model
+from ptlind.spectral import _eig, _eigenvalues
+from ptlind.xxz import XXZParams, sector_basis, sector_positions, xxz_model
 
-from conftest import bits, random_hermitian, random_model, single_qubit
+from conftest import bits, count_calls, random_hermitian, random_model, single_qubit
 
 
 def sigma_z_string_vec(n):
@@ -109,6 +109,77 @@ class TestRightVectorsOnly:
         assert vl is None and vl_both.shape == (dim, dim)
         assert np.array_equal(bits(w), bits(w_both))
         assert np.array_equal(bits(vr), bits(vr_both))
+
+
+class TestEigenvaluesOnly:
+    """``_eigenvalues(m)`` is ``_eig(m, left=False)[0]`` bit for bit, with no eigenvector."""
+
+    # LAPACK scales a matrix with entries far from 1 first; the three last scales
+    # reach that path, where the eigenvalues come from the eigenvector solve
+    SCALES = (1.0, 1e138, 1e150, 1e-140)
+
+    @staticmethod
+    def generator(n, sector, gamma):
+        params = XXZParams(n, 0.5, 1.0, gamma)
+        return build_superoperator(xxz_model(params), sector_positions(n, sector)).matrix
+
+    def assert_bit_equal(self, m):
+        for scale in self.SCALES:
+            scaled = m * scale
+            kept = scaled.copy()
+            assert np.array_equal(bits(_eigenvalues(scaled)), bits(_eig(scaled, left=False)[0]))
+            assert np.array_equal(bits(scaled), bits(kept))  # the input is left as it was
+
+    @pytest.mark.parametrize("gamma", np.geomspace(1e-6, 1.0, 16))
+    def test_four_site_block_over_the_bisection_range(self, gamma):
+        self.assert_bit_equal(self.generator(4, "dmz0", gamma))
+
+    @pytest.mark.parametrize("n,sector", [(5, "dmz0"), (4, "full")])
+    def test_multishift_dimensions(self, n, sector):
+        # 252 and 256: from dimension 75 on, the QR picks its deflation window from
+        # the workspace, so a different workspace moves the last bits
+        self.assert_bit_equal(self.generator(n, sector, 0.05))
+
+    @pytest.mark.parametrize("dim", [1, 3, 80, 120])
+    def test_random_complex_matrices(self, rng, dim):
+        self.assert_bit_equal(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+    def test_zero_matrix(self):
+        self.assert_bit_equal(np.zeros((5, 5), dtype=complex))
+
+    @pytest.mark.parametrize("spread,scale", [(3, 1.0), (70, 1.0), (100, 1e-230)])
+    def test_rows_and_columns_that_balancing_rescales(self, rng, spread, scale):
+        # d r / d: at spread 70 the largest entry is out of LAPACK's unscaled range and
+        # the balanced one is not; at spread 100 and scale 1e-230 the other way round
+        r = rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80))
+        d = 10.0 ** np.linspace(-spread, spread, 80)
+        m = d[:, None] * r / d * scale
+        assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
+
+    def test_reducible_matrix(self, rng):
+        # balancing permutes away the rows and columns that isolate eigenvalues (the
+        # last and the first), then rescales the rest: the large last column is left out
+        m = rng.normal(size=(90, 90)) + 1j * rng.normal(size=(90, 90))
+        m[:, -1] *= 1e8
+        m[-1, :-1] = 0.0
+        m[1:, 0] = 0.0
+        self.assert_bit_equal(m)
+
+    def test_no_eigenvector_solve_unless_lapack_would_scale(self, monkeypatch):
+        solves = count_calls(monkeypatch, "ptlind.spectral._eig")
+        m = self.generator(4, "dmz0", 0.05)
+        _eigenvalues(m)
+        assert solves == []
+        for scale in self.SCALES[1:]:
+            _eigenvalues(m * scale)
+        assert len(solves) == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_refused(self, bad):
+        m = self.generator(3, "dmz0", 0.05)
+        m[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            _eigenvalues(m)
 
 
 class TestSteadyState:

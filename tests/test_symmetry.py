@@ -30,10 +30,12 @@ from ptlind.operators import (
     site_operator,
     site_reversal,
 )
-from ptlind.symmetry import _kron_identity_residual, _sandwich
+from ptlind.liouville import traceless_part
+from ptlind.symmetry import _kron_identity_residual, _sandwich, _signed_permutation
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import (
+    bits,
     check_pt_rows,
     ladder_vectorization_map,
     random_hermitian,
@@ -226,6 +228,14 @@ def dense_sandwich(parity, m, index):
     return p @ m @ p
 
 
+def factor_sandwich(parity, m):
+    """Oracle: ``P m P`` on the natural full space through the factor matmuls."""
+    n = parity.hilbert_dim
+    a, bt = parity.left_op, parity.right_op.T
+    pm = np.matmul(bt, (a @ m.reshape(n, n**3)).reshape(n, n, n * n))
+    return np.matmul(a.T, (pm.reshape(n**3, n) @ bt).reshape(n * n, n, n)).reshape(n * n, n * n)
+
+
 class TestFactoredParity:
     """``P m P`` through the factors (a, b) against the dense ``kron(a, b.T)`` oracle."""
 
@@ -261,6 +271,38 @@ class TestFactoredParity:
         expected = dense_sandwich(parity, m, index)
         got = _sandwich(parity, m, index)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_signed_permutation_gather_equals_the_factor_products(self, n):
+        # the XXZ factors are signed permutations, so P m P is a gather with sign
+        # flips; it equals the factor products up to the sign of zeros, and the PT
+        # residual keeps every bit
+        sup = build_superoperator(xxz_model(XXZParams(n, 0.5, 1.0, 0.3)))
+        parity = xxz_parity(n)
+        lp = traceless_part(sup).matrix
+        expected = factor_sandwich(parity, lp)
+        assert np.array_equal(_sandwich(parity, lp, sup.index), expected)
+        residual = np.linalg.norm(expected + dagger(lp)) / max(1.0, np.linalg.norm(lp))
+        assert check_pt(sup, parity).pt_residual == residual
+
+    def test_signed_permutations_are_recognised_exactly(self):
+        a = xxz_parity(3).left_op
+        cols, signs = _signed_permutation(a)
+        assert np.array_equal(a[np.arange(8), cols], signs)
+        assert set(signs) == {-1.0, 1.0}
+        assert _signed_permutation(np.diag([1.0, 1j])) is None  # a phase
+        assert _signed_permutation(np.diag([1.0, 0.5])) is None  # not a sign
+        assert _signed_permutation(np.array([[1.0, 1.0], [0.0, 1.0]])) is None  # two in a row
+        assert _signed_permutation(np.array([[0.0, 0.0], [0.0, 1.0]])) is None  # an empty row
+
+    def test_other_monomial_pairs_keep_the_factor_products(self):
+        # each factor is i times a permutation and squares to -1, so the map is an
+        # involution, but neither factor is a signed permutation
+        flip = 1j * SIGMA_X
+        parity = parity_from_pair(np.kron(flip, SIGMA_X), np.kron(SIGMA_X, flip))
+        m = random_matrix(np.random.default_rng(5), 16)
+        expected = factor_sandwich(parity, m)
+        assert np.array_equal(bits(_sandwich(parity, m, np.arange(16))), bits(expected))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_involution_residual_matches_dense(self, n):
@@ -338,6 +380,16 @@ class TestNoDenseParityProducts:
         # parity, built lazily on first access, would add a fifth
         assert peak < 4.5 * self.BLOCK
         assert "matrix" not in vars(parity)
+
+    def test_xxz_sandwich_holds_its_result_alone(self, traced):
+        # the factor products held three N^2 x N^2 temporaries; the gather forms only
+        # the result
+        m = random_matrix(np.random.default_rng(2), 1024)
+        parity = xxz_parity(5)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _sandwich(parity, m, np.arange(1024))
+        assert tracemalloc.get_traced_memory()[1] - base < 1.25 * self.BLOCK
 
     def test_check_pt_on_a_sector_block(self, traced):
         # n = 4: the parity's block is assembled on the 70 dmz0 positions, so no
