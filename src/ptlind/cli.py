@@ -182,6 +182,7 @@ def parse_config(path: str) -> ModelConfig:
     if "lindblads" not in custom:
         raise SchemaError("custom.lindblads", "missing required key")
     h = _parse_complex_matrix(custom["hamiltonian"], "custom.hamiltonian")
+    _refuse_large(h, ())  # before the Hermiticity check takes a norm
     if not is_hermitian(h):
         raise SchemaError("custom.hamiltonian", "not Hermitian")
     if not isinstance(custom["lindblads"], list) or not custom["lindblads"]:

@@ -16,10 +16,12 @@ Every other module builds on the two conventions fixed here:
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import scipy.linalg
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "SIGMA_X",
@@ -122,18 +124,34 @@ def global_spin_flip(n_sites: int) -> np.ndarray:
     return out
 
 
+@contextlib.contextmanager
+def _numerical_errors(what: str):
+    """Run the block with numpy's overflow and invalid-value errors raised, each
+    refused as a :class:`NumericalError` that names ``what`` failed."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"{what} failed: {exc}") from None
+
+
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential (Pade scaling-and-squaring via scipy).
 
     Accurate to better than 1e-10 relative for dimensions up to 1024 and
-    spectral radius up to 50; ``mat_exp(0)`` is exactly the identity.
+    spectral radius up to 50; ``mat_exp(0)`` is exactly the identity.  An overflow
+    or invalid value on the way, or a non-finite result, raises :class:`NumericalError`.
     """
     a = _require_square(a)
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix exponential of non-finite input")
     if not a.any():
         return np.eye(a.shape[0], dtype=complex)
-    return scipy.linalg.expm(a)
+    with _numerical_errors("matrix exponential"):
+        out = scipy.linalg.expm(a)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("matrix exponential is not finite")
+    return out
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvolution, NotUnitary, ValidationError
-from .liouville import SuperOperator, _assemble, average_damping, propagator, traceless_part
+from .errors import NotInvolution, NotUnitary, SectorNotInvariant, ValidationError
+from .liouville import (
+    SuperOperator, _assemble, _positions, average_damping, propagator, traceless_part,
+)
 from .operators import dagger, site_reversal, site_operator
 
 __all__ = [
@@ -43,8 +45,8 @@ class ParitySuperOp:
     """Unitary involution ``rho -> A rho B``.
 
     The (A, B) pair is the whole parity: a block of its N^2 x N^2 matrix
-    ``kron(A, B.T)`` on invariant positions is assembled from A and B, and
-    the full matrix is never formed.
+    ``kron(A, B.T)`` on invariant positions is assembled from A and B when
+    asked for, and no such matrix is kept.
     """
 
     left_op: np.ndarray
@@ -116,40 +118,34 @@ def _signed_permutation(x: np.ndarray) -> tuple | None:
 
 
 def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``P m P`` for a matrix ``m`` on the flat positions ``index``.
+    """``P m P`` for a matrix ``m`` on the flat positions ``index``, which P must keep.
 
-    On the full space in its natural order P is applied through its factors.  When
-    both ``a`` and ``b.T`` are signed permutations, as ``xxz_parity``'s are, so is
-    ``P = kron(a, b.T)``: ``P[r, pi(r)] = s(r)``, and ``(P m P)[r, c] = s(r)
-    m[pi(r), pi^-1(c)] s(pi^-1(c))`` is one gather and two sign flips, exact where
-    the products below round.  Otherwise, with rows and columns split into (j, k)
-    pairs, P acts as ``a`` on j and ``b.T`` on k, so each side is two N x N matmuls
-    batched over the other N^3 indices, O(N^5) instead of O(N^6).  On any other
-    positions (a sector or a reordered basis) the parity's block is assembled there,
-    as ``matrix_on`` does, and multiplied in.
+    When both ``a`` and ``b.T`` are signed permutations, as ``xxz_parity``'s are, so is
+    ``P = kron(a, b.T)``: ``P[p, pi(p)] = s(p)``.  On ``index`` the row ``r`` maps to
+    the row ``g(r)`` that holds ``pi(index[r])``, and ``(P m P)[r, c] = s(r)
+    m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
+    product would round.  An image outside ``index`` raises
+    :class:`SectorNotInvariant`.  Any other parity's block is assembled on ``index``
+    (``matrix_on``) and multiplied in.
     """
-    n = parity.hilbert_dim
-    n2 = n * n
-    if not np.array_equal(index, np.arange(n2)):
+    left, right = _signed_permutation(parity.left_op), _signed_permutation(parity.right_op.T)
+    if left is None or right is None:
         p = parity.matrix_on(index)
         return p @ m @ p
-    a, bt = parity.left_op, parity.right_op.T
-    left, right = _signed_permutation(a), _signed_permutation(bt)
-    if left is not None and right is not None:
-        (cols_a, signs_a), (cols_bt, signs_bt) = left, right
-        pi = (cols_a[:, None] * n + cols_bt).reshape(-1)
-        sign = np.outer(signs_a, signs_bt).reshape(-1)
-        inverse = np.empty_like(pi)
-        inverse[pi] = np.arange(n2)
-        out = m[np.ix_(pi, inverse)]
-        parts = out.view(np.float64).reshape(n2, n2, 2)  # real signs flip both parts
-        parts *= sign[:, None, None]
-        parts *= sign[inverse][None, :, None]
-        return out
-    # left: (P m)[(j, k), c] = sum a[j, j'] bt[k, k'] m[(j', k'), c]
-    pm = np.matmul(bt, (a @ m.reshape(n, n * n2)).reshape(n, n, n2))
-    # right: (X P)[r, (j, k)] = (a.T X_r bt)[j, k] with X_r row r of X as an N x N matrix
-    return np.matmul(a.T, (pm.reshape(n2 * n, n) @ bt).reshape(n2, n, n)).reshape(n2, n2)
+    n = parity.hilbert_dim
+    (cols_a, signs_a), (cols_bt, signs_bt) = left, right
+    j, k = np.divmod(index, n)
+    g = _positions(index, n)[cols_a[j] * n + cols_bt[k]]
+    if np.any(g < 0):
+        raise SectorNotInvariant("the parity maps kept positions outside the sector")
+    sign = signs_a[j] * signs_bt[k]
+    inverse = np.empty_like(g)
+    inverse[g] = np.arange(g.size)
+    out = m[np.ix_(g, inverse)]
+    parts = out.view(np.float64).reshape(g.size, g.size, 2)  # real signs flip both parts
+    parts *= sign[:, None, None]
+    parts *= sign[inverse][None, :, None]
+    return out
 
 
 def xxz_parity(n_sites: int) -> ParitySuperOp:

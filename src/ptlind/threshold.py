@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketInvalid, ValidationError
+from .errors import BracketInvalid, NumericalError, ValidationError
 from .liouville import (
     SuperOperator,
     _at_coupling,
@@ -30,7 +30,7 @@ from .liouville import (
     build_superoperator,
     propagator,
 )
-from .operators import dagger, is_hermitian, unvec, vec
+from .operators import _numerical_errors, dagger, is_hermitian, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
@@ -114,7 +114,8 @@ def find_gamma_pt(
     before :class:`BracketInvalid` is raised.  Both ends must be finite, and
     upward expansion stops before ``gamma * D`` would overflow.  Bisection is
     geometric (the threshold is a scale) and stops at the requested relative
-    precision.
+    precision; a bracket whose geometric midpoint is not strictly inside it raises
+    :class:`NumericalError`.
     """
     for name, value in (("gamma_min", gamma_min), ("gamma_max", gamma_max)):
         if not np.isfinite(value):
@@ -160,6 +161,11 @@ def find_gamma_pt(
         )
     while (hi - lo) / hi > rel_precision:
         mid = float(np.sqrt(lo * hi))
+        if not lo < mid < hi:  # lo * hi underflows, or no float lies between them
+            raise NumericalError(
+                f"cannot split the bracket ({lo!r}, {hi!r}) to rel_precision = {rel_precision}: "
+                f"its geometric midpoint {mid!r} is not strictly inside it"
+            )
         if probe(mid):
             lo = mid
         else:
@@ -292,7 +298,8 @@ def observable_decay(
 
     The default initial state is ``(I + obs / (2 |obs|_2)) / N``, which is
     positive for any Hermitian observable; the default grid is 200 uniform
-    points on [0.5, 50].  Repeated grid spacings reuse one step propagator.
+    points on [0.5, 50].  Repeated grid spacings reuse one step propagator.  An
+    overflow or invalid value while stepping raises :class:`NumericalError`.
     """
     obs = _observable(params, observable)
     dim = params.hilbert_dim
@@ -319,12 +326,13 @@ def observable_decay(
     step_props: dict = {}
     x = vec(rho0)
     deviations = np.empty(t_grid.size)
-    for i, dt in enumerate(steps):
-        key = round(float(dt), 15)
-        if key not in step_props:
-            step_props[key] = propagator(sup, float(dt)).matrix
-        x = step_props[key] @ x
-        deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
+    with _numerical_errors("time evolution"):
+        for i, dt in enumerate(steps):
+            key = round(float(dt), 15)
+            if key not in step_props:
+                step_props[key] = propagator(sup, float(dt)).matrix
+            x = step_props[key] @ x
+            deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
 
     mask = np.abs(deviations) > 1e-10
     mask[: int(0.05 * t_grid.size)] = False

@@ -430,6 +430,33 @@ class TestEvolveCommand:
         assert report["n_fit_points"] > 0
 
 
+    @pytest.mark.parametrize(
+        "chain,t_max,points,message",
+        [
+            ({"n": 3}, "1e20", "5", "matrix exponential failed: overflow encountered in matmul"),
+            ({"n": 3}, "1e300", "5", "matrix exponential is not finite"),
+            # a finite but wrong step propagator, its entries near 2e25, overflows
+            # in the stepping with numpy's warning
+            ({"n": 2, "delta": 0.0, "mu": 0.0, "gamma": 0.0}, "1e20", "50",
+             "time evolution failed: overflow encountered in matmul"),
+        ],
+    )
+    def test_overflowing_propagator_writes_no_series(
+        self, tmp_path, monkeypatch, capsys, chain, t_max, points, message
+    ):
+        # the first two runs used to write nan rows and exit 0
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(FIG_TOP, sector="full", **chain))
+        argv = ["evolve", "--config", cfg, "--out", "s.csv", "--points", points, "--t-max", t_max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "NumericalError", "message": message}
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
 class TestScalingCommand:
     def test_single_length_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG_TOP)
@@ -653,6 +680,17 @@ class TestMagnitudeRule:
         message = "Hamiltonian entries up to inf overflow the generator's norms"
         self.refused(tmp_path, capsys, payload, argv, message)
 
+    @EVERY_COMMAND
+    def test_huge_custom_hamiltonian_refused_by_every_command(self, tmp_path, capsys, argv):
+        # the Hermiticity check's norm used to overflow first, with numpy's warning
+        zero, big = [0.0, 0.0], [1e300, 0.0]
+        payload = {"model": "custom", "gamma": 0.1, "custom": {
+            "hamiltonian": [[big, zero], [zero, zero]],
+            "lindblads": [[[zero, zero], [[1.0, 0.0], zero]]],
+        }}
+        message = "Hamiltonian entries up to 1.000e+300 overflow the generator's norms"
+        self.refused(tmp_path, capsys, payload, argv, message)
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--out", "eigs.csv"],
         ["check"],
@@ -710,11 +748,11 @@ class TestRunFromCheckout:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
 
-        def run(module, *argv, **extra_env):
+        def run(module, *argv, timeout=120, **extra_env):
             return subprocess.run(
                 [sys.executable, "-m", module, *argv],
                 env=dict(env, **extra_env), cwd=tmp_path,
-                capture_output=True, text=True, timeout=120,
+                capture_output=True, text=True, timeout=timeout,
             )
 
         return run
@@ -764,6 +802,29 @@ class TestRunFromCheckout:
             "message": "Hamiltonian entries up to inf overflow the generator's norms",
         }
         assert not (tmp_path / "eigs.csv").exists()
+
+    @pytest.mark.parametrize(
+        "options,bracket",
+        [
+            (["--gamma-min", "5e-324", "--gamma-max", "0.2"], "(5e-324, 0.2)"),
+            (["--rel-precision", "1e-17"], "(0.023741000483234888, 0.02374100048323489)"),
+        ],
+    )
+    def test_unsplittable_bracket_exits_numerical(self, run, tmp_path, options, bracket):
+        # these bisections used to loop forever: the bracket ends' product underflows
+        # to 0, or they become adjacent floats, so the midpoint is not inside; the
+        # timeout turns a regression into a failure
+        cfg = write_config(tmp_path, FIG_TOP)
+        out = tmp_path / "result.json"
+        proc = run(
+            "ptlind", "threshold", "--config", cfg, "--out", str(out), *options,
+            timeout=60, PYTHONWARNINGS="error",
+        )
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "NumericalError"
+        assert err["message"].startswith(f"cannot split the bracket {bracket} to rel_precision")
+        assert not out.exists()
 
     @pytest.mark.parametrize("sector", ["full", "dmz0"])
     def test_gamma_pt_does_not_depend_on_the_blas_thread_count(self, run, tmp_path, sector):

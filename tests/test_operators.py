@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ptlind import (
+    NumericalError,
     ValidationError,
     dagger,
     global_spin_flip,
@@ -169,6 +171,21 @@ class TestMatExp:
         bad = np.array([[0.0, np.inf], [0.0, 0.0]])
         with pytest.raises(ValidationError):
             mat_exp(bad)
+
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            # exp(800) overflows, with numpy's overflow warning on the way
+            (np.diag([800.0, 0.0]), "matrix exponential failed: overflow encountered"),
+            # the squarings return nan without any warning
+            (1e300 * np.array([[0.0, 1.0], [-1.0, 0.0]]), "matrix exponential is not finite"),
+        ],
+    )
+    def test_overflow_refused_as_numerical(self, a, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                mat_exp(a)
 
 
 # entries in thousandths up to 1e3, so no product underflows; and any finite complex number

@@ -295,14 +295,15 @@ class TestFactoredParity:
         assert _signed_permutation(np.array([[1.0, 1.0], [0.0, 1.0]])) is None  # two in a row
         assert _signed_permutation(np.array([[0.0, 0.0], [0.0, 1.0]])) is None  # an empty row
 
-    def test_other_monomial_pairs_keep_the_factor_products(self):
+    def test_other_monomial_pairs_take_the_assembled_block(self):
         # each factor is i times a permutation and squares to -1, so the map is an
         # involution, but neither factor is a signed permutation
         flip = 1j * SIGMA_X
         parity = parity_from_pair(np.kron(flip, SIGMA_X), np.kron(SIGMA_X, flip))
         m = random_matrix(np.random.default_rng(5), 16)
-        expected = factor_sandwich(parity, m)
-        assert np.array_equal(bits(_sandwich(parity, m, np.arange(16))), bits(expected))
+        index = np.arange(16)
+        expected = dense_sandwich(parity, m, index)
+        assert np.array_equal(bits(_sandwich(parity, m, index)), bits(expected))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_involution_residual_matches_dense(self, n):
@@ -349,6 +350,15 @@ class TestParityLeavingTheSector:
 
     def test_check_inversion(self, block, flip):
         with pytest.raises(SectorNotInvariant):
+            check_inversion(block, flip, 0.25)
+
+    def test_parity_that_is_no_signed_permutation(self, block):
+        # sigma^x is a signed permutation, refused by the gather; sigma^y, i times a
+        # signed permutation, is not one, so its assembled block refuses it
+        flip = parity_from_pair(site_operator("y", 1, 3), np.eye(8))
+        with pytest.raises(SectorNotInvariant, match="cross-sector coupling"):
+            check_pt(block, flip)
+        with pytest.raises(SectorNotInvariant, match="cross-sector coupling"):
             check_inversion(block, flip, 0.25)
 
 
@@ -403,3 +413,17 @@ class TestNoDenseParityProducts:
         peak = tracemalloc.get_traced_memory()[1] - base
         assert rep.pt_residual <= 1e-12
         assert peak < 16 * 256**2
+
+    def test_check_pt_forms_no_parity_block(self, traced):
+        # n = 5 dmz0: a 252-dim block is 1 MB.  The traceless part and the gathered
+        # result peak at about 2.4 blocks; the assembled parity block and its product
+        # with the generator would take the peak to 4
+        block = 16 * 252**2
+        sup = build_superoperator(xxz_model(XXZParams(5, 0.5, 1.0, 0.3)), sector_basis(5, 0))
+        parity = xxz_parity(5)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_pt(sup, parity)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        assert rep.pt_residual <= 1e-12
+        assert peak < 3 * block

@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,40 @@ class TestBracketOverflow:
     def test_overflowing_coupling_rejected_by_is_unbroken(self, sector):
         with pytest.raises(ValidationError, match="gamma = 1e[+]308 overflows"):
             is_unbroken(XXZParams(2, 0.5, 1.0, 1e308), sector=sector)
+
+
+class TestUnsplittableBracket:
+    """A bracket whose geometric midpoint is not strictly inside it used to be bisected
+    forever.  Each call runs in a subprocess with a timeout, so that a regression fails
+    instead of hanging the suite."""
+
+    @pytest.mark.parametrize(
+        "bounds,rel_precision,bracket",
+        [
+            # 5e-324 * 0.2 underflows to 0, so the midpoint is 0
+            ((5e-324, 0.2), 1e-3, "(5e-324, 0.2)"),
+            # the bracket closes to two adjacent floats before reaching 1e-17
+            ((0.02, 0.2), 1e-17, "(0.023741000483228886, 0.02374100048322889)"),
+        ],
+    )
+    def test_refused_as_numerical(self, bounds, rel_precision, bracket):
+        code = (
+            "from ptlind import NumericalError, find_gamma_pt\n"
+            "try:\n"
+            f"    find_gamma_pt(4, 0.5, 1.0, *{bounds!r}, rel_precision={rel_precision!r})\n"
+            "except NumericalError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(
+            f"NumericalError cannot split the bracket {bracket} "
+            f"to rel_precision = {rel_precision}: its geometric midpoint"
+        )
 
 
 def reference_evaluation(params, sector):
