@@ -149,6 +149,8 @@ def parse_config(path: str) -> ModelConfig:
     gamma = _require_number(raw, "gamma")
     if gamma < 0:
         raise SchemaError("gamma", "must be non-negative")
+    if model != "xxz" and sector != "full":
+        raise SchemaError("sector", f"{model} models support only the full sector")
 
     if model == "xxz":
         _reject_unknown(raw, {"model", "n", "delta", "mu", "gamma", "sector"})
@@ -163,16 +165,12 @@ def parse_config(path: str) -> ModelConfig:
 
     if model == "single_qubit":
         _reject_unknown(raw, {"model", "omega", "gamma", "sector"})
-        if sector != "full":
-            raise SchemaError("sector", "single_qubit supports only the full sector")
         omega = _require_number(raw, "omega")
         return ModelConfig(
             model, sector, LindbladModel(0.5 * omega * SIGMA_Z, (SIGMA_MINUS,), gamma), raw
         )
 
     _reject_unknown(raw, {"model", "gamma", "sector", "custom"})
-    if sector != "full":
-        raise SchemaError("sector", "custom models support only the full sector")
     custom = raw.get("custom")
     if not isinstance(custom, dict):
         raise SchemaError("custom", "missing required object")

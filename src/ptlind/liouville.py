@@ -148,14 +148,14 @@ def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
 _SECTOR_TOL = 1e-12
 
 
-def _refuse_leak(coupling: float, block: np.ndarray, tol: float = _SECTOR_TOL) -> None:
-    """Raise :class:`SectorNotInvariant` if the largest coupling between kept and dropped
-    positions exceeds ``tol`` times the largest entry of the kept ``block``, of the
-    coupling, and 1."""
+def _refuse_leak(coupling: float, block: np.ndarray) -> None:
+    """The invariance rule of every sector block: raise :class:`SectorNotInvariant` if
+    the largest coupling between kept and dropped positions exceeds ``_SECTOR_TOL``
+    times the largest entry of the kept ``block``, of the coupling, and 1."""
     scale = max(1.0, float(np.abs(block).max(initial=0.0)), coupling)
-    if coupling > tol * scale:
+    if coupling > _SECTOR_TOL * scale:
         raise SectorNotInvariant(
-            f"cross-sector coupling {coupling:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"cross-sector coupling {coupling:.3e} exceeds {_SECTOR_TOL:.1e} * {scale:.3e}"
         )
 
 
@@ -361,9 +361,13 @@ def _positions(index: np.ndarray, hilbert_dim: int) -> np.ndarray:
 
 
 def _conjugate_rows(index: np.ndarray, hilbert_dim: int) -> np.ndarray:
-    """Row holding ``|k><j|`` for each row ``|j><k|`` of ``index``; -1 where absent."""
+    """Row holding ``|k><j|`` for each row ``|j><k|`` of ``index``; a basis that lacks
+    one is refused."""
     j, k = np.divmod(index, hilbert_dim)
-    return _positions(index, hilbert_dim)[k * hilbert_dim + j]
+    rows = _positions(index, hilbert_dim)[k * hilbert_dim + j]
+    if np.any(rows < 0):
+        raise ValidationError("basis is not closed under |j><k| -> |k><j|")
+    return rows
 
 
 def hermiticity_residual(sup: SuperOperator) -> float:
@@ -384,11 +388,6 @@ def hermiticity_residual(sup: SuperOperator) -> float:
         np.conjugate(swapped, out=diff.reshape(n, n, n, n))
     else:
         perm = _conjugate_rows(sup.index, n)
-        if np.any(perm < 0):
-            raise ValidationError(
-                "basis is not closed under |j><k| -> |k><j|; "
-                "hermiticity conjugation is undefined on this sector"
-            )
         diff = sup.matrix[np.ix_(perm, perm)]
         np.conjugate(diff, out=diff)
     # one temporary: the swapped copy is conjugated and differenced in place
@@ -396,15 +395,13 @@ def hermiticity_residual(sup: SuperOperator) -> float:
     return float(np.linalg.norm(diff, axis=0).max())
 
 
-def sector_restrict(sup: SuperOperator, keep, tol: float = _SECTOR_TOL) -> SuperOperator:
+def sector_restrict(sup: SuperOperator, keep) -> SuperOperator:
     """Principal submatrix on the distinct flat positions ``keep`` (``j*N + k``), in order.
 
     ``sup`` itself is returned when ``keep`` equals ``sup.index``.  The kept
-    positions must form an invariant block: any coupling between kept and
-    dropped positions above ``tol`` times the largest entry of the block and of
-    the coupling (at least 1) raises :class:`SectorNotInvariant`, the same rule
-    the direct block assembly applies.  Extraction keeps the exact generator of
-    the block, with no projector sandwiching.
+    positions must form an invariant block under the rule of the direct block
+    assembly (:func:`_refuse_leak`), or :class:`SectorNotInvariant` is raised.
+    Extraction keeps the exact generator of the block, with no projector sandwiching.
     """
     keep = _check_positions(keep, sup.hilbert_dim)
     idx = _positions(sup.index, sup.hilbert_dim)[keep]
@@ -418,7 +415,7 @@ def sector_restrict(sup: SuperOperator, keep, tol: float = _SECTOR_TOL) -> Super
         np.abs(sup.matrix[np.ix_(idx, dropped)]).max(initial=0.0),
         np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
     )
-    _refuse_leak(float(coupling), block, tol)
+    _refuse_leak(float(coupling), block)
     return SuperOperator(block, sup.hilbert_dim, keep)
 
 

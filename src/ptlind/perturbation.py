@@ -34,7 +34,7 @@ from .liouville import (
     traceless_dissipator,
 )
 from .operators import is_hermitian, vec
-from .spectral import DEFAULT_TAU_REL, _eigenvalues, eig_biortho
+from .spectral import _eigenvalues, classify_cross, eig_biortho
 
 __all__ = [
     "PerturbationReport",
@@ -131,8 +131,8 @@ def velocity_check(
     Eigenvalues at ``gamma +- dgamma`` are tracked by nearest match.  Also
     checks line confinement: a simple eigenvalue on the real axis must have
     a real velocity, and one on the vertical line must have a purely
-    imaginary shifted velocity ``<v, (D + 1) u>``; "on a line" means within
-    ``DEFAULT_TAU_REL`` of the spectral radius, as in :func:`classify_cross`.
+    imaginary shifted velocity ``<v, (D + 1) u>``; "on a line" is decided by
+    :func:`classify_cross` at its default tolerance, with ``gamma`` as the line.
     """
     if not 0 < dgamma < np.inf:
         raise ValidationError(f"dgamma must be positive and finite, got {dgamma}")
@@ -147,7 +147,8 @@ def velocity_check(
     w_plus = _eigenvalues(_at_coupling(coherent, dis_m, gamma + dgamma))
     w_minus = _eigenvalues(_at_coupling(coherent, dis_m, gamma - dgamma))
 
-    line_tol = DEFAULT_TAU_REL * max(1.0, dec.spectral_radius)
+    cls = classify_cross(w, gamma)
+    on_h, on_v = set(cls.on_h), set(cls.on_v)
     entries = []
     conf_h: list = []
     conf_v: list = []
@@ -167,9 +168,9 @@ def velocity_check(
         lam_m = w_minus[np.argmin(np.abs(w_minus - w[k]))]
         fd = (lam_p - lam_m) / (2.0 * dgamma)
         entries.append((k, w[k], analytic, fd))
-        if abs(w[k].imag) <= line_tol:
+        if k in on_h:
             conf_h.append(abs(analytic.imag))
-        elif abs(w[k].real + gamma) <= line_tol:
+        elif k in on_v:
             conf_v.append(abs((analytic + 1.0).real))
     if not entries:
         raise DegenerateAtEvaluationPoint(
@@ -202,8 +203,8 @@ class DegeneracyReport:
     tol: float
 
 
-def degeneracy_report(hamiltonian: np.ndarray, tol: float | None = None, blocks=None) -> DegeneracyReport:
-    """List degenerate energy pairs and degenerate gap pairs.
+def degeneracy_report(hamiltonian: np.ndarray, blocks=None) -> DegeneracyReport:
+    """List energy pairs and gap pairs that agree within ``tol = 1e-9 max(1, |H|_F)``.
 
     ``blocks``, when given, assigns a conserved quantum number to each
     eigenstate (after sorting energies ascending); pairs and gaps are then
@@ -214,8 +215,7 @@ def degeneracy_report(hamiltonian: np.ndarray, tol: float | None = None, blocks=
     if not is_hermitian(h):
         raise ValidationError("Hamiltonian is not Hermitian")
     energies = np.linalg.eigh(h)[0]
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.linalg.norm(h)))
+    tol = 1e-9 * max(1.0, float(np.linalg.norm(h)))
     n = energies.size
     if blocks is not None and len(blocks) != n:
         raise ValidationError(f"blocks has length {len(blocks)}, expected {n}")
@@ -231,7 +231,7 @@ def degeneracy_report(hamiltonian: np.ndarray, tol: float | None = None, blocks=
         energies=energies,
         degenerate_pairs=tuple(ends[i] for i in close),
         degenerate_gap_pairs=tuple((ends[x], ends[y]) for x, y in zip(a[:500], b[:500])),
-        tol=float(tol),
+        tol=tol,
     )
 
 

@@ -111,8 +111,9 @@ def find_gamma_pt(
 
     ``gamma_min`` must be unbroken and ``gamma_max`` broken; if not, the
     bracket is expanded by decades up to ``max_expand`` times per side
-    before :class:`BracketInvalid` is raised.  Both ends must be finite, and
-    upward expansion stops before ``gamma * D`` would overflow.  Bisection is
+    before :class:`BracketInvalid` is raised.  Both ends must be finite,
+    downward expansion stops before gamma would underflow to 0, and upward
+    expansion stops before ``gamma * D`` would overflow.  Bisection is
     geometric (the threshold is a scale) and stops at the requested relative
     precision; a bracket whose geometric midpoint is not strictly inside it raises
     :class:`NumericalError`.
@@ -138,7 +139,7 @@ def find_gamma_pt(
     lo, hi = float(gamma_min), float(gamma_max)
     lo_ok = probe(lo)
     for _ in range(max_expand):
-        if lo_ok:
+        if lo_ok or lo / 10.0 == 0.0:  # a subnormal gamma_min would reach 0
             break
         lo /= 10.0
         lo_ok = probe(lo)
@@ -299,7 +300,9 @@ def observable_decay(
     The default initial state is ``(I + obs / (2 |obs|_2)) / N``, which is
     positive for any Hermitian observable; the default grid is 200 uniform
     points on [0.5, 50].  Repeated grid spacings reuse one step propagator.  An
-    overflow or invalid value while stepping raises :class:`NumericalError`.
+    overflow or invalid value while stepping raises :class:`NumericalError`, and so
+    does a step propagator ``U`` that does not preserve the trace:
+    ``max |vec(I)^T U - vec(I)^T| > 1e-10``, as scipy's ``expm`` returns at huge steps.
     """
     obs = _observable(params, observable)
     dim = params.hilbert_dim
@@ -325,12 +328,20 @@ def observable_decay(
     steps = np.diff(np.concatenate(([0.0], t_grid)))
     step_props: dict = {}
     x = vec(rho0)
+    trace = sup.trace_vector()
     deviations = np.empty(t_grid.size)
     with _numerical_errors("time evolution"):
         for i, dt in enumerate(steps):
             key = round(float(dt), 15)
             if key not in step_props:
-                step_props[key] = propagator(sup, float(dt)).matrix
+                u = propagator(sup, float(dt)).matrix
+                drift = float(np.abs(trace @ u - trace).max())
+                if not drift <= 1e-10:
+                    raise NumericalError(
+                        f"time evolution failed: the step propagator at dt = {dt:.3e} "
+                        f"drifts {drift:.3e} off the trace, above 1.0e-10"
+                    )
+                step_props[key] = u
             x = step_props[key] @ x
             deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
 

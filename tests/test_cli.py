@@ -137,6 +137,51 @@ class TestParseConfig:
             parse_config(str(path))
 
 
+_H2 = [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+_JUMP2 = [[[0, 0], [0, 0]], [[1, 0], [0, 0]]]
+
+
+def _custom(**entries):
+    """A valid custom config with ``entries`` replacing (or, as None, removing) its keys."""
+    custom = {"hamiltonian": _H2, "lindblads": [_JUMP2]}
+    custom.update(entries)
+    return {"model": "custom", "gamma": 0.1,
+            "custom": {k: v for k, v in custom.items() if v is not None}}
+
+
+class TestSchemaRefusals:
+    """One refusal per branch of ``parse_config``: exit 1, the key and the message."""
+
+    @pytest.mark.parametrize(
+        "payload, key, message",
+        [
+            (_custom(hamiltonian="x"), "custom.hamiltonian", "expected a non-empty list of rows"),
+            (_custom(hamiltonian=[_H2[0], _H2[1][:1]]), "custom.hamiltonian[1]",
+             "expected a row of length 2"),
+            (_custom(hamiltonian=[_H2[0], [[0, 0], [1]]]), "custom.hamiltonian[1][1]",
+             "expected a [re, im] pair of numbers"),
+            ([FIG_TOP], "", "config root must be a JSON object"),
+            (dict(FIG_TOP, gamma=-0.1), "gamma", "must be non-negative"),
+            (dict(QUBIT, sector="dmz0"), "sector",
+             "single_qubit models support only the full sector"),
+            (dict(_custom(), sector="dmz0"), "sector", "custom models support only the full sector"),
+            ({"model": "custom", "gamma": 0.1}, "custom", "missing required object"),
+            (_custom(hamiltonian=None), "custom.hamiltonian", "missing required key"),
+            (_custom(lindblads=None), "custom.lindblads", "missing required key"),
+            (_custom(lindblads=[]), "custom.lindblads", "expected a non-empty list of matrices"),
+            (_custom(lindblads=[[[[0, 0]] * 3] * 3]), "custom.lindblads[0]",
+             "shape (3, 3) does not match hamiltonian (2, 2)"),
+        ],
+    )
+    def test_refused_with_its_key(self, tmp_path, capsys, payload, key, message):
+        assert main(["check", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "SchemaError", "key": key, "message": f"{key}: {message}",
+        }
+
+
 class TestSpectrumCommand:
     def test_reference_panel_csv(self, tmp_path):
         cfg = write_config(tmp_path, FIG_TOP)
@@ -402,6 +447,17 @@ class TestThresholdCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BracketInvalid"
 
+    def test_subnormal_lower_end_is_probed_once(self, tmp_path, capsys, monkeypatch):
+        # the downward expansion used to divide 5e-324 to 0.0 and probe there six times
+        probes = count_calls(monkeypatch, "ptlind.threshold.classify_cross")
+        cfg = write_config(tmp_path, dict(FIG_TOP, n=3))
+        argv = ["threshold", "--config", cfg, "--gamma-min", "5e-324", "--tau-rel", "1e-17"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BracketInvalid"
+        assert err["message"].startswith("no unbroken coupling found down to gamma = 4.941e-324;")
+        assert [args[1] for args in probes] == [5e-324]
+
     def test_non_finite_bracket_end_is_invalid_input(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FIG_TOP)
         code = main(["threshold", "--config", cfg, "--gamma-max", "inf"])
@@ -435,10 +491,11 @@ class TestEvolveCommand:
         [
             ({"n": 3}, "1e20", "5", "matrix exponential failed: overflow encountered in matmul"),
             ({"n": 3}, "1e300", "5", "matrix exponential is not finite"),
-            # a finite but wrong step propagator, its entries near 2e25, overflows
-            # in the stepping with numpy's warning
+            # a finite but wrong step propagator, its entries near 2e25, used to
+            # overflow in the stepping with numpy's warning; its trace drift refuses it
             ({"n": 2, "delta": 0.0, "mu": 0.0, "gamma": 0.0}, "1e20", "50",
-             "time evolution failed: overflow encountered in matmul"),
+             "time evolution failed: the step propagator at dt = 2.041e+18 drifts "
+             "1.000e+00 off the trace, above 1.0e-10"),
         ],
     )
     def test_overflowing_propagator_writes_no_series(
@@ -453,6 +510,22 @@ class TestEvolveCommand:
             assert main(argv) == 2
         captured = capsys.readouterr()
         assert json.loads(captured.err) == {"error": "NumericalError", "message": message}
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    @pytest.mark.parametrize("t_max", ["1e8", "1e12"])
+    def test_propagator_off_the_trace_writes_no_series(self, tmp_path, monkeypatch, capsys, t_max):
+        # expm's finite but wrong propagators used to give deviations off by up to 1e-6,
+        # written with exit 0
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(FIG_TOP, n=3, sector="full"))
+        argv = ["evolve", "--config", cfg, "--out", "s.csv", "--points", "3", "--t-max", t_max]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "NumericalError"
+        assert err["message"].startswith("time evolution failed: the step propagator at dt = ")
+        assert err["message"].endswith("off the trace, above 1.0e-10")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 

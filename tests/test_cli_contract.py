@@ -203,6 +203,9 @@ _HUGE_H = {"model": "custom", "gamma": 0.1, "custom": {
 # used to be bisected forever
 @example(invocation=(_FIG_TOP, ["threshold", "--gamma-min", "5e-324", "--gamma-max", "0.2"]))
 @example(invocation=(_FIG_TOP, ["threshold", "--rel-precision", "1e-17"]))
+# a subnormal lower end, on a chain broken at zero coupling, used to be divided to 0
+# and probed there
+@example(invocation=(_RELAX, ["threshold", "--gamma-min", "5e-324", "--tau-rel", "1e-17"]))
 # an overflowing propagator used to write nan rows and exit 0, and a finite but
 # wrong one overflowed in the stepping with numpy's warning
 @example(invocation=(_RELAX, ["evolve", "--out", "s.csv", "--t-max", "1e20", "--points", "5"]))

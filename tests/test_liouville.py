@@ -115,6 +115,29 @@ class TestModelValidation:
         with pytest.raises(ValidationError):
             LindbladModel(SIGMA_Z, (SIGMA_MINUS,) * 4, 0.1)
 
+    @pytest.mark.parametrize(
+        "h, jump, message",
+        [
+            (np.zeros((2, 3)), SIGMA_MINUS, r"^Hamiltonian must be square, got \(2, 3\)$"),
+            (np.diag([0.0, np.inf]), SIGMA_MINUS, "^Hamiltonian has non-finite entries$"),
+            (SIGMA_Z, np.diag([np.nan, 0.0]), r"^lindblads\[0\] has non-finite entries$"),
+        ],
+    )
+    def test_malformed_operators_rejected(self, h, jump, message):
+        with pytest.raises(ValidationError, match=message):
+            LindbladModel(h, (jump,), 0.1)
+
+    @pytest.mark.parametrize(
+        "matrix, index, message",
+        [
+            (np.zeros((4, 3)), None, r"^superoperator matrix must be square, got \(4, 3\)$"),
+            (np.zeros((4, 4)), [0, 1, 2], "^matrix dim 4 does not match 3 positions$"),
+        ],
+    )
+    def test_malformed_superoperator_rejected(self, matrix, index, message):
+        with pytest.raises(ValidationError, match=message):
+            SuperOperator(matrix, 2, index)
+
 
 class TestAverageDamping:
     def test_single_qubit(self):
@@ -213,6 +236,11 @@ class TestHermiticityResidual:
         expected = np.linalg.norm(m - m.conj()[np.ix_(pos, pos)], axis=0).max()
         assert hermiticity_residual(SuperOperator(m, n, index)) == expected
 
+    def test_open_basis_refused(self):
+        # |0><1| without |1><0|
+        with pytest.raises(ValidationError, match=r"^basis is not closed under \|j><k\| -> \|k><j\|$"):
+            hermiticity_residual(SuperOperator(np.zeros((1, 1)), 2, [1]))
+
     def test_natural_full_space_swap_equals_the_gather(self, rng):
         # a custom generator times a complex scalar: c L(rho^dag) != (c L rho)^dag
         model = random_model(rng, dim=5, n_jumps=2)
@@ -256,6 +284,15 @@ class TestSectorRestrict:
         sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
         with pytest.raises(SectorNotInvariant):
             sector_restrict(sup, [0, 5])  # |0><0|, |1><1| with N = 4
+
+    def test_both_routes_apply_one_rule(self):
+        # the first ten positions of n = 3 couple to the rest: neither the restriction
+        # nor the direct block assembly returns their block
+        model = xxz_model(XXZParams(3, 0.5, 1.0, 0.3))
+        with pytest.raises(SectorNotInvariant, match=" exceeds 1.0e-12 [*] "):
+            sector_restrict(build_superoperator(model), np.arange(10))
+        with pytest.raises(SectorNotInvariant, match=" exceeds 1.0e-12 [*] "):
+            build_superoperator(model, np.arange(10))
 
     def test_unknown_labels_rejected(self, rng):
         sup = build_superoperator(random_model(rng, dim=2))

@@ -132,18 +132,18 @@ class TestDegeneracyReport:
         assert len(rep.degenerate_pairs) == 1
 
     def test_clean_spectrum(self):
-        rep = degeneracy_report(np.diag([0.0, 1.0, 3.0]), tol=1e-9)
+        rep = degeneracy_report(np.diag([0.0, 1.0, 3.0]))
         assert rep.degenerate_pairs == ()
         assert rep.degenerate_gap_pairs == ()
 
     def test_equispaced_gap_degeneracy(self):
-        rep = degeneracy_report(np.diag([0.0, 1.0, 2.0]), tol=1e-9)
+        rep = degeneracy_report(np.diag([0.0, 1.0, 2.0]))
         assert rep.degenerate_pairs == ()
         assert ((0, 1), (1, 2)) in rep.degenerate_gap_pairs
 
     def test_block_restriction(self):
         # the two degenerate levels carry different conserved labels
-        rep = degeneracy_report(np.diag([0.0, 1.0, 1.0]), tol=1e-9, blocks=[0, 0, 1])
+        rep = degeneracy_report(np.diag([0.0, 1.0, 1.0]), blocks=[0, 0, 1])
         assert rep.degenerate_pairs == ()
 
     def test_non_hermitian_rejected(self):
@@ -159,7 +159,7 @@ class TestDegeneracyReport:
         # n = 5 has more degenerate gap pairs than the 500 listed
         h = xxz_model(XXZParams(n, 0.5, 0.0, 0.0)).hamiltonian
         blocks = [j % 3 for j in range(2**n)] if with_blocks else None
-        rep = degeneracy_report(h, tol=1e-9, blocks=blocks)
+        rep = degeneracy_report(h, blocks=blocks)
         e = rep.energies
         gaps = [
             (j, k, e[k] - e[j])
@@ -167,12 +167,12 @@ class TestDegeneracyReport:
             for k in range(j + 1, 2**n)
             if blocks is None or blocks[j] == blocks[k]
         ]
-        pairs = [(j, k) for j, k, g in gaps if abs(g) <= 1e-9]
+        pairs = [(j, k) for j, k, g in gaps if abs(g) <= rep.tol]
         gap_pairs = [
             ((ja, ka), (jb, kb))
             for a, (ja, ka, ga) in enumerate(gaps)
             for jb, kb, gb in gaps[a + 1 :]
-            if abs(ga - gb) <= 1e-9
+            if abs(ga - gb) <= rep.tol
         ][:500]
         assert rep.degenerate_pairs == tuple(pairs)
         assert rep.degenerate_gap_pairs == tuple(gap_pairs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlind import (
     LindbladModel,
@@ -11,6 +13,7 @@ from ptlind import (
     collinearity_error,
     eig_biortho,
     left_steady_vector,
+    parity_from_pair,
     pt_partner_check,
     sector_restrict,
     steady_state,
@@ -19,10 +22,30 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import site_operator
-from ptlind.spectral import _eig, _eigenvalues
+from ptlind.spectral import _cluster_close_eigenvalues, _eig, _eigenvalues
 from ptlind.xxz import XXZParams, sector_basis, sector_positions, xxz_model
 
 from conftest import bits, count_calls, random_hermitian, random_model, single_qubit
+
+
+def union_find_clusters(w, tol):
+    """The clusters of ``_cluster_close_eigenvalues``, from a union-find over all pairs."""
+    parent = list(range(w.size))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(w.size):
+        for j in range(i + 1, w.size):
+            if np.abs(w[i] - w[j]) <= tol:
+                a, b = sorted((root(i), root(j)))
+                parent[b] = a
+    groups = {}
+    for i in range(w.size):
+        groups.setdefault(root(i), []).append(i)
+    return tuple(tuple(g) for g in groups.values() if len(g) > 1)
 
 
 def sigma_z_string_vec(n):
@@ -95,6 +118,17 @@ class TestEigBiortho:
         dec = eig_biortho(SuperOperator(np.diag(w), 18, np.arange(300)))
         assert np.array_equal(dec.eigenvalues.real, w)
         assert dec.clusters == ((126, 127, 128, 129, 130),)
+
+
+    # lattice steps of 0.6 tol: one step is close, two are not, a diagonal one is; up to
+    # 260 values, so chains cross the 128-row blocks of the edge search
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 260).flatmap(lambda size: st.lists(
+        st.tuples(st.integers(0, 300), st.integers(0, 2)), min_size=size, max_size=size
+    )))
+    def test_clusters_match_a_union_find_over_all_pairs(self, points):
+        w = np.array([0.6 * (re + 1j * im) for re, im in points], dtype=complex)
+        assert _cluster_close_eigenvalues(w, 1.0) == union_find_clusters(w, 1.0)
 
 
 class TestRightVectorsOnly:
@@ -222,6 +256,13 @@ class TestSteadyState:
         with pytest.raises(NoZeroMode):
             steady_state(eig_biortho(shifted))
 
+    def test_no_zero_mode_has_no_left_partner(self, rng):
+        # the left vector used to be read at the smallest |eigenvalue|, zero or not
+        sup = build_superoperator(random_model(rng, dim=3))
+        shifted = SuperOperator(sup.matrix - 0.5 * np.eye(9), 3, np.arange(9))
+        with pytest.raises(NoZeroMode, match="^smallest [|]eigenvalue[|] is "):
+            left_steady_vector(eig_biortho(shifted))
+
 
 class TestClassifyCross:
     def test_unbroken_panel_counts(self, fig_top_decomposition):
@@ -343,6 +384,13 @@ class TestPtPartnerCheck:
         rep = pt_partner_check(dec, xxz_parity(3), gamma_bar=gamma)
         assert rep.n_checked > 0
         assert rep.max_vector_error <= 1e-6
+
+
+    def test_open_basis_refused(self):
+        # |0><1| without |1><0|; the identity parity keeps it
+        dec = eig_biortho(SuperOperator(np.zeros((1, 1)), 2, [1]))
+        with pytest.raises(ValidationError, match=r"^basis is not closed under \|j><k\| -> \|k><j\|$"):
+            pt_partner_check(dec, parity_from_pair(np.eye(2), np.eye(2)), gamma_bar=0.0)
 
 
 class TestSpectrumInvariants:

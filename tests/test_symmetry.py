@@ -109,7 +109,7 @@ class TestXXZParity:
         p = xxz_parity(3)
         labels = sector_basis(3, 0)
         m = product_map(p.left_op, p.right_op)
-        restricted = sector_restrict(SuperOperator(m, p.hilbert_dim), labels, tol=1e-12)
+        restricted = sector_restrict(SuperOperator(m, p.hilbert_dim), labels)
         assert np.linalg.norm(restricted.matrix @ restricted.matrix - np.eye(20)) < 1e-12
 
 
@@ -210,6 +210,12 @@ class TestCheckInversion:
         sup = build_superoperator(single_qubit(gamma=0.4))
         err = check_inversion(sup, parity_from_pair(SIGMA_X, SIGMA_X), 0.5)
         assert err > 1e-2
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        sup = build_superoperator(xxz_model(XXZParams(2, 0.5, 1.0, 0.3)))
+        with pytest.raises(ValidationError, match="^time must be finite, got "):
+            check_inversion(sup, xxz_parity(2), t)
 
 
 def random_matrix(rng, dim):

@@ -100,6 +100,20 @@ class TestFindGammaPt:
             cls = classify_cross(eig_biortho(sup).eigenvalues, average_damping(sup))
             assert len(cls.off_cross) > 0
 
+    @pytest.mark.parametrize("gamma_min", [5e-324, 1e-322])
+    def test_downward_expansion_stops_above_zero(self, monkeypatch, gamma_min):
+        # a subnormal gamma_min used to be divided down to 0.0 and probed there, up to
+        # six times, outside the rule 0 < gamma_min
+        probes = count_calls(monkeypatch, "ptlind.threshold.classify_cross")
+        with pytest.raises(BracketInvalid, match="arbitrarily small") as err:
+            find_gamma_pt(3, 0.5, 1.0, gamma_min, 1.0, tau_rel=1e-17)
+        gammas = [args[1] for args in probes]
+        assert gammas[0] == gamma_min
+        assert min(gammas) > 0.0
+        assert len(set(gammas)) == len(gammas)
+        assert gammas[-1] / 10.0 == 0.0
+        assert f"down to gamma = {gammas[-1]:.3e};" in str(err.value)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             find_gamma_pt(4, 0.5, 1.0, 0.2, 0.02)
@@ -321,6 +335,8 @@ class TestObservableDecay:
             observable_decay(params, np.eye(4), rho0=2.0 * np.eye(4) / 4.0)
         with pytest.raises(ValidationError):
             observable_decay(params, np.eye(4), t_grid=np.array([1.0, 0.5]))
+        with pytest.raises(ValidationError, match=r"^rho0 shape \(2, 2\) does not match dim 4$"):
+            observable_decay(params, np.eye(4), rho0=np.eye(2) / 2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grid_refused_before_the_solve(self, monkeypatch, bad):

@@ -33,6 +33,11 @@ def total_magnetization(n):
 
 
 class TestModel:
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_anisotropy_rejected(self, delta):
+        with pytest.raises(ValidationError, match="^anisotropy delta must be finite$"):
+            XXZParams(3, delta, 1.0, 0.1)
+
     def test_two_site_energies(self):
         h = xxz_model(XXZParams(2, 0.5, 0.0, 0.0)).hamiltonian
         assert np.allclose(np.linalg.eigvalsh(h), [-2.5, 0.5, 0.5, 1.5])
@@ -166,8 +171,13 @@ class TestSectorBasis:
             assert support <= labels
 
     def test_sector_is_invariant_to_tight_tolerance(self):
+        # the tightest tolerance: no entry couples the block to the rest
         sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 0.6, 0.9)))
-        sector_restrict(sup, sector_basis(3, 0), tol=1e-13)  # must not raise
+        keep = sector_basis(3, 0)
+        dropped = np.setdiff1d(np.arange(64), keep)
+        assert not sup.matrix[np.ix_(keep, dropped)].any()
+        assert not sup.matrix[np.ix_(dropped, keep)].any()
+        sector_restrict(sup, keep)  # must not raise
 
 
 class TestSectorPositions:
