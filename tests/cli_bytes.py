@@ -41,6 +41,29 @@ CONFIGS = {
         "model": "xxz", "n": 5, "delta": 0.5, "mu": 1.0, "gamma": 0.02, "sector": "dmz0",
     },
     "n4_full.json": {"model": "xxz", "n": 4, "delta": 0.5, "mu": 1.0, "gamma": 0.02},
+    # three levels, two non-Hermitian jumps scaled so that Tr D = -N^2 (perturb needs
+    # it); the Hermiticity residual is nonzero at rounding level
+    "custom3.json": {"model": "custom", "gamma": 0.37, "custom": {
+        "hamiltonian": [
+            [[0.3, 0.0], [0.7, -0.2], [0.1, 0.45]],
+            [[0.7, 0.2], [-0.55, 0.0], [0.25, -0.6]],
+            [[0.1, -0.45], [0.25, 0.6], [0.15, 0.0]],
+        ],
+        "lindblads": [
+            [
+                [[0.13, 0.0], [0.7, 0.0], [0.0, 0.2]],
+                [[0.45, 0.0], [-0.31, 0.0], [0.0, 0.0]],
+                [[0.0, 0.0], [0.5, -0.1], [0.18, 0.0]],
+            ],
+            [
+                [[0.08324748368971797, 0.0], [0.2497424510691539, 0.16649496737943595],
+                 [0.0, 0.0]],
+                [[0.0, 0.0], [-0.08324748368971797, 0.0],
+                 [0.3329899347588719, -0.2497424510691539]],
+                [[0.0, 0.2913661929140129], [0.0, 0.0], [0.0, 0.0]],
+            ],
+        ],
+    }},
 }
 
 _BRACKET = ["--gamma-min", "0.02", "--gamma-max", "0.2", "--rel-precision", "0.05"]
@@ -97,6 +120,10 @@ CASES = [
     ["threshold", "--config", "n5_dmz0.json", *_BRACKET],
     ["spectrum", "--config", "n4_full.json", "--out", "eigs.csv"],
     ["check", "--config", "n4_full.json"],
+    # a custom model: complex matrices parsed from the config, no chain structure
+    ["spectrum", "--config", "custom3.json", "--out", "eigs.csv"],
+    ["check", "--config", "custom3.json"],
+    ["perturb", "--config", "custom3.json", "--out-v", "V.csv", "--out", "report.json"],
 ]
 
 
