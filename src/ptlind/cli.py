@@ -37,7 +37,9 @@ from .errors import (
 )
 from .liouville import (
     LindbladModel,
+    _generator_entries,
     _refuse_large,
+    _refuse_large_parts,
     average_damping,
     build_superoperator,
     hermiticity_residual,
@@ -54,7 +56,7 @@ from .spectral import (
 )
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
-from .xxz import SECTORS, XXZParams, sector_positions, spin_current, xxz_model
+from .xxz import SECTORS, XXZParams, _largest_parts, sector_positions, spin_current, xxz_model
 
 __all__ = ["ModelConfig", "parse_config", "write_spectrum_csv", "run_command", "main"]
 
@@ -161,14 +163,18 @@ def parse_config(path: str) -> ModelConfig:
         mu = _require_number(raw, "mu")
         if not -1.0 <= mu <= 1.0:
             raise SchemaError("mu", f"must lie in [-1, 1], got {mu}")
-        return ModelConfig(model, sector, XXZParams(n, delta, mu, gamma), raw)
+        params = XXZParams(n, delta, mu, gamma)
+        h, jumps = _largest_parts(params)
+        _keyed("delta", _refuse_large_parts, 2**n, h, ())
+        _keyed("gamma", _refuse_large_parts, 2**n, h, jumps, gamma)
+        return ModelConfig(model, sector, params, raw)
 
     if model == "single_qubit":
         _reject_unknown(raw, {"model", "omega", "gamma", "sector"})
-        omega = _require_number(raw, "omega")
-        return ModelConfig(
-            model, sector, LindbladModel(0.5 * omega * SIGMA_Z, (SIGMA_MINUS,), gamma), raw
-        )
+        h = 0.5 * _require_number(raw, "omega") * SIGMA_Z
+        _keyed("omega", _refuse_large, h, ())
+        _keyed("gamma", _refuse_large, h, (SIGMA_MINUS,), gamma)
+        return ModelConfig(model, sector, LindbladModel(h, (SIGMA_MINUS,), gamma), raw)
 
     _reject_unknown(raw, {"model", "gamma", "sector", "custom"})
     custom = raw.get("custom")
@@ -180,7 +186,7 @@ def parse_config(path: str) -> ModelConfig:
     if "lindblads" not in custom:
         raise SchemaError("custom.lindblads", "missing required key")
     h = _parse_complex_matrix(custom["hamiltonian"], "custom.hamiltonian")
-    _refuse_large(h, ())  # before the Hermiticity check takes a norm
+    _keyed("custom.hamiltonian", _refuse_large, h, ())  # before the Hermiticity check's norm
     if not is_hermitian(h):
         raise SchemaError("custom.hamiltonian", "not Hermitian")
     if not isinstance(custom["lindblads"], list) or not custom["lindblads"]:
@@ -197,15 +203,22 @@ def parse_config(path: str) -> ModelConfig:
             raise SchemaError(
                 f"custom.lindblads[{m}]", f"shape {L.shape} does not match hamiltonian {h.shape}"
             )
+    _keyed("custom.lindblads", _refuse_large, h, ls)
+    _keyed("gamma", _refuse_large, h, ls, gamma)
     return ModelConfig(model, sector, LindbladModel(h, ls, gamma), raw)
 
 
+def _keyed(key: str, rule, *args) -> None:
+    """A library rule applied to a config entry: its refusal is a SchemaError naming ``key``."""
+    try:
+        rule(*args)
+    except ValidationError as exc:
+        raise SchemaError(key, str(exc)) from None
+
+
 def _lindblad_model(cfg: ModelConfig) -> LindbladModel:
-    """The config's model, refused if its coupling overflows the generator's norms; the
-    xxz chain is built here, once per command that needs it."""
-    model = xxz_model(cfg.spec) if cfg.model == "xxz" else cfg.spec
-    _refuse_large(model.hamiltonian, model.lindblads, model.gamma)
-    return model
+    """The config's model; the xxz chain is built here, once per command that needs it."""
+    return xxz_model(cfg.spec) if cfg.model == "xxz" else cfg.spec
 
 
 def _sector(cfg: ModelConfig):
@@ -278,15 +291,10 @@ def _cmd_spectrum(cfg: ModelConfig, args) -> None:
 
 def _cmd_check(cfg: ModelConfig, args) -> None:
     model = _lindblad_model(cfg)
-    keep = _sector(cfg)
-    if keep is None:  # the block is the full generator: built once
-        full = build_superoperator(model)
-        w = _block_eigenvalues(cfg, lambda: full)
-    else:
-        # the block is solved before the full generator is built: in the other order
-        # an n = 5 check + spectrum + perturb process peaks 14 MB higher
-        w = _block_eigenvalues(cfg, lambda: build_superoperator(model, keep))
-        full = build_superoperator(model)
+    w = _block_eigenvalues(cfg, lambda: build_superoperator(model, _sector(cfg)))
+    # the full-space residuals read the generator's nonzero entries; only the block
+    # that LAPACK solves is dense
+    full = _generator_entries(model)
     gamma_bar = average_damping(full)
     cls = classify_cross(w, gamma_bar, args.tau_rel)
     d2 = verify_d2(w, gamma_bar)
@@ -421,6 +429,7 @@ _BRACKET = (
 _FINITE = _checked(float, math.isfinite, "must be finite")
 
 
+@functools.cache  # one per process: argparse reads the terminal width when it formats help
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptlind", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -133,6 +133,34 @@ class SuperOperator:
         return SuperOperator(matrix, self.hilbert_dim, self.index)
 
 
+@dataclass(frozen=True)
+class _Nonzeros:
+    """A superoperator as the entries of its matrix that may be nonzero.
+
+    ``at`` holds their ascending (row-major) flat positions ``row * dim + col`` in the
+    ``dim x dim`` matrix on the basis ``index`` (as :class:`SuperOperator`'s), and
+    ``values`` their values; every other entry is +0.
+    """
+
+    at: np.ndarray
+    values: np.ndarray
+    hilbert_dim: int
+    index: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.index.size
+
+
+def _entries(sup) -> _Nonzeros:
+    """``sup`` itself, or a dense :class:`SuperOperator` read through its nonzero entries."""
+    if isinstance(sup, _Nonzeros):
+        return sup
+    m = sup.matrix.reshape(-1)
+    at = np.flatnonzero(m)
+    return _Nonzeros(at, m[at], sup.hilbert_dim, sup.index)
+
+
 def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
     """``keep`` as an int64 array of distinct flat positions ``j*N + k`` in ``0..N^2 - 1``."""
     keep = np.asarray(keep)
@@ -159,22 +187,55 @@ def _refuse_leak(coupling: float, block: np.ndarray) -> None:
         )
 
 
+# products per chunk: a term with more is split between the nonzeros of its left factor
+_CHUNK = 1 << 12
+
+
 def _supports(terms):
     """Each term ``c * kron(A, B)`` on ``nonzero(A) x nonzero(B)``, as ``(j, k, j', k', v)``.
 
     ``v`` holds ``c A[j, j'] B[k, k']``, the entry at row ``j*N + k`` and column
-    ``j'*N + k'``; the four index arrays broadcast to its shape.  Skipped products are
-    zeros, and a sum that starts at +0 never becomes -0, so adding the terms in order is
-    bit-equal to the dense loop ``out += c * kron(A, B)``.
+    ``j'*N + k'``; the four index arrays broadcast to its shape.  A term's positions are
+    distinct, and it comes in chunks of at most ``_CHUNK`` products (or of one nonzero of
+    A).  Skipped products are zeros, and a sum that starts at +0 never becomes -0, so
+    adding the terms in order is bit-equal to the dense loop ``out += c * kron(A, B)``.
     """
     for c, a, b in terms:
         ja, jb = np.nonzero(a)
         ka, kb = np.nonzero(b)
-        # both operands 2-D: numpy rounds a (1, 1) * (1,) complex product without
-        # the fused multiply-add that np.kron's loop uses
-        v = a[ja, jb][:, None] * b[ka, kb][None, :]
-        v *= c
-        yield ja[:, None], ka, jb[:, None], kb, v
+        step = max(1, _CHUNK // max(1, ka.size))
+        for s in range(0, ja.size, step):
+            j, j2 = ja[s : s + step, None], jb[s : s + step, None]
+            # both operands 2-D: numpy rounds a (1, 1) * (1,) complex product without
+            # the fused multiply-add that np.kron's loop uses
+            v = a[j, j2] * b[ka, kb][None, :]
+            v *= c
+            yield j, ka, j2, kb, v
+
+
+def _nonzeros(hilbert_dim: int, *term_lists) -> tuple:
+    """The entries that the terms of any of ``term_lists`` touch, as ascending flat
+    positions ``row * N^2 + col``, and each list's sums there.
+
+    Each sum runs from +0 term by term in order, as :func:`_assemble` adds entry by
+    entry.  The products are formed twice, once to mark their positions and once to
+    add them, so that no more than a chunk of them is held at once.
+    """
+    shape = (hilbert_dim,) * 4
+    touched = np.zeros(hilbert_dim**4, dtype=bool)
+    for terms in term_lists:
+        for j, k, j2, k2, _ in _supports(terms):
+            touched[np.ravel_multi_index((j, k, j2, k2), shape)] = True
+    at = np.flatnonzero(touched)
+    del touched
+    sums = []
+    for terms in term_lists:
+        values = np.zeros(at.size, dtype=complex)
+        for j, k, j2, k2, v in _supports(terms):
+            here = np.ravel_multi_index((j, k, j2, k2), shape)
+            values[np.searchsorted(at, here)] += v  # a term's positions are distinct
+        sums.append(values)
+    return at, sums
 
 
 def _assemble(terms, hilbert_dim: int, index=None) -> np.ndarray:
@@ -296,6 +357,15 @@ def build_superoperator(model: LindbladModel, index=None) -> SuperOperator:
     return SuperOperator(_at_coupling(a, d, model.gamma, out=d), model.dim, index)
 
 
+def _generator_entries(model: LindbladModel) -> _Nonzeros:
+    """The full generator ``-i ad H + gamma D`` as its nonzero entries: bit-equal to
+    :func:`build_superoperator`'s matrix, with no N^2 x N^2 array.  An entry that one
+    part lacks is +0 there, as in the dense parts."""
+    at, (a, d) = _nonzeros(model.dim, *_terms(model))
+    values = _at_coupling(a, d, model.gamma, out=d)
+    return _Nonzeros(at, values, model.dim, np.arange(model.dim**2))
+
+
 def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:
     """The coherent part ``-i ad H`` alone (independent of gamma)."""
     return SuperOperator(_assemble(_terms(model)[0], model.dim), model.dim)
@@ -330,7 +400,15 @@ def traceless_dissipator(model: LindbladModel) -> SuperOperator:
 
 def average_damping(sup: SuperOperator) -> float:
     """Mean decay rate ``-Tr(matrix) / dim``; equals gamma for trace-normalised models."""
-    return float(-np.trace(sup.matrix).real / sup.dim)
+    if isinstance(sup, _Nonzeros):
+        # the diagonal vector, zeros included, takes np.trace's pairwise sum
+        diagonal = np.zeros(sup.dim, dtype=complex)
+        on = sup.at % (sup.dim + 1) == 0
+        diagonal[sup.at[on] // (sup.dim + 1)] = sup.values[on]
+        trace = diagonal.sum()
+    else:
+        trace = np.trace(sup.matrix)
+    return float(-trace.real / sup.dim)
 
 
 def traceless_part(sup: SuperOperator) -> SuperOperator:
@@ -378,21 +456,42 @@ def hermiticity_residual(sup: SuperOperator) -> float:
     ``SwapConj(matrix) - matrix``, where ``SwapConj`` conjugates the matrix by
     the antilinear map rho -> rho^dag.  Zero (to rounding) for any
     Lindblad-built superoperator; of order 1 for maps like ``rho -> i rho``.
+    ``sup`` may also be a generator's nonzero entries (``_generator_entries``).
     """
-    n = sup.hilbert_dim
-    if np.array_equal(sup.index, np.arange(n * n)):
-        # natural full space: |j><k| -> |k><j| swaps the two row and the two column
-        # factors of the (N, N, N, N) view, a strided transpose with no index arrays
-        diff = np.empty((n * n, n * n), dtype=complex)
-        swapped = sup.matrix.reshape(n, n, n, n).transpose(1, 0, 3, 2)
-        np.conjugate(swapped, out=diff.reshape(n, n, n, n))
-    else:
-        perm = _conjugate_rows(sup.index, n)
-        diff = sup.matrix[np.ix_(perm, perm)]
-        np.conjugate(diff, out=diff)
-    # one temporary: the swapped copy is conjugated and differenced in place
-    diff -= sup.matrix
-    return float(np.linalg.norm(diff, axis=0).max())
+    nz = _entries(sup)
+    dim = nz.dim
+    mirror = _conjugate_rows(nz.index, nz.hilbert_dim)
+    # entry (r, c) of the difference is conj(m[mirror r, mirror c]) - m[r, c], so it can
+    # be nonzero only where m or its mirror image is
+    touched = np.zeros(dim * dim, dtype=bool)
+    touched[nz.at] = True
+    for s in range(0, nz.at.size, _CHUNK):
+        touched[_mirrored(nz.at[s : s + _CHUNK], mirror)] = True
+    at = np.flatnonzero(touched)
+    del touched
+    # each column's squares are added in row order, as np.linalg.norm(axis=0) adds the
+    # rows of the dense C-ordered difference
+    columns = np.zeros(dim)
+    for s in range(0, at.size, _CHUNK):
+        here = at[s : s + _CHUNK]
+        diff = np.conjugate(_lookup(nz, _mirrored(here, mirror)))
+        diff -= _lookup(nz, here)
+        np.add.at(columns, here % dim, (diff.conj() * diff).real)
+    return float(np.sqrt(columns).max())
+
+
+def _mirrored(at: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """Flat positions ``(mirror r, mirror c)`` of the flat positions ``(r, c)``."""
+    rows, cols = np.divmod(at, mirror.size)
+    return mirror[rows] * mirror.size + mirror[cols]
+
+
+def _lookup(nz: _Nonzeros, where: np.ndarray) -> np.ndarray:
+    """The entries of ``nz`` at the flat positions ``where``; +0 where it has none."""
+    if nz.at.size == 0:
+        return np.zeros(where.size, dtype=complex)
+    slot = np.minimum(np.searchsorted(nz.at, where), nz.at.size - 1)
+    return np.where(nz.at[slot] == where, nz.values[slot], 0.0)
 
 
 def sector_restrict(sup: SuperOperator, keep) -> SuperOperator:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotInvolution, NotUnitary, SectorNotInvariant, ValidationError
 from .liouville import (
-    SuperOperator, _assemble, _positions, average_damping, propagator, traceless_part,
+    SuperOperator, _assemble, _entries, _positions, average_damping, propagator,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -117,30 +117,42 @@ def _signed_permutation(x: np.ndarray) -> tuple | None:
     return cols, vals.real
 
 
-def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``P m P`` for a matrix ``m`` on the flat positions ``index``, which P must keep.
+def _signed_gather(parity: ParitySuperOp, index: np.ndarray) -> tuple | None:
+    """``P`` on the flat positions ``index`` as ``(g, inverse, sign)``: ``P[r, g(r)] =
+    sign[r]`` and ``inverse`` undoes ``g``.  None unless both ``a`` and ``b.T`` are signed
+    permutations, as ``xxz_parity``'s are.
 
-    When both ``a`` and ``b.T`` are signed permutations, as ``xxz_parity``'s are, so is
-    ``P = kron(a, b.T)``: ``P[p, pi(p)] = s(p)``.  On ``index`` the row ``r`` maps to
-    the row ``g(r)`` that holds ``pi(index[r])``, and ``(P m P)[r, c] = s(r)
-    m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
-    product would round.  An image outside ``index`` raises
-    :class:`SectorNotInvariant`.  Any other parity's block is assembled on ``index``
-    (``matrix_on``) and multiplied in.
+    ``P = kron(a, b.T)`` is then one too, ``P[p, pi(p)] = s(p)``, and row ``r`` maps to
+    the row ``g(r)`` that holds ``pi(index[r])``.  An image outside ``index`` raises
+    :class:`SectorNotInvariant`.
     """
     left, right = _signed_permutation(parity.left_op), _signed_permutation(parity.right_op.T)
     if left is None or right is None:
-        p = parity.matrix_on(index)
-        return p @ m @ p
+        return None
     n = parity.hilbert_dim
     (cols_a, signs_a), (cols_bt, signs_bt) = left, right
     j, k = np.divmod(index, n)
     g = _positions(index, n)[cols_a[j] * n + cols_bt[k]]
     if np.any(g < 0):
         raise SectorNotInvariant("the parity maps kept positions outside the sector")
-    sign = signs_a[j] * signs_bt[k]
     inverse = np.empty_like(g)
     inverse[g] = np.arange(g.size)
+    return g, inverse, signs_a[j] * signs_bt[k]
+
+
+def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``P m P`` for a matrix ``m`` on the flat positions ``index``, which P must keep.
+
+    For a signed permutation (:func:`_signed_gather`), ``(P m P)[r, c] = s(r)
+    m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
+    product would round.  Any other parity's block is assembled on ``index``
+    (``matrix_on``) and multiplied in.
+    """
+    gather = _signed_gather(parity, index)
+    if gather is None:
+        p = parity.matrix_on(index)
+        return p @ m @ p
+    g, inverse, sign = gather
     out = m[np.ix_(g, inverse)]
     parts = out.view(np.float64).reshape(g.size, g.size, 2)  # real signs flip both parts
     parts *= sign[:, None, None]
@@ -172,18 +184,44 @@ class SymmetryReport:
 
 
 def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
-    """Relative residual of ``(L')^dag = - P L' P`` for the traceless part."""
-    lp = traceless_part(liou).matrix
-    diff = _sandwich(parity, lp, liou.index)
-    # the adjoint goes in by 64-row slabs: one whole-matrix transposed add runs
-    # about three times slower at N^2 = 1024, missing the cache on every read
-    for i in range(0, lp.shape[0], 64):
-        diff[i : i + 64] += dagger(lp[:, i : i + 64])
+    """Relative residual of ``(L')^dag = - P L' P`` for the traceless part.
+
+    ``liou`` may also be a generator's nonzero entries (``_generator_entries``): the
+    sandwich and the adjoint move entries, and only the two Frobenius norms, whose BLAS
+    sums group the squares by flat position, fill one dense buffer in turn.
+    """
+    nz = _entries(liou)
+    dim = nz.dim
+    gamma_bar = average_damping(liou)
+    lp = np.zeros((dim, dim), dtype=complex)
+    flat = lp.reshape(-1)
+    flat[nz.at] = nz.values
+    flat[:: dim + 1] += gamma_bar  # L', as traceless_part forms it
+    lp_norm = np.linalg.norm(lp)
+    gather = _signed_gather(parity, nz.index)
+    if gather is None:
+        diff = _sandwich(parity, lp, nz.index)
+        diff += dagger(lp)
+    else:
+        # L' is nonzero on the matrix's entries and the diagonal; the buffer is re-zeroed
+        # there and takes P L' P + (L')^dag
+        at = np.union1d(nz.at, np.arange(dim) * (dim + 1))
+        values = flat[at]
+        flat[at] = 0.0
+        g, inverse, sign = gather
+        rows, cols = np.divmod(at, dim)
+        adjoint = values.conj()
+        parts = values.view(np.float64).reshape(-1, 2)  # (P L' P)[g^-1 r, g c]
+        parts *= sign[inverse[rows]][:, None]
+        parts *= sign[cols][:, None]
+        flat[inverse[rows] * dim + g[cols]] = values
+        flat[cols * dim + rows] += adjoint
+        diff = lp
     return SymmetryReport(
-        pt_residual=float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(lp))),
+        pt_residual=float(np.linalg.norm(diff) / max(1.0, lp_norm)),
         involution_residual=parity.involution_residual,
         unitarity_residual=parity.unitarity_residual,
-        gamma_bar=average_damping(liou),
+        gamma_bar=gamma_bar,
     )
 
 

@@ -71,11 +71,17 @@ class XXZParams:
 
 
 def _hamiltonian(n: int, delta: float) -> np.ndarray:
+    """H from the bits of the basis states (site j is bit n - j, 1 = down): 2 between two
+    states that differ by a swap across a bond, and on the diagonal ``+-delta`` per bond
+    (+ where its two spins agree), added bond by bond from site 1."""
+    states = np.arange(2**n)
     h = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(1, n):
-        h += 2.0 * site_operator("+", j, n) @ site_operator("-", j + 1, n)
-        h += 2.0 * site_operator("-", j, n) @ site_operator("+", j + 1, n)
-        h += delta * site_operator("z", j, n) @ site_operator("z", j + 1, n)
+    diagonal = np.zeros(2**n)
+    for shift in range(n - 2, -1, -1):  # bond j joins bits n - j and n - j - 1
+        flipped = ((states >> shift) ^ (states >> (shift + 1))) & 1 == 1
+        h[states[flipped] ^ (3 << shift), states[flipped]] = 2.0
+        diagonal += delta * np.where(flipped, -1.0, 1.0)
+    h[states, states] = diagonal
     return h
 
 
@@ -88,15 +94,22 @@ def _jump_operators(n: int, mu: float) -> tuple:
     )
 
 
+def _largest_parts(params: XXZParams) -> tuple:
+    """The magnitude rule's inputs, read from the parameters: a bound on H's largest real
+    or imaginary part (the hopping's 2, or (n - 1)|delta| on its diagonal once delta
+    outweighs it) and each jump's own."""
+    plus, minus = 0.5 * np.sqrt(1.0 + params.mu), 0.5 * np.sqrt(1.0 - params.mu)
+    return max(2.0, (params.n_sites - 1) * abs(params.delta)), (plus, minus, minus, plus)
+
+
 def xxz_model(params: XXZParams) -> LindbladModel:
     """The boundary-driven chain as a four-channel Lindblad model.
 
-    The largest entry of H, (n - 1)|delta| on its diagonal once delta outweighs the
-    hopping, is held to the magnitude rule before H is summed, where a huge delta
-    would overflow.  The jumps, with |mu| <= 1, stay far below it.
+    H is held to the magnitude rule (:func:`_largest_parts`) before it is summed, where
+    a huge delta would overflow.  The jumps, with |mu| <= 1, stay far below it.
     """
     n = params.n_sites
-    _refuse_large_parts(2**n, (n - 1) * abs(params.delta), ())
+    _refuse_large_parts(2**n, _largest_parts(params)[0], ())
     return LindbladModel(_hamiltonian(n, params.delta), _jump_operators(n, params.mu), params.gamma)
 
 

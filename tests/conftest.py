@@ -29,7 +29,9 @@ from ptlind.operators import (
     unvec,
     vec,
 )
-from ptlind.xxz import XXZParams, _hamiltonian, sector_positions, xxz_model
+from ptlind.liouville import _conjugate_rows, traceless_part
+from ptlind.symmetry import _sandwich
+from ptlind.xxz import XXZParams, sector_positions, xxz_model
 
 
 @pytest.fixture
@@ -81,6 +83,41 @@ def kron_terms(model: LindbladModel) -> tuple:
         dis -= np.kron(ldl, eye)
         dis -= np.kron(eye, ldl.T)
     return coherent, dis
+
+
+def chain_hamiltonian(n_sites: int, delta: float) -> np.ndarray:
+    """Oracle: the XXZ Hamiltonian as products of site operators, added bond by bond;
+    ``xxz._hamiltonian`` writes the same bits from the basis states."""
+    h = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    for j in range(1, n_sites):
+        h += 2.0 * site_operator("+", j, n_sites) @ site_operator("-", j + 1, n_sites)
+        h += 2.0 * site_operator("-", j, n_sites) @ site_operator("+", j + 1, n_sites)
+        h += delta * site_operator("z", j, n_sites) @ site_operator("z", j + 1, n_sites)
+    return h
+
+
+def dense_average_damping(sup: SuperOperator) -> float:
+    """Oracle: ``-Tr(matrix) / dim`` through ``np.trace`` of the dense matrix."""
+    return float(-np.trace(sup.matrix).real / sup.dim)
+
+
+def dense_hermiticity_residual(sup: SuperOperator) -> float:
+    """Oracle: the largest column norm of ``SwapConj(matrix) - matrix`` on the dense
+    matrix, with the conjugate rows gathered as a C-ordered copy (numpy then adds each
+    column's squares row by row, not pairwise)."""
+    perm = _conjugate_rows(sup.index, sup.hilbert_dim)
+    diff = sup.matrix[np.ix_(perm, perm)]
+    np.conjugate(diff, out=diff)
+    diff -= sup.matrix
+    return float(np.linalg.norm(diff, axis=0).max())
+
+
+def dense_check_pt(sup: SuperOperator, parity) -> float:
+    """Oracle: the PT residual on dense matrices: the traceless part, its sandwich
+    ``P L' P`` plus its adjoint, and the two Frobenius norms."""
+    lp = traceless_part(sup).matrix
+    diff = _sandwich(parity, lp, sup.index) + dagger(lp)
+    return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(lp)))
 
 
 def chain_site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
@@ -185,7 +222,7 @@ def _ladder_rows(params: XXZParams) -> tuple:
     n = params.n_sites
     dim = params.hilbert_dim
     one = np.eye(dim, dtype=complex)
-    h = _hamiltonian(n, params.delta)
+    h = chain_hamiltonian(n, params.delta)
     bias = (params.gamma * params.mu / 4.0) * (
         site_operator("z", 1, n) - site_operator("z", n, n)
     )

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -171,6 +172,15 @@ class TestSchemaRefusals:
             (_custom(lindblads=[]), "custom.lindblads", "expected a non-empty list of matrices"),
             (_custom(lindblads=[[[[0, 0]] * 3] * 3]), "custom.lindblads[0]",
              "shape (3, 3) does not match hamiltonian (2, 2)"),
+            # the magnitude rule, applied where the entries are read
+            (dict(QUBIT, omega=1e308), "omega",
+             "Hamiltonian entries up to 5.000e+307 overflow the generator's norms"),
+            (dict(QUBIT, gamma=1e300), "gamma",
+             "coupling gamma = 1e+300 overflows the generator's norms"),
+            (_custom(lindblads=[[[[0, 0], [0, 0]], [[1e200, 0], [0, 0]]]]), "custom.lindblads",
+             "jump operator entries up to 1.000e+200 overflow the generator's norms"),
+            (dict(_custom(), gamma=1e300), "gamma",
+             "coupling gamma = 1e+300 overflows the generator's norms"),
         ],
     )
     def test_refused_with_its_key(self, tmp_path, capsys, payload, key, message):
@@ -307,6 +317,62 @@ class TestCheckCommand:
         assert report["pt"] is None
         assert report["d2"]["max_h_error"] <= 1e-8
 
+    def test_residuals_read_the_generator_entries(self, tmp_path, monkeypatch):
+        # one call each, on the full generator's nonzero entries, not on a dense matrix
+        herm = count_calls(monkeypatch, "ptlind.cli.hermiticity_residual")
+        pt = count_calls(monkeypatch, "ptlind.cli.check_pt")
+        cfg = write_config(tmp_path, FIG_TOP)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+        assert len(herm) == 1 and len(pt) == 1
+        for (entries, *_) in herm + pt:
+            assert not hasattr(entries, "matrix") and entries.dim == 256
+
+
+class TestCheckMemory:
+    """``check`` holds one dense N^2 x N^2 buffer for the PT norms, and no full generator."""
+
+    @pytest.fixture
+    def peak(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def peak(payload) -> float:
+            cfg = write_config(tmp_path, payload)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(["check", "--config", cfg]) == 0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        return peak
+
+    def test_chain_holds_one_buffer(self, peak):
+        # n = 5 dmz0: the buffer is 16 MB; the dense route held the full generator, its
+        # traceless part and the sandwich, about 49 MB
+        assert peak(dict(FIG_TOP, n=5, gamma=0.3)) < 1.5 * 16 * 1024**2
+
+    def test_dense_custom_model(self, peak):
+        # N = 16 with every factor dense: 65536 entries, each 24 bytes as a position and
+        # a value against 16 in a dense 256 x 256 matrix.  The dense route (the generator
+        # kept beside its solve, then the Hermiticity temporaries) peaked at 3.57 such
+        # matrices, and the entry route at about 3.3.
+        rng = np.random.default_rng(3)
+
+        def cells(m):
+            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+        def dense(scale):
+            return (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))) * scale
+
+        a = dense(1.0)
+        payload = {"model": "custom", "gamma": 0.3, "custom": {
+            "hamiltonian": cells((a + a.conj().T) / 2.0),
+            "lindblads": [cells(dense(1.0 / np.sqrt(32))) for _ in range(3)],
+        }}
+        assert peak(payload) < 3.5 * 16 * 256**2
+
 
 CUSTOM = {
     "model": "custom",
@@ -361,14 +427,16 @@ class TestSharedBlockSolve:
         assert len(solves) == 2
         assert warm.read_bytes() == cold.read_bytes()
 
-    @pytest.mark.parametrize("sector,cold", [("dmz0", 2), ("full", 1)])
-    def test_check_builds_the_full_generator_once(self, tmp_path, monkeypatch, sector, cold):
+    @pytest.mark.parametrize("sector,block", [("dmz0", 20), ("full", 64)])
+    def test_check_builds_only_the_block(self, tmp_path, monkeypatch, sector, block):
+        # the full-space residuals read the generator's nonzero entries, so the one
+        # dense build is the block that the eigensolve needs, and a kept solve needs none
         built = count_calls(monkeypatch, "ptlind.cli.build_superoperator")
         cfg = write_config(tmp_path, dict(FIG_TOP, n=3, sector=sector))
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
-        assert len(built) == cold  # the block (unless it is the full space), then the full
+        assert [m.dim**2 if keep is None else keep.size for m, keep in built] == [block]
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
-        assert len(built) == cold + 1  # a kept solve: the full generator only
+        assert len(built) == 1
 
     @pytest.mark.parametrize("first,second", [(0.02, math.nextafter(0.02, 1.0)), (0.0, -0.0)])
     def test_another_coupling_is_solved_afresh(self, tmp_path, solves, first, second):
@@ -723,11 +791,13 @@ class TestMagnitudeRule:
             warnings.simplefilter("error")
             yield
 
-    def refused(self, tmp_path, capsys, payload, argv, message):
+    def refused(self, tmp_path, capsys, payload, argv, key, message):
+        # parse_config applies the rule, so the refusal names the config entry
         command, *options = argv
         assert main([command, "--config", write_config(tmp_path, payload), *options]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
+        expected = {"error": "SchemaError", "key": key, "message": f"{key}: {message}"}
+        assert json.loads(captured.err) == expected
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
@@ -744,14 +814,14 @@ class TestMagnitudeRule:
     def test_huge_anisotropy_refused_by_every_command(self, tmp_path, capsys, argv):
         payload = {"model": "xxz", "n": 3, "delta": 1e300, "mu": 1.0, "gamma": 0.02}
         message = "Hamiltonian entries up to 2.000e+300 overflow the generator's norms"
-        self.refused(tmp_path, capsys, payload, argv, message)
+        self.refused(tmp_path, capsys, payload, argv, "delta", message)
 
     @EVERY_COMMAND
     def test_anisotropy_overflowing_the_hamiltonian_sum_refused(self, tmp_path, capsys, argv):
         # 2 delta overflows while H is summed; the rule runs on delta before the sum
         payload = {"model": "xxz", "n": 3, "delta": 1e308, "mu": 1.0, "gamma": 0.02}
         message = "Hamiltonian entries up to inf overflow the generator's norms"
-        self.refused(tmp_path, capsys, payload, argv, message)
+        self.refused(tmp_path, capsys, payload, argv, "delta", message)
 
     @EVERY_COMMAND
     def test_huge_custom_hamiltonian_refused_by_every_command(self, tmp_path, capsys, argv):
@@ -762,18 +832,15 @@ class TestMagnitudeRule:
             "lindblads": [[[zero, zero], [[1.0, 0.0], zero]]],
         }}
         message = "Hamiltonian entries up to 1.000e+300 overflow the generator's norms"
-        self.refused(tmp_path, capsys, payload, argv, message)
+        self.refused(tmp_path, capsys, payload, argv, "custom.hamiltonian", message)
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--out", "eigs.csv"],
-        ["check"],
-        ["perturb", "--out-v", "V.csv"],
-        ["evolve", "--out", "s.csv", "--points", "10"],
-    ])
+    @EVERY_COMMAND
     def test_huge_coupling_refused(self, tmp_path, capsys, argv):
+        # threshold and scaling bisect over their own couplings, but the config's
+        # gamma still describes a model, and is refused at the boundary too
         payload = {"model": "xxz", "n": 3, "delta": 0.5, "mu": 1.0, "gamma": 1e300}
         message = "coupling gamma = 1e+300 overflows the generator's norms"
-        self.refused(tmp_path, capsys, payload, argv, message)
+        self.refused(tmp_path, capsys, payload, argv, "gamma", message)
 
     @pytest.mark.parametrize("sector", ["full", "dmz0"])
     def test_report_stays_finite_just_below_the_rule(self, tmp_path, capsys, sector):
@@ -796,6 +863,28 @@ def test_report_refuses_a_non_finite_number(tmp_path, capsys, value):
         _report(cfg, argparse.Namespace(), None, {"value": value})
     assert not out.exists()
     assert capsys.readouterr().out == ""
+
+
+class TestParserOncePerProcess:
+    def test_built_once(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        cfg = write_config(tmp_path, QUBIT)
+        for argv in (["check", "--config", cfg], ["check", "--config", cfg, "--tau-rel", "1e-6"]):
+            assert main(argv) == 0
+        assert main(["check", "--config", cfg, "--tau-rel", "0"]) == 1
+        assert cli._build_parser.cache_info().misses == 1
+        capsys.readouterr()
+
+    def test_help_follows_the_width_of_each_call(self, monkeypatch, capsys):
+        # argparse reads the terminal width when it formats a page, not when it is built
+        pages = []
+        for columns in ("40", "120", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["threshold", "--help"])
+            pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[2] != pages[1]
+        assert len(pages[0].splitlines()) > len(pages[1].splitlines())  # the narrow page wraps
 
 
 def test_echoed_tolerances_are_pinned(tmp_path, capsys):
@@ -858,8 +947,9 @@ class TestRunFromCheckout:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert json.loads(proc.stderr) == {
-            "error": "ValidationError",
-            "message": "coupling gamma = 1e+300 overflows the generator's norms",
+            "error": "SchemaError",
+            "key": "gamma",
+            "message": "gamma: coupling gamma = 1e+300 overflows the generator's norms",
         }
 
     def test_overflowing_anisotropy_is_invalid_input(self, run, tmp_path):
@@ -871,8 +961,9 @@ class TestRunFromCheckout:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert json.loads(proc.stderr) == {
-            "error": "ValidationError",
-            "message": "Hamiltonian entries up to inf overflow the generator's norms",
+            "error": "SchemaError",
+            "key": "delta",
+            "message": "delta: Hamiltonian entries up to inf overflow the generator's norms",
         }
         assert not (tmp_path / "eigs.csv").exists()
 

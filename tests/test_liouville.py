@@ -23,14 +23,20 @@ from ptlind import (
     traceless_part,
     vec,
 )
-from ptlind.liouville import _NORM_LIMIT, _assemble, _conjugate_rows, _refuse_large, _split
+from ptlind.liouville import (
+    _NORM_LIMIT, _assemble, _conjugate_rows, _generator_entries, _refuse_large, _split,
+)
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
 from ptlind.threshold import coherence_probe_state, observable_decay
-from ptlind.xxz import XXZParams, sector_basis, spin_current, xxz_model
+from ptlind.symmetry import check_pt, parity_from_pair, xxz_parity
+from ptlind.xxz import XXZParams, sector_basis, sector_positions, spin_current, xxz_model
 
 from conftest import (
     bits,
     count_calls,
+    dense_average_damping,
+    dense_check_pt,
+    dense_hermiticity_residual,
     kron_terms,
     random_density,
     random_hermitian,
@@ -446,6 +452,80 @@ class TestSupportAssembly:
         else:
             block = _assemble(terms, 2, keep)
             assert np.array_equal(bits(block), bits(sector_restrict(full, keep).matrix))
+
+
+def densified(nz) -> np.ndarray:
+    """The entries of a ``_Nonzeros`` scattered into a zero matrix."""
+    out = np.zeros((nz.dim, nz.dim), dtype=complex)
+    out.reshape(-1)[nz.at] = nz.values
+    return out
+
+
+def same_hex(a: float, b: float) -> bool:
+    return float.hex(a) == float.hex(b)
+
+
+class TestGeneratorEntries:
+    """The generator's nonzero entries, and the residuals read from them, against the
+    dense matrix and the dense residuals in ``conftest``, bit for bit.
+
+    The Hermiticity residual adds each column's squares in row order, because numpy
+    adds the rows of the dense C-ordered difference one by one.  A column gather that
+    comes back F-ordered makes numpy add a column of more than eight squares pairwise
+    instead, which can move the last bit.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        gamma=st.floats(0.0, 5.0),
+        fill=st.sampled_from([1.0, 0.4, 0.1]),
+    )
+    def test_custom_models(self, seed, dim, n_jumps, gamma, fill):
+        model = custom_model(seed, dim, n_jumps, gamma, fill)
+        dense = build_superoperator(model)
+        nz = _generator_entries(model)
+        assert np.array_equal(bits(densified(nz)), bits(dense.matrix))
+        assert same_hex(average_damping(nz), dense_average_damping(dense))
+        expected = dense_hermiticity_residual(dense)
+        assert same_hex(hermiticity_residual(nz), expected)
+        assert same_hex(hermiticity_residual(dense), expected)
+        # a signed-permutation parity of any model, here the identity pair
+        parity = parity_from_pair(np.eye(dim), np.eye(dim))
+        assert same_hex(check_pt(nz, parity).pt_residual, dense_check_pt(dense, parity))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        delta=st.floats(-1.5, 1.5),
+        mu=st.floats(-1.0, 1.0),
+        gamma=st.floats(0.0, 5.0),
+        sector=st.sampled_from(["full", "dmz0"]),
+    )
+    def test_xxz_chains(self, n, delta, mu, gamma, sector):
+        model = xxz_model(XXZParams(n, delta, mu, gamma))
+        parity = xxz_parity(n)
+        dense = build_superoperator(model, sector_positions(n, sector))
+        expected = dense_check_pt(dense, parity)
+        assert same_hex(check_pt(dense, parity).pt_residual, expected)
+        assert same_hex(hermiticity_residual(dense), dense_hermiticity_residual(dense))
+        if sector == "full":
+            nz = _generator_entries(model)
+            assert np.array_equal(bits(densified(nz)), bits(dense.matrix))
+            assert same_hex(check_pt(nz, parity).pt_residual, expected)
+            assert same_hex(check_pt(nz, parity).gamma_bar, dense_average_damping(dense))
+
+    def test_mirror_images_outside_the_support(self, rng):
+        # rho -> E01 rho: the mirror image of each entry is absent, so the difference
+        # is nonzero on positions that the matrix lacks
+        m = np.kron(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)) * (0.3 + 0.7j)
+        sup = SuperOperator(m, 2)
+        assert same_hex(hermiticity_residual(sup), dense_hermiticity_residual(sup))
+        index = rng.permutation(4)
+        permuted = SuperOperator(m[np.ix_(index, index)], 2, index)
+        assert same_hex(hermiticity_residual(permuted), dense_hermiticity_residual(permuted))
 
 
 class TestAssemblyMemory:

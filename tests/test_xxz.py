@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlind import (
     ValidationError,
@@ -12,10 +14,14 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import site_operator, site_reversal, vec
-from ptlind.xxz import SECTORS, XXZParams, sector_basis, sector_positions, spin_current, xxz_model
+from ptlind.xxz import (
+    SECTORS, XXZParams, _hamiltonian, sector_basis, sector_positions, spin_current, xxz_model,
+)
 
 from conftest import (
     BasisConvention,
+    bits,
+    chain_hamiltonian,
     count_calls,
     _ladder_rows,
     ladder_liouvillian,
@@ -73,6 +79,22 @@ class TestModel:
                 assert str(err.value) == f"n_sites must be an integer, got {bad!r}"
             params = XXZParams(np.int64(3), 0.5, 0.0, 0.1)
             assert xxz_model(params).dim == 8
+
+
+class TestHamiltonianFromBits:
+    """H written from the basis states equals the site-operator products, bit for bit."""
+
+    DELTAS = [0.0, -0.0, 0.5, -0.7, 1.0 / 3.0, 5e-324, -5e-324, 1e-17, 1e300, -1e300]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_fixed_anisotropies(self, n):
+        for delta in self.DELTAS:
+            assert np.array_equal(bits(_hamiltonian(n, delta)), bits(chain_hamiltonian(n, delta)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), delta=st.floats(-1e300, 1e300))
+    def test_any_anisotropy(self, n, delta):
+        assert np.array_equal(bits(_hamiltonian(n, delta)), bits(chain_hamiltonian(n, delta)))
 
 
 class TestSpinCurrent:
