@@ -488,8 +488,6 @@ def _mirrored(at: np.ndarray, mirror: np.ndarray) -> np.ndarray:
 
 def _lookup(nz: _Nonzeros, where: np.ndarray) -> np.ndarray:
     """The entries of ``nz`` at the flat positions ``where``; +0 where it has none."""
-    if nz.at.size == 0:
-        return np.zeros(where.size, dtype=complex)
     slot = np.minimum(np.searchsorted(nz.at, where), nz.at.size - 1)
     return np.where(nz.at[slot] == where, nz.values[slot], 0.0)
 
