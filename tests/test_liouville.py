@@ -551,13 +551,14 @@ class TestAssemblyMemory:
         assert tracemalloc.get_traced_memory()[1] - base <= 3 * self.BLOCK
 
     def test_full_build_of_dense_factors(self, traced):
-        # every factor dense (N = 32): -i ad H, D and one term's products make three
-        # matrices; the unbuffered scatter adds no gathered copy of the touched entries
+        # every factor dense (N = 32): -i ad H and D make two matrices; a term's
+        # products come in chunks of at most 4096 (a whole term was a third matrix),
+        # and the unbuffered scatter adds no gathered copy of the touched entries
         model = custom_model(0, 32, 3, 0.3, 1.0)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         build_superoperator(model)
-        assert tracemalloc.get_traced_memory()[1] - base <= 3.25 * self.BLOCK
+        assert tracemalloc.get_traced_memory()[1] - base <= 2.25 * self.BLOCK
 
     def test_direct_block(self, model, traced):
         keep = sector_basis(5, 0)
