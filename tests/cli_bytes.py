@@ -41,6 +41,9 @@ CONFIGS = {
         "model": "xxz", "n": 5, "delta": 0.5, "mu": 1.0, "gamma": 0.02, "sector": "dmz0",
     },
     "n4_full.json": {"model": "xxz", "n": 4, "delta": 0.5, "mu": 1.0, "gamma": 0.02},
+    "n6_dmz0.json": {
+        "model": "xxz", "n": 6, "delta": 0.5, "mu": 1.0, "gamma": 0.3, "sector": "dmz0",
+    },
     # three levels, two non-Hermitian jumps scaled so that Tr D = -N^2 (perturb needs
     # it); the Hermiticity residual is nonzero at rounding level
     "custom3.json": {"model": "custom", "gamma": 0.37, "custom": {
@@ -120,6 +123,9 @@ CASES = [
     ["threshold", "--config", "n5_dmz0.json", *_BRACKET],
     ["spectrum", "--config", "n4_full.json", "--out", "eigs.csv"],
     ["check", "--config", "n4_full.json"],
+    # the largest block in the table: 924-dim, gathered from 4096^2 generator positions
+    ["spectrum", "--config", "n6_dmz0.json", "--out", "eigs.csv"],
+    ["check", "--config", "n6_dmz0.json"],
     # a custom model: complex matrices parsed from the config, no chain structure
     ["spectrum", "--config", "custom3.json", "--out", "eigs.csv"],
     ["check", "--config", "custom3.json"],
