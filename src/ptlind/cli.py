@@ -56,7 +56,8 @@ from .spectral import (
 )
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
-from .xxz import SECTORS, XXZParams, _largest_parts, sector_positions, spin_current, xxz_model
+from .xxz import SECTORS, XXZParams, _largest_parts, _refuse_long_chain, sector_positions
+from .xxz import spin_current, xxz_model
 
 __all__ = ["ModelConfig", "parse_config", "write_spectrum_csv", "run_command", "main"]
 
@@ -159,6 +160,7 @@ def parse_config(path: str) -> ModelConfig:
         n = raw.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise SchemaError("n", f"expected an integer >= 2, got {n!r}")
+        _keyed("n", _refuse_long_chain, n)
         delta = _require_number(raw, "delta")
         mu = _require_number(raw, "mu")
         if not -1.0 <= mu <= 1.0:
@@ -274,7 +276,7 @@ _BLOCK_SOLVE = _LastSolve()
 
 
 def _block_eigenvalues(cfg: ModelConfig, build) -> np.ndarray:
-    """Eigenvalues of the config's sector block, which ``build()`` assembles.
+    """Eigenvalues of the config's sector block, which ``build()`` forms.
 
     ``check`` and ``spectrum`` read the same array, so the last one solved in this
     process is kept (read-only), keyed on the config's canonical JSON text; ``build``

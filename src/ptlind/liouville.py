@@ -9,8 +9,8 @@ dissipator ``D rho = sum_m 2 L_m rho L_m^dag - L_m^dag L_m rho
                      - kron(I, (L_m^dag L_m).T)]
 
 No Kronecker product is formed: each term is scattered on the nonzeros of its
-two factors, over the full space or directly on the rows and columns of a
-sector (``_assemble``).
+two factors over the full space (``_assemble``), or summed on the entries they
+touch (``_nonzeros``), from which ``_block`` gathers every sector block.
 
 For jump operators normalised so that ``Tr D = -N^2`` (the boundary-driven
 XXZ family is), the average damping rate ``-Tr L / N^2`` equals ``gamma``
@@ -20,7 +20,7 @@ and ``D + 1`` is the traceless part of the dissipator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -176,15 +176,27 @@ def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
 _SECTOR_TOL = 1e-12
 
 
-def _refuse_leak(coupling: float, block: np.ndarray) -> None:
-    """The invariance rule of every sector block: raise :class:`SectorNotInvariant` if
-    the largest coupling between kept and dropped positions exceeds ``_SECTOR_TOL``
-    times the largest entry of the kept ``block``, of the coupling, and 1."""
-    scale = max(1.0, float(np.abs(block).max(initial=0.0)), coupling)
+def _block(nz: _Nonzeros, keep) -> np.ndarray:
+    """The block of ``nz`` on the distinct flat positions ``keep``, in their order.  Every
+    sector block is gathered here, under one invariance rule: :class:`SectorNotInvariant`
+    if the largest entry that couples a kept position to a dropped one exceeds
+    ``_SECTOR_TOL`` times the largest kept entry, that coupling, and 1."""
+    keep = _check_positions(keep, nz.hilbert_dim)
+    absent = _positions(nz.index, nz.hilbert_dim)[keep] < 0
+    if np.any(absent):
+        raise ValidationError(f"positions not in this superoperator: {keep[absent][:4].tolist()}")
+    where = _positions(keep, nz.hilbert_dim)[nz.index]  # each row's block row; -1 if dropped
+    rows, cols = where[nz.at // nz.dim], where[nz.at % nz.dim]
+    kept = (rows >= 0) & (cols >= 0)
+    block = np.zeros((keep.size, keep.size), dtype=complex)
+    block[rows[kept], cols[kept]] = nz.values[kept]
+    coupling = float(np.abs(nz.values[(rows >= 0) != (cols >= 0)]).max(initial=0.0))
+    scale = max(1.0, float(np.abs(nz.values[kept]).max(initial=0.0)), coupling)
     if coupling > _SECTOR_TOL * scale:
         raise SectorNotInvariant(
             f"cross-sector coupling {coupling:.3e} exceeds {_SECTOR_TOL:.1e} * {scale:.3e}"
         )
+    return block
 
 
 # products per chunk: a term with more is split between the nonzeros of its left factor
@@ -214,8 +226,8 @@ def _supports(terms):
 
 
 def _nonzeros(hilbert_dim: int, *term_lists) -> tuple:
-    """The entries that the terms of any of ``term_lists`` touch, as ascending flat
-    positions ``row * N^2 + col``, and each list's sums there.
+    """Each of ``term_lists`` as a full-space :class:`_Nonzeros`: its sums on the entries
+    that the terms of any of the lists touch, which all of them share.
 
     Each sum runs from +0 term by term in order, as :func:`_assemble` adds entry by
     entry.  The products are formed twice, once to mark their positions and once to
@@ -235,39 +247,17 @@ def _nonzeros(hilbert_dim: int, *term_lists) -> tuple:
             here = np.ravel_multi_index((j, k, j2, k2), shape)
             values[np.searchsorted(at, here)] += v  # a term's positions are distinct
         sums.append(values)
-    return at, sums
+    return tuple(_Nonzeros(at, v, hilbert_dim, np.arange(hilbert_dim**2)) for v in sums)
 
 
-def _assemble(terms, hilbert_dim: int, index=None) -> np.ndarray:
-    """``sum c * kron(A, B)`` over ``terms`` of ``(c, A, B)``, on the flat positions ``index``.
-
-    The full space (no ``index``) is written through an ``(N, N, N, N)`` view.  With
-    an ``index`` only its rows and columns are assembled; term entries that couple a
-    kept position to a dropped one are summed per entry, and :func:`_refuse_leak`
-    decides whether the sector is invariant.
-    """
+def _assemble(terms, hilbert_dim: int) -> np.ndarray:
+    """``sum c * kron(A, B)`` over ``terms`` of ``(c, A, B)``, N^2 x N^2, written through
+    an ``(N, N, N, N)`` view."""
     n = hilbert_dim
-    if index is None:
-        out = np.zeros((n * n, n * n), dtype=complex)
-        for j, k, j2, k2, v in _supports(terms):
-            # unbuffered: ``+=`` would first gather a copy of every touched entry
-            np.add.at(out.reshape(n, n, n, n), (j, k, j2, k2), v)
-        return out
-    index = _check_positions(index, n)
-    pos = _positions(index, n).reshape(n, n)
-    out = np.zeros((index.size, index.size), dtype=complex)
-    leak_at, leak_vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    out = np.zeros((n * n, n * n), dtype=complex)
     for j, k, j2, k2, v in _supports(terms):
-        rows, cols = pos[j, k], pos[j2, k2]
-        kept = (rows >= 0) & (cols >= 0)
-        out[rows[kept], cols[kept]] += v[kept]
-        leak = (rows >= 0) != (cols >= 0)
-        leak_at.append(np.ravel_multi_index((j, k, j2, k2), (n,) * 4)[leak])
-        leak_vals.append(v[leak])
-    entries, slot = np.unique(np.concatenate(leak_at), return_inverse=True)
-    coupling = np.zeros(entries.size, dtype=complex)
-    np.add.at(coupling, slot, np.concatenate(leak_vals))
-    _refuse_leak(float(np.abs(coupling).max(initial=0.0)), out)
+        # unbuffered: ``+=`` would first gather a copy of every touched entry
+        np.add.at(out.reshape(n, n, n, n), (j, k, j2, k2), v)
     return out
 
 
@@ -283,8 +273,11 @@ def _terms(model: LindbladModel) -> tuple:
 
 
 def _split(model: LindbladModel, index=None) -> tuple:
-    """``-i ad H`` and ``D`` as matrices on the flat positions ``index`` (default: all)."""
-    return tuple(_assemble(terms, model.dim, index) for terms in _terms(model))
+    """``-i ad H`` and ``D`` on the flat positions ``index`` (default: all); each part's
+    block must be invariant on its own, as ``a + gamma * d`` at any gamma needs."""
+    if index is None:
+        return tuple(_assemble(terms, model.dim) for terms in _terms(model))
+    return tuple(_block(part, index) for part in _nonzeros(model.dim, *_terms(model)))
 
 
 def _largest_part(a: np.ndarray) -> float:
@@ -324,6 +317,7 @@ def _refuse_large(hamiltonian: np.ndarray, lindblads, gamma: float | None = None
 def _refuse_large_parts(n: int, h: float, parts, gamma: float | None = None) -> None:
     """:func:`_refuse_large` on the largest parts themselves: ``h`` of an N x N ``H``
     and ``parts`` of the jumps."""
+    n = float(n) if n < _NORM_LIMIT else math.inf  # 2**n_sites may not convert to a float
     coherent = 2.0 * math.sqrt(2.0) * n**1.5 * h
     dissipative = sum((4.0 + 4.0 * math.sqrt(n)) * n * n * p * p for p in parts)
     if gamma is not None:
@@ -353,17 +347,18 @@ def _at_coupling(a: np.ndarray, d: np.ndarray, gamma: float, out=None) -> np.nda
 def build_superoperator(model: LindbladModel, index=None) -> SuperOperator:
     """Generator ``-i ad H + gamma D``, N^2 x N^2 or only its block on the flat positions
     ``index``, which must be invariant (:class:`SectorNotInvariant` otherwise)."""
-    a, d = _split(model, index)
-    return SuperOperator(_at_coupling(a, d, model.gamma, out=d), model.dim, index)
+    if index is None:
+        a, d = _split(model)
+        return SuperOperator(_at_coupling(a, d, model.gamma, out=d), model.dim)
+    return SuperOperator(_block(_generator_entries(model), index), model.dim, index)
 
 
 def _generator_entries(model: LindbladModel) -> _Nonzeros:
     """The full generator ``-i ad H + gamma D`` as its nonzero entries: bit-equal to
     :func:`build_superoperator`'s matrix, with no N^2 x N^2 array.  An entry that one
     part lacks is +0 there, as in the dense parts."""
-    at, (a, d) = _nonzeros(model.dim, *_terms(model))
-    values = _at_coupling(a, d, model.gamma, out=d)
-    return _Nonzeros(at, values, model.dim, np.arange(model.dim**2))
+    a, d = _nonzeros(model.dim, *_terms(model))
+    return replace(d, values=_at_coupling(a.values, d.values, model.gamma, out=d.values))
 
 
 def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:
@@ -495,25 +490,15 @@ def _lookup(nz: _Nonzeros, where: np.ndarray) -> np.ndarray:
 def sector_restrict(sup: SuperOperator, keep) -> SuperOperator:
     """Principal submatrix on the distinct flat positions ``keep`` (``j*N + k``), in order.
 
-    ``sup`` itself is returned when ``keep`` equals ``sup.index``.  The kept
-    positions must form an invariant block under the rule of the direct block
-    assembly (:func:`_refuse_leak`), or :class:`SectorNotInvariant` is raised.
+    ``sup`` itself is returned when ``keep`` equals ``sup.index``.  Otherwise the block
+    is gathered from the nonzero entries of ``sup.matrix`` under the invariance rule of
+    every sector block (:func:`_block`), or :class:`SectorNotInvariant` is raised.
     Extraction keeps the exact generator of the block, with no projector sandwiching.
     """
     keep = _check_positions(keep, sup.hilbert_dim)
-    idx = _positions(sup.index, sup.hilbert_dim)[keep]
-    if np.any(idx < 0):
-        raise ValidationError(f"positions not in this superoperator: {keep[idx < 0][:4].tolist()}")
-    if np.array_equal(idx, np.arange(sup.dim)):
+    if np.array_equal(keep, sup.index):
         return sup
-    dropped = np.setdiff1d(np.arange(sup.dim), idx)
-    block = sup.matrix[np.ix_(idx, idx)]
-    coupling = max(
-        np.abs(sup.matrix[np.ix_(idx, dropped)]).max(initial=0.0),
-        np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
-    )
-    _refuse_leak(float(coupling), block)
-    return SuperOperator(block, sup.hilbert_dim, keep)
+    return SuperOperator(_block(_entries(sup), keep), sup.hilbert_dim, keep)
 
 
 def left_identity_residual(sup: SuperOperator) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotInvolution, NotUnitary, SectorNotInvariant, ValidationError
 from .liouville import (
-    SuperOperator, _assemble, _entries, _positions, average_damping, propagator,
+    SuperOperator, _block, _entries, _nonzeros, _positions, average_damping, propagator,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -45,8 +45,8 @@ class ParitySuperOp:
     """Unitary involution ``rho -> A rho B``.
 
     The (A, B) pair is the whole parity: a block of its N^2 x N^2 matrix
-    ``kron(A, B.T)`` on invariant positions is assembled from A and B when
-    asked for, and no such matrix is kept.
+    ``kron(A, B.T)`` on invariant positions is gathered from the entries of A
+    and B when asked for, and no such matrix is kept.
     """
 
     left_op: np.ndarray
@@ -59,9 +59,11 @@ class ParitySuperOp:
         return self.left_op.shape[0]
 
     def matrix_on(self, index) -> np.ndarray:
-        """Block on the invariant flat positions ``index``, in their order, assembled there
-        alone (:class:`SectorNotInvariant` if the parity couples them to the rest)."""
-        return _assemble([(1.0, self.left_op, self.right_op.T)], self.hilbert_dim, index)
+        """Block on the invariant flat positions ``index``, in their order, gathered from
+        the entries of ``kron(A, B.T)`` (:class:`SectorNotInvariant` if the parity couples
+        them to the rest)."""
+        (entries,) = _nonzeros(self.hilbert_dim, [(1.0, self.left_op, self.right_op.T)])
+        return _block(entries, index)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x B`` for an N x N operator ``x``."""
@@ -145,7 +147,7 @@ def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.nda
 
     For a signed permutation (:func:`_signed_gather`), ``(P m P)[r, c] = s(r)
     m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
-    product would round.  Any other parity's block is assembled on ``index``
+    product would round.  Any other parity's block is gathered on ``index``
     (``matrix_on``) and multiplied in.
     """
     gather = _signed_gather(parity, index)

@@ -60,9 +60,9 @@ def _parts(params: XXZParams, sector: str) -> tuple:
     """The gamma-independent terms ``-i ad H`` and ``D`` of the generator, on ``sector``.
 
     The generator is affine in gamma, so every coupling's block is ``a + gamma * d``,
-    bit-equal to restricting the generator built at that coupling.  Each term is
-    assembled on the sector directly and must leave it invariant on its own; then so
-    does every such sum.
+    bit-equal to restricting the generator built at that coupling.  Each term's block
+    is gathered from its own entries and must be invariant on its own; then so is
+    every such sum.
     """
     keep = sector_positions(params.n_sites, sector)
     return _split(xxz_model(params), keep)

@@ -55,6 +55,7 @@ class XXZParams:
             raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 2:
             raise ValidationError(f"need at least 2 sites, got {self.n_sites}")
+        _refuse_long_chain(self.n_sites)
         if not np.isfinite(self.delta):
             raise ValidationError("anisotropy delta must be finite")
         if not -1.0 <= self.mu <= 1.0:
@@ -92,6 +93,15 @@ def _jump_operators(n: int, mu: float) -> tuple:
         0.5 * np.sqrt(1.0 - mu) * site_operator("+", n, n),
         0.5 * np.sqrt(1.0 + mu) * site_operator("-", n, n),
     )
+
+
+def _refuse_long_chain(n: int) -> None:
+    """The magnitude rule on the hopping alone, whose entries 2 are in H at any delta: a
+    chain that it refuses (as it does every chain of 1024 sites or more) is too long."""
+    try:
+        _refuse_large_parts(2 ** min(int(n), 1024), 2.0, ())
+    except ValidationError:
+        raise ValidationError(f"a chain of {n} sites overflows the generator's norms") from None
 
 
 def _largest_parts(params: XXZParams) -> tuple:

@@ -6,13 +6,13 @@ import pytest
 
 from ptlind import (
     LindbladModel,
+    SectorNotInvariant,
     SuperOperator,
     ValidationError,
     build_superoperator,
     check_pt,
     eig_biortho,
     propagator,
-    sector_restrict,
     steady_state,
     xxz_parity,
 )
@@ -29,7 +29,7 @@ from ptlind.operators import (
     unvec,
     vec,
 )
-from ptlind.liouville import _conjugate_rows, traceless_part
+from ptlind.liouville import _SECTOR_TOL, _conjugate_rows, _positions, traceless_part
 from ptlind.symmetry import _sandwich
 from ptlind.xxz import XXZParams, sector_positions, xxz_model
 
@@ -130,12 +130,33 @@ def chain_site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     return out
 
 
+def dense_sector_restrict(sup: SuperOperator, keep) -> SuperOperator:
+    """Oracle: ``sector_restrict`` on the dense matrix.  The block and its couplings to
+    the dropped positions are ``np.ix_`` gathers, and the invariance rule is applied to
+    the largest |entry| of each."""
+    keep = np.asarray(keep, dtype=np.int64)
+    idx = _positions(sup.index, sup.hilbert_dim)[keep]
+    assert np.all(idx >= 0), "positions not in this superoperator"
+    dropped = np.setdiff1d(np.arange(sup.dim), idx)
+    block = sup.matrix[np.ix_(idx, idx)]
+    coupling = float(max(
+        np.abs(sup.matrix[np.ix_(idx, dropped)]).max(initial=0.0),
+        np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
+    ))
+    scale = max(1.0, float(np.abs(block).max(initial=0.0)), coupling)
+    if coupling > _SECTOR_TOL * scale:
+        raise SectorNotInvariant(
+            f"cross-sector coupling {coupling:.3e} exceeds {_SECTOR_TOL:.1e} * {scale:.3e}"
+        )
+    return SuperOperator(block, sup.hilbert_dim, keep)
+
+
 def full_build(params, sector):
     """Oracle: the XXZ generator at ``params.gamma``, built whole and then restricted to
-    ``sector`` (``"full"`` or ``"dmz0"``)."""
+    ``sector`` (``"full"`` or ``"dmz0"``) by the dense gather."""
     sup = build_superoperator(xxz_model(params))
     keep = sector_positions(params.n_sites, sector)
-    return sup if keep is None else sector_restrict(sup, keep)
+    return sup if keep is None else dense_sector_restrict(sup, keep)
 
 
 def biortho_probe_state(params, observable, weight=0.05) -> tuple:

@@ -84,6 +84,14 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, payload))
         assert err.value.key == "mu"
 
+    @pytest.mark.parametrize("n", [400, 700, 2000])
+    def test_chain_too_long_is_keyed_n(self, tmp_path, n):
+        # refused by its length before any array exists, whatever delta is
+        with pytest.raises(SchemaError) as err:
+            parse_config(write_config(tmp_path, dict(FIG_TOP, n=n)))
+        assert err.value.key == "n"
+        assert str(err.value) == f"n: a chain of {n} sites overflows the generator's norms"
+
     def test_custom_non_hermitian_hamiltonian(self, tmp_path):
         payload = {
             "model": "custom",

@@ -24,7 +24,8 @@ from ptlind import (
     vec,
 )
 from ptlind.liouville import (
-    _NORM_LIMIT, _assemble, _conjugate_rows, _generator_entries, _refuse_large, _split,
+    _NORM_LIMIT, _assemble, _block, _conjugate_rows, _generator_entries, _nonzeros,
+    _refuse_large, _refuse_large_parts, _split,
 )
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
 from ptlind.threshold import coherence_probe_state, observable_decay
@@ -37,6 +38,7 @@ from conftest import (
     dense_average_damping,
     dense_check_pt,
     dense_hermiticity_residual,
+    dense_sector_restrict,
     kron_terms,
     random_density,
     random_hermitian,
@@ -408,14 +410,14 @@ class TestSupportAssembly:
         a, d = _split(model, keep)
         terms = (hamiltonian_superoperator(model), dissipator_superoperator(model))
         for block, term in zip((a, d), terms):
-            assert np.array_equal(bits(block), bits(sector_restrict(term, keep).matrix))
-        restricted = sector_restrict(build_superoperator(model), keep).matrix
+            assert np.array_equal(bits(block), bits(dense_sector_restrict(term, keep).matrix))
+        restricted = dense_sector_restrict(build_superoperator(model), keep).matrix
         assert np.array_equal(bits(build_superoperator(model, keep).matrix), bits(restricted))
 
     def test_permuted_positions(self, rng):
         model = random_model(rng, dim=3)
         order = rng.permutation(9)
-        restricted = sector_restrict(build_superoperator(model), order).matrix
+        restricted = dense_sector_restrict(build_superoperator(model), order).matrix
         assert np.array_equal(bits(build_superoperator(model, order).matrix), bits(restricted))
 
     def test_leaking_term_refused(self):
@@ -437,21 +439,119 @@ class TestSupportAssembly:
     def test_direct_and_restricted_blocks_share_the_invariance_rule(self, leak, refused):
         # N = 2, keep |0><0| and |1><1|.  The identity gives the kept block entries 1,
         # the second term a dropped-dropped entry 1e3, and E01 (x) I couples kept and
-        # dropped positions by ``leak``.  Both routes scale the leak by the block and
+        # dropped positions by ``leak``.  Every route scales the leak by the block and
         # the coupling only, so a dropped-only entry cannot hide it.
         eye, e00, e11 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
         terms = [(1.0, eye, eye), (1e3, e00, e11), (leak, e01, eye)]
         full = SuperOperator(_assemble(terms, 2), 2)
+        (entries,) = _nonzeros(2, terms)
         keep = [0, 3]
         if refused:
-            with pytest.raises(SectorNotInvariant):
-                sector_restrict(full, keep)
-            with pytest.raises(SectorNotInvariant):
-                _assemble(terms, 2, keep)
+            for route in (dense_sector_restrict, sector_restrict, _block):
+                with pytest.raises(SectorNotInvariant):
+                    route(entries if route is _block else full, keep)
         else:
-            block = _assemble(terms, 2, keep)
-            assert np.array_equal(bits(block), bits(sector_restrict(full, keep).matrix))
+            oracle = bits(dense_sector_restrict(full, keep).matrix)
+            assert np.array_equal(bits(_block(entries, keep)), oracle)
+            assert np.array_equal(bits(sector_restrict(full, keep).matrix), oracle)
+
+
+def outcome(route):
+    """What a block route gives: the shape and bits of each matrix it returns, or the
+    text of its refusal."""
+    try:
+        out = route()
+    except SectorNotInvariant as exc:
+        return str(exc)
+    matrices = [getattr(m, "matrix", m) for m in (out if isinstance(out, tuple) else (out,))]
+    return [(m.shape, bits(m).tobytes()) for m in matrices]
+
+
+def random_parity(seed, dim, left):
+    """A parity ``rho -> a rho b``: ``b`` swaps random pairs of levels with a shared sign,
+    and ``a`` is either such a swap (``left="swap"``) or a dense Householder reflection."""
+    rng = np.random.default_rng(seed)
+
+    def swap():
+        order, sign = rng.permutation(dim), rng.choice([-1.0, 1.0], size=dim)
+        out = np.zeros((dim, dim))
+        for i, j in zip(order[::2], order[1::2]):
+            out[i, j] = out[j, i] = sign[i]
+        if dim % 2:
+            out[order[-1], order[-1]] = sign[-1]
+        return out
+
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    a = swap() if left == "swap" else np.eye(dim) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v)
+    return parity_from_pair(a, swap())
+
+
+def assert_blocks_match_the_dense_gather(model, keep, parity, sub):
+    """Every block route against ``dense_sector_restrict`` of the full matrix: the direct
+    block, each ``_split`` part, ``sector_restrict`` of the full generator and of the
+    direct block (on ``sub``, positions of ``keep``), and the parity's block."""
+    full = build_superoperator(model)
+    assert outcome(lambda: build_superoperator(model, keep)) == outcome(
+        lambda: dense_sector_restrict(full, keep)
+    )
+    parts = (hamiltonian_superoperator(model), dissipator_superoperator(model))
+    assert outcome(lambda: _split(model, keep)) == outcome(
+        lambda: tuple(dense_sector_restrict(part, keep) for part in parts)
+    )
+    assert outcome(lambda: sector_restrict(full, keep)) == outcome(
+        lambda: dense_sector_restrict(full, keep)
+    )
+    if isinstance(outcome(lambda: build_superoperator(model, keep)), list):
+        sector = build_superoperator(model, keep)
+        assert outcome(lambda: sector_restrict(sector, sub)) == outcome(
+            lambda: dense_sector_restrict(sector, sub)
+        )
+    n = model.dim
+    kron = SuperOperator(_assemble([(1.0, parity.left_op, parity.right_op.T)], n), n)
+    assert outcome(lambda: parity.matrix_on(keep)) == outcome(
+        lambda: dense_sector_restrict(kron, keep)
+    )
+
+
+class TestBlockOracle:
+    """Each route to a sector block equals the dense gather bit for bit, or raises the
+    same :class:`SectorNotInvariant` text."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        n_jumps=st.integers(1, 3),
+        gamma=st.floats(0.0, 5.0),
+        fill=st.sampled_from([1.0, 0.4, 0.1]),
+        kind=st.sampled_from(["subset", "permutation", "sector"]),
+        left=st.sampled_from(["swap", "reflection"]),
+        data=st.data(),
+    )
+    def test_custom_models(self, seed, dim, n_jumps, gamma, fill, kind, left, data):
+        model = custom_model(seed, dim, n_jumps, gamma, fill)
+        order = np.array(data.draw(st.permutations(range(dim * dim))))
+        n_sites = dim.bit_length() - 1
+        if kind == "sector" and dim == 2**n_sites:
+            keep = sector_basis(n_sites, data.draw(st.sampled_from([0, 2, -2])))
+        elif kind == "permutation":
+            keep = order
+        else:
+            keep = order[: data.draw(st.integers(1, dim * dim))]
+        sub = np.array(data.draw(st.permutations(keep.tolist())))
+        sub = sub[: data.draw(st.integers(1, keep.size))]
+        parity = random_parity(seed, dim, left)
+        assert_blocks_match_the_dense_gather(model, keep, parity, sub)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("dmz", [0, 2, -4])
+    def test_xxz_sectors(self, n, dmz, rng):
+        # every magnetization sector is invariant under the chain and its parity
+        model = xxz_model(XXZParams(n, 0.7, 0.3, 0.4))
+        keep = sector_basis(n, dmz)
+        sub = rng.permutation(keep)[: max(1, keep.size // 2)]
+        assert_blocks_match_the_dense_gather(model, keep, xxz_parity(n), sub)
 
 
 def densified(nz) -> np.ndarray:
@@ -567,6 +667,16 @@ class TestAssemblyMemory:
         build_superoperator(model, keep)
         assert tracemalloc.get_traced_memory()[1] - base < self.BLOCK
 
+    def test_direct_block_at_six_sites(self, traced):
+        # the 924-dim block is 13.7 MB, and the N^4 mask of the generator's touched
+        # entries 16.8 MB; the two are never held at once, nor the block twice
+        model = xxz_model(XXZParams(6, 0.5, 1.0, 0.3))
+        keep = sector_basis(6, 0)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        build_superoperator(model, keep)
+        assert tracemalloc.get_traced_memory()[1] - base < 1.5 * 16 * keep.size**2
+
 
 class TestOverflowingCoupling:
     @pytest.fixture(autouse=True)
@@ -608,6 +718,11 @@ class TestMagnitudeRule:
         # the sum of the n - 1 = 2 bond terms used to overflow with numpy's warning
         with pytest.raises(ValidationError, match="Hamiltonian entries up to inf overflow"):
             xxz_model(XXZParams(3, delta, 1.0, 0.02))
+
+    def test_dimension_beyond_a_float_refused(self):
+        # 2**2000 used to raise OverflowError in its conversion to a float
+        with pytest.raises(ValidationError, match="Hamiltonian entries up to 2.000e[+]00 overflow"):
+            _refuse_large_parts(2**2000, 2.0, ())
 
     def test_huge_jump_refused(self):
         with pytest.raises(ValidationError, match="jump operator entries up to 1.000e[+]200 overflow"):

@@ -81,6 +81,14 @@ class TestModel:
             assert xxz_model(params).dim == 8
 
 
+    @pytest.mark.parametrize("n", [400, 700, 2000, np.int64(400)])
+    def test_chain_too_long_for_the_magnitude_rule(self, n):
+        # the hopping alone overflows the generator's norms; 700 and 2000 used to raise
+        # OverflowError from the float conversion of 2**n, before any array existed
+        with pytest.raises(ValidationError, match=f"a chain of {n} sites overflows"):
+            XXZParams(n, 0.0, 0.0, 0.1)
+
+
 class TestHamiltonianFromBits:
     """H written from the basis states equals the site-operator products, bit for bit."""
 
