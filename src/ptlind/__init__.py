@@ -20,23 +20,16 @@ from .liouville import (
     SuperOperator,
     average_damping,
     build_superoperator,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
     hermiticity_residual,
     left_identity_residual,
     propagator,
     sector_restrict,
     traceless_dissipator,
-    traceless_part,
 )
 from .operators import (
     dagger,
-    global_spin_flip,
-    hs_inner,
     is_hermitian,
-    kron,
     mat_exp,
-    product_map,
     site_operator,
     site_reversal,
     unvec,
@@ -47,7 +40,6 @@ from .perturbation import (
     PerturbationReport,
     VelocityReport,
     degeneracy_report,
-    heuristic_gamma_pt,
     population_matrix,
     velocity_check,
 )

@@ -10,8 +10,8 @@ Every other module builds on the two conventions fixed here:
 * Operator basis.  ``E[j, k] = |j><k|`` carries the flat row-major index
   ``j*N + k``, so vectorising an operator is ``rho.reshape(-1)`` and the map
   ``rho -> A rho B`` has the matrix ``kron(A, B.T)``.  This is the single
-  vectorisation convention used everywhere; :func:`product_map` realises it
-  and the test suite asserts it against direct operator arithmetic.
+  vectorisation convention used everywhere; the test suite asserts it against
+  direct operator arithmetic.
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ __all__ = [
     "SIGMA_PLUS",
     "SIGMA_MINUS",
     "IDENTITY_2",
-    "kron",
     "dagger",
     "is_hermitian",
-    "hs_inner",
     "site_operator",
     "site_reversal",
-    "global_spin_flip",
     "mat_exp",
     "vec",
     "unvec",
-    "product_map",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -59,18 +55,6 @@ _SITE_KINDS = {
 }
 
 
-def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{what} must be square, got shape {a.shape}")
-    return a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square complex matrices."""
-    return np.kron(_require_square(a, "kron operand"), _require_square(b, "kron operand"))
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
@@ -82,15 +66,6 @@ def is_hermitian(a: np.ndarray) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
         return False
     return bool(np.linalg.norm(a - dagger(a)) <= 1e-12 * max(1.0, np.linalg.norm(a)))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product ``tr(a^dag b)``, conjugate-linear in ``a``."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
@@ -116,14 +91,6 @@ def site_reversal(n_sites: int) -> np.ndarray:
     return r
 
 
-def global_spin_flip(n_sites: int) -> np.ndarray:
-    """Product of sigma^x over all sites (flips every spin)."""
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(n_sites):
-        out = np.kron(out, SIGMA_X)
-    return out
-
-
 @contextlib.contextmanager
 def _numerical_errors(what: str):
     """Run the block with numpy's overflow and invalid-value errors raised, each
@@ -142,7 +109,9 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     spectral radius up to 50; ``mat_exp(0)`` is exactly the identity.  An overflow
     or invalid value on the way, or a non-finite result, raises :class:`NumericalError`.
     """
-    a = _require_square(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix exponential of non-finite input")
     if not a.any():
@@ -166,12 +135,3 @@ def unvec(x: np.ndarray) -> np.ndarray:
     if dim * dim != x.size:
         raise ValidationError(f"vector of length {x.size} is not a vectorised square matrix")
     return x.reshape(dim, dim).copy()
-
-
-def product_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of the map ``rho -> a rho b`` in the row-major convention."""
-    a = _require_square(a)
-    b = _require_square(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.kron(a, b.T)

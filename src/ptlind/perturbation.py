@@ -12,10 +12,9 @@ direction); for parity-time-symmetric models V is real and symmetric, which
 is what keeps the population modes on the real axis.
 
 The module also provides finite-difference validation of eigenvalue
-velocities ``d lambda / d gamma = <v, D u>``, diagnostics for degenerate
+velocities ``d lambda / d gamma = <v, D u>`` and diagnostics for degenerate
 energies and energy gaps (the situations in which the symmetric phase can
-terminate at zero coupling), and the order-of-magnitude estimate of the
-breaking threshold from the dissipator norm and the density of states.
+terminate at zero coupling).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .liouville import (
     LindbladModel,
     SuperOperator,
     _at_coupling,
-    _require_trace_normalised,
     _split,
     traceless_dissipator,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "population_matrix",
     "velocity_check",
     "degeneracy_report",
-    "heuristic_gamma_pt",
 ]
 
 
@@ -203,26 +200,18 @@ class DegeneracyReport:
     tol: float
 
 
-def degeneracy_report(hamiltonian: np.ndarray, blocks=None) -> DegeneracyReport:
+def degeneracy_report(hamiltonian: np.ndarray) -> DegeneracyReport:
     """List energy pairs and gap pairs that agree within ``tol = 1e-9 max(1, |H|_F)``.
 
-    ``blocks``, when given, assigns a conserved quantum number to each
-    eigenstate (after sorting energies ascending); pairs and gaps are then
-    only compared within equal block labels.  Pairs come in row-major order
-    of their indices; at most the first 500 gap pairs are listed.
+    Energies are sorted ascending.  Pairs come in row-major order of their
+    indices; at most the first 500 gap pairs are listed.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if not is_hermitian(h):
         raise ValidationError("Hamiltonian is not Hermitian")
     energies = np.linalg.eigh(h)[0]
     tol = 1e-9 * max(1.0, float(np.linalg.norm(h)))
-    n = energies.size
-    if blocks is not None and len(blocks) != n:
-        raise ValidationError(f"blocks has length {len(blocks)}, expected {n}")
-    j, k = np.triu_indices(n, 1)
-    if blocks is not None:
-        same = np.asarray(blocks)[j] == np.asarray(blocks)[k]
-        j, k = j[same], k[same]
+    j, k = np.triu_indices(energies.size, 1)
     gaps = energies[k] - energies[j]
     ends = list(zip(j.tolist(), k.tolist()))
     close = np.flatnonzero(np.abs(gaps) <= tol)
@@ -233,28 +222,3 @@ def degeneracy_report(hamiltonian: np.ndarray, blocks=None) -> DegeneracyReport:
         degenerate_gap_pairs=tuple((ends[x], ends[y]) for x, y in zip(a[:500], b[:500])),
         tol=tol,
     )
-
-
-def heuristic_gamma_pt(dissipator: SuperOperator, hamiltonian: np.ndarray) -> float:
-    """Order-of-magnitude estimate of the symmetry-breaking coupling.
-
-    Computes ``1 / (|D + 1|_2 * d^2)`` with the mean level density
-    ``d = (N - 1) / (E_max - E_min)``.  ``dissipator`` must be the
-    trace-normalised dissipator (trace -N^2), to which the identity shift
-    is applied internally.  Output is an order of magnitude only; the mean
-    density is a documented convention, the spectrum being the sole input.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    n = h.shape[0]
-    if dissipator.dim != n * n:
-        raise ValidationError(
-            f"dissipator dim {dissipator.dim} does not match Hamiltonian dim {n}"
-        )
-    _require_trace_normalised(dissipator.matrix)
-    energies = np.linalg.eigh(h)[0]
-    span = float(energies[-1] - energies[0])
-    if span <= 0.0:
-        raise ValidationError("energy spectrum has zero span; density of states undefined")
-    density = (n - 1) / span
-    dp_norm = float(np.linalg.norm(dissipator.matrix + np.eye(n * n), 2))
-    return 1.0 / (dp_norm * density * density)

@@ -30,6 +30,7 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceFailure, NoZeroMode, ValidationError
 from .liouville import SuperOperator, _conjugate_rows, _largest_part
+from .symmetry import _require_same_space
 
 __all__ = [
     "SpectralDecomposition",
@@ -434,6 +435,7 @@ def pt_partner_check(dec: SpectralDecomposition, parity, gamma_bar: float) -> Pa
     Eigenvalues whose mirror images match no eigenvalue within 1e-6 of the
     spectral radius are not checked.
     """
+    _require_same_space(parity, dec.hilbert_dim)
     w = dec.eigenvalues
     p = parity.matrix_on(dec.index)
     conj = _conjugate_rows(dec.index, dec.hilbert_dim)

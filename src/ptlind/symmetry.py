@@ -65,12 +65,14 @@ class ParitySuperOp:
         (entries,) = _nonzeros(self.hilbert_dim, [(1.0, self.left_op, self.right_op.T)])
         return _block(entries, index)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``A x B`` for an N x N operator ``x``."""
-        x = np.asarray(x, dtype=complex)
-        if x.shape != self.left_op.shape:
-            raise ValidationError(f"parity acts on {self.left_op.shape} operators, got {x.shape}")
-        return self.left_op @ x @ self.right_op
+
+def _require_same_space(parity: ParitySuperOp, hilbert_dim: int) -> None:
+    """Refuse a parity built for another Hilbert space than the superoperator's."""
+    if parity.hilbert_dim != hilbert_dim:
+        raise ValidationError(
+            f"parity acts on Hilbert dimension {parity.hilbert_dim}, "
+            f"the superoperator on {hilbert_dim}"
+        )
 
 
 def parity_from_pair(a: np.ndarray, b: np.ndarray) -> ParitySuperOp:
@@ -192,6 +194,7 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     sandwich and the adjoint move entries, and only the two Frobenius norms, whose BLAS
     sums group the squares by flat position, fill one dense buffer in turn.
     """
+    _require_same_space(parity, liou.hilbert_dim)
     nz = _entries(liou)
     dim = nz.dim
     gamma_bar = average_damping(liou)
@@ -233,6 +236,7 @@ def check_inversion(liou: SuperOperator, parity: ParitySuperOp, t: float) -> flo
     Compares ``U(-t)`` against ``exp(2 gamma_bar t) P [U(t)]^dag P``; small
     only when the generator is PT-symmetric.
     """
+    _require_same_space(parity, liou.hilbert_dim)
     if not np.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     gamma_bar = average_damping(liou)

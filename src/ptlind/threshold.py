@@ -359,9 +359,11 @@ def observable_decay(
     )
 
 
-def coherence_probe_state(
-    params: XXZParams, observable: np.ndarray, weight: float = 0.05
-) -> tuple[np.ndarray, float]:
+# The probe's weight on the seeded mode: small enough to keep the state positive.
+_PROBE_WEIGHT = 0.05
+
+
+def coherence_probe_state(params: XXZParams, observable: np.ndarray) -> tuple[np.ndarray, float]:
     """Steady state plus the single decay mode that couples most to ``observable``.
 
     Returns the probe state and the mode's oscillation frequency |Im lambda|.
@@ -369,11 +371,9 @@ def coherence_probe_state(
     gives a deviation with a single frequency, so the log-linear rate fit is
     free of the slow beats that a multi-mode deviation produces; sampling at
     multiples of the half-period pi/frequency removes the oscillation from
-    the fit entirely.  ``weight`` must be small enough to keep the state
-    positive; it is checked.
+    the fit entirely.  The mode enters with weight ``_PROBE_WEIGHT``; a state that this
+    leaves non-positive is refused.
     """
-    if not np.isfinite(weight):
-        raise ValidationError(f"probe weight must be finite, got {weight}")
     obs = _observable(params, observable)
     relax = _relaxation(params)
     w, vr = relax.eigenvalues, relax.right_vectors
@@ -389,8 +389,8 @@ def coherence_probe_state(
     u = unvec(vr[:, best])
     pert = u + dagger(u)
     pert = pert / np.linalg.norm(pert, 2)
-    rho0 = relax.rho_inf + weight * pert
+    rho0 = relax.rho_inf + _PROBE_WEIGHT * pert
     rho0 = (rho0 + dagger(rho0)) / 2.0
     if np.linalg.eigvalsh(rho0).min() < -1e-12:
-        raise ValidationError(f"probe weight {weight} makes the state non-positive; reduce it")
+        raise ValidationError(f"probe weight {_PROBE_WEIGHT} makes the state non-positive")
     return rho0, float(abs(w[best].imag))

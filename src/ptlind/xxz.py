@@ -67,9 +67,6 @@ class XXZParams:
     def hilbert_dim(self) -> int:
         return 2**self.n_sites
 
-    def with_gamma(self, gamma: float) -> "XXZParams":
-        return XXZParams(self.n_sites, self.delta, self.mu, gamma)
-
 
 def _hamiltonian(n: int, delta: float) -> np.ndarray:
     """H from the bits of the basis states (site j is bit n - j, 1 = down): 2 between two

@@ -9,6 +9,7 @@ from ptlind import (
     SectorNotInvariant,
     SuperOperator,
     ValidationError,
+    average_damping,
     build_superoperator,
     check_pt,
     eig_biortho,
@@ -24,12 +25,11 @@ from ptlind.operators import (
     SIGMA_Y,
     SIGMA_Z,
     dagger,
-    global_spin_flip,
     site_operator,
     unvec,
     vec,
 )
-from ptlind.liouville import _SECTOR_TOL, _conjugate_rows, _positions, traceless_part
+from ptlind.liouville import _SECTOR_TOL, _assemble, _conjugate_rows, _positions, _terms
 from ptlind.symmetry import _sandwich
 from ptlind.xxz import XXZParams, sector_positions, xxz_model
 
@@ -83,6 +83,69 @@ def kron_terms(model: LindbladModel) -> tuple:
         dis -= np.kron(ldl, eye)
         dis -= np.kron(eye, ldl.T)
     return coherent, dis
+
+
+def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:
+    """Oracle: the coherent part ``-i ad H`` alone (independent of gamma)."""
+    return SuperOperator(_assemble(_terms(model)[0], model.dim), model.dim)
+
+
+def dissipator_superoperator(model: LindbladModel) -> SuperOperator:
+    """Oracle: the dissipator ``D`` alone (independent of gamma)."""
+    return SuperOperator(_assemble(_terms(model)[1], model.dim), model.dim)
+
+
+def traceless_part(sup: SuperOperator) -> SuperOperator:
+    """Oracle: ``sup`` shifted by its average damping, so that the result is traceless."""
+    m = sup.matrix.copy()
+    m.flat[:: sup.dim + 1] += average_damping(sup)
+    return sup.replace_matrix(m)
+
+
+def apply_superoperator(sup: SuperOperator, rho: np.ndarray) -> np.ndarray:
+    """Oracle: ``sup`` applied to the N x N operator ``rho``; ``sup`` spans the full space,
+    its positions in any order."""
+    assert sup.dim == sup.hilbert_dim**2, "apply needs a full-space superoperator"
+    out = np.empty(sup.dim, dtype=complex)
+    out[sup.index] = sup.matrix @ vec(rho)[sup.index]
+    return out.reshape(np.shape(rho))
+
+
+def apply_parity(parity, x: np.ndarray) -> np.ndarray:
+    """Oracle: the parity ``rho -> A rho B`` applied to the N x N operator ``x``."""
+    return parity.left_op @ x @ parity.right_op
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle: the Kronecker product of two square complex matrices; the left factor is
+    the more significant one, as site 1 is in the computational basis."""
+    for x in (a, b):
+        if np.ndim(x) != 2 or np.shape(x)[0] != np.shape(x)[1]:
+            raise ValidationError(f"kron operand must be square, got shape {np.shape(x)}")
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Oracle: the Hilbert-Schmidt inner product ``tr(a^dag b)``, conjugate-linear in ``a``."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+def global_spin_flip(n_sites: int) -> np.ndarray:
+    """Oracle: the product of sigma^x over all sites (flips every spin)."""
+    out = np.array([[1.0 + 0.0j]])
+    for _ in range(n_sites):
+        out = np.kron(out, SIGMA_X)
+    return out
+
+
+def product_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Oracle: the matrix ``kron(a, b.T)`` of the map ``rho -> a rho b`` in the row-major
+    vectorisation convention; the test suite checks it against direct arithmetic."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex).T)
 
 
 def chain_hamiltonian(n_sites: int, delta: float) -> np.ndarray:
@@ -159,7 +222,7 @@ def full_build(params, sector):
     return sup if keep is None else dense_sector_restrict(sup, keep)
 
 
-def biortho_probe_state(params, observable, weight=0.05) -> tuple:
+def biortho_probe_state(params, observable) -> tuple:
     """Oracle: ``coherence_probe_state`` on a fresh bi-orthonormal solve (``eig_biortho``
     and ``steady_state``) of the full-space generator; returns ``(rho0, omega)``."""
     dec = eig_biortho(build_superoperator(xxz_model(params)))
@@ -173,7 +236,7 @@ def biortho_probe_state(params, observable, weight=0.05) -> tuple:
     best = int(np.argmax(overlaps))
     u = unvec(dec.right_vectors[:, best])
     pert = u + dagger(u)
-    rho0 = rho_inf + weight * (pert / np.linalg.norm(pert, 2))
+    rho0 = rho_inf + 0.05 * (pert / np.linalg.norm(pert, 2))
     return (rho0 + dagger(rho0)) / 2.0, float(abs(dec.eigenvalues[best].imag))
 
 

@@ -13,14 +13,11 @@ from ptlind import (
     ValidationError,
     average_damping,
     build_superoperator,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
     hermiticity_residual,
     left_identity_residual,
     propagator,
     sector_restrict,
     traceless_dissipator,
-    traceless_part,
     vec,
 )
 from ptlind.liouville import (
@@ -33,17 +30,21 @@ from ptlind.symmetry import check_pt, parity_from_pair, xxz_parity
 from ptlind.xxz import XXZParams, sector_basis, sector_positions, spin_current, xxz_model
 
 from conftest import (
+    apply_superoperator,
     bits,
     count_calls,
     dense_average_damping,
     dense_check_pt,
     dense_hermiticity_residual,
     dense_sector_restrict,
+    dissipator_superoperator,
+    hamiltonian_superoperator,
     kron_terms,
     random_density,
     random_hermitian,
     random_model,
     single_qubit,
+    traceless_part,
 )
 
 
@@ -85,7 +86,8 @@ class TestBuildSuperoperator:
             for L in model.lindblads:
                 ldl = dagger(L) @ L
                 drho += gamma * (2 * L @ rho @ dagger(L) - ldl @ rho - rho @ ldl)
-            assert np.linalg.norm(sup.apply(rho) - drho) < 1e-12 * max(1.0, np.linalg.norm(drho))
+            got = apply_superoperator(sup, rho)
+            assert np.linalg.norm(got - drho) < 1e-12 * max(1.0, np.linalg.norm(drho))
 
     def test_coherent_term_is_the_commutator(self, rng):
         model = random_model(rng, dim=4)
@@ -94,16 +96,14 @@ class TestBuildSuperoperator:
         for _ in range(5):
             rho = random_density(rng, 4)
             drho = -1j * (h @ rho - rho @ h)
-            assert np.linalg.norm(coherent.apply(rho) - drho) < 1e-12 * max(1.0, np.linalg.norm(drho))
+            got = apply_superoperator(coherent, rho)
+            assert np.linalg.norm(got - drho) < 1e-12 * max(1.0, np.linalg.norm(drho))
 
     def test_is_the_affine_sum_of_its_terms(self, rng):
         for _ in range(5):
             model = random_model(rng)
-            split = (
-                hamiltonian_superoperator(model).matrix
-                + model.gamma * dissipator_superoperator(model).matrix
-            )
-            assert np.array_equal(split, build_superoperator(model).matrix)
+            a, d = _split(model)
+            assert np.array_equal(a + model.gamma * d, build_superoperator(model).matrix)
 
 
 class TestModelValidation:
@@ -145,6 +145,14 @@ class TestModelValidation:
     def test_malformed_superoperator_rejected(self, matrix, index, message):
         with pytest.raises(ValidationError, match=message):
             SuperOperator(matrix, 2, index)
+
+    @pytest.mark.parametrize("index", [[0, 5], [-1, 0], [0, 0]])
+    def test_positions_outside_the_space_or_repeated_rejected(self, index):
+        # each used to be accepted: the residual then raised IndexError, or read
+        # wrapped or repeated positions
+        message = r"^sector positions must be distinct and lie in 0\.\.3$"
+        with pytest.raises(ValidationError, match=message):
+            SuperOperator(np.eye(2), 2, index)
 
 
 class TestAverageDamping:
@@ -189,14 +197,14 @@ class TestPropagator:
     def test_single_qubit_excited_decay(self):
         sup = build_superoperator(single_qubit(gamma=0.1))
         rho0 = np.diag([1.0, 0.0]).astype(complex)  # excited = upper level
-        rho1 = propagator(sup, 1.0).apply(rho0)
+        rho1 = apply_superoperator(propagator(sup, 1.0), rho0)
         assert rho1[0, 0].real == pytest.approx(np.exp(-0.2), abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_trace_preservation(self, rng, t):
         sup = build_superoperator(random_model(rng, dim=4))
         rho0 = random_density(rng, 4)
-        rho_t = propagator(sup, t).apply(rho0)
+        rho_t = apply_superoperator(propagator(sup, t), rho0)
         assert np.trace(rho_t) == pytest.approx(1.0, abs=1e-10)
         assert np.abs(rho_t - dagger(rho_t)).max() < 1e-10
 
@@ -329,7 +337,8 @@ class TestSectorRestrict:
         sup = build_superoperator(random_model(rng, dim=3))
         permuted = sector_restrict(sup, rng.permutation(9))
         rho = random_density(rng, 3)
-        assert np.abs(permuted.apply(rho) - sup.apply(rho)).max() <= 1e-12
+        diff = apply_superoperator(permuted, rho) - apply_superoperator(sup, rho)
+        assert np.abs(diff).max() <= 1e-12
 
 
 class TestGeneratorInvariants:
@@ -355,7 +364,7 @@ class TestTracelessDissipator:
 
     def test_unnormalised_model_refused(self):
         model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="-4; rescale the jump operators"):
             traceless_dissipator(model)
 
 
@@ -385,8 +394,9 @@ class TestSupportAssembly:
     def test_equals_kron_oracle(self, seed, dim, n_jumps, gamma, fill):
         model = custom_model(seed, dim, n_jumps, gamma, fill)
         coherent, dis = kron_terms(model)
-        assert np.array_equal(hamiltonian_superoperator(model).matrix, coherent)
-        assert np.array_equal(bits(dissipator_superoperator(model).matrix), bits(dis))
+        a, d = _split(model)
+        assert np.array_equal(a, coherent)
+        assert np.array_equal(bits(d), bits(dis))
         assert np.array_equal(build_superoperator(model).matrix, coherent + gamma * dis)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -396,8 +406,9 @@ class TestSupportAssembly:
         # the dissipator and every sum with it are equal bit for bit
         model = xxz_model(XXZParams(n, 0.7, mu, 0.3))
         coherent, dis = kron_terms(model)
-        assert np.array_equal(hamiltonian_superoperator(model).matrix, coherent)
-        assert np.array_equal(bits(dissipator_superoperator(model).matrix), bits(dis))
+        a, d = _split(model)
+        assert np.array_equal(a, coherent)
+        assert np.array_equal(bits(d), bits(dis))
         for gamma in (0.0, 1e-300, 1e-6, 0.3, 7.0):
             model = xxz_model(XXZParams(n, 0.7, mu, gamma))
             built = build_superoperator(model).matrix
@@ -408,7 +419,7 @@ class TestSupportAssembly:
         model = xxz_model(XXZParams(n, 0.7, 0.6, 0.3))
         keep = sector_basis(n, 0)
         a, d = _split(model, keep)
-        terms = (hamiltonian_superoperator(model), dissipator_superoperator(model))
+        terms = tuple(SuperOperator(part, model.dim) for part in _split(model))
         for block, term in zip((a, d), terms):
             assert np.array_equal(bits(block), bits(dense_sector_restrict(term, keep).matrix))
         restricted = dense_sector_restrict(build_superoperator(model), keep).matrix
@@ -495,7 +506,7 @@ def assert_blocks_match_the_dense_gather(model, keep, parity, sub):
     assert outcome(lambda: build_superoperator(model, keep)) == outcome(
         lambda: dense_sector_restrict(full, keep)
     )
-    parts = (hamiltonian_superoperator(model), dissipator_superoperator(model))
+    parts = tuple(SuperOperator(part, model.dim) for part in _split(model))
     assert outcome(lambda: _split(model, keep)) == outcome(
         lambda: tuple(dense_sector_restrict(part, keep) for part in parts)
     )

@@ -11,12 +11,8 @@ from ptlind import (
     NumericalError,
     ValidationError,
     dagger,
-    global_spin_flip,
-    hs_inner,
     is_hermitian,
-    kron,
     mat_exp,
-    product_map,
     site_operator,
     site_reversal,
     unvec,
@@ -29,6 +25,10 @@ from conftest import (
     almost_equal,
     bits,
     chain_site_operator,
+    global_spin_flip,
+    hs_inner,
+    kron,
+    product_map,
     random_density,
     random_hermitian,
     transpose_permutation,

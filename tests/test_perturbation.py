@@ -8,18 +8,15 @@ from ptlind import (
     ValidationError,
     build_superoperator,
     degeneracy_report,
-    dissipator_superoperator,
     eig_biortho,
-    find_gamma_pt,
-    heuristic_gamma_pt,
     population_matrix,
     sector_restrict,
     velocity_check,
 )
-from ptlind.operators import SIGMA_MINUS, SIGMA_Z, site_operator
+from ptlind.operators import site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
-from conftest import single_qubit
+from conftest import dissipator_superoperator, single_qubit
 
 
 class TestPopulationMatrix:
@@ -141,11 +138,6 @@ class TestDegeneracyReport:
         assert rep.degenerate_pairs == ()
         assert ((0, 1), (1, 2)) in rep.degenerate_gap_pairs
 
-    def test_block_restriction(self):
-        # the two degenerate levels carry different conserved labels
-        rep = degeneracy_report(np.diag([0.0, 1.0, 1.0]), blocks=[0, 0, 1])
-        assert rep.degenerate_pairs == ()
-
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             degeneracy_report(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -154,19 +146,13 @@ class TestDegeneracyReport:
         with pytest.raises(ValidationError, match="not Hermitian"):
             degeneracy_report(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("n, with_blocks", [(3, False), (4, True), (5, False)])
-    def test_same_pairs_as_the_pairwise_loop(self, n, with_blocks):
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_same_pairs_as_the_pairwise_loop(self, n):
         # n = 5 has more degenerate gap pairs than the 500 listed
         h = xxz_model(XXZParams(n, 0.5, 0.0, 0.0)).hamiltonian
-        blocks = [j % 3 for j in range(2**n)] if with_blocks else None
-        rep = degeneracy_report(h, blocks=blocks)
+        rep = degeneracy_report(h)
         e = rep.energies
-        gaps = [
-            (j, k, e[k] - e[j])
-            for j in range(2**n)
-            for k in range(j + 1, 2**n)
-            if blocks is None or blocks[j] == blocks[k]
-        ]
+        gaps = [(j, k, e[k] - e[j]) for j in range(2**n) for k in range(j + 1, 2**n)]
         pairs = [(j, k) for j, k, g in gaps if abs(g) <= rep.tol]
         gap_pairs = [
             ((ja, ka), (jb, kb))
@@ -176,41 +162,6 @@ class TestDegeneracyReport:
         ][:500]
         assert rep.degenerate_pairs == tuple(pairs)
         assert rep.degenerate_gap_pairs == tuple(gap_pairs)
-
-
-class TestHeuristicThreshold:
-    def _estimate(self, n):
-        model = xxz_model(XXZParams(n, 0.5, 1.0, 1.0))
-        return heuristic_gamma_pt(dissipator_superoperator(model), model.hamiltonian)
-
-    def test_order_of_magnitude_against_bisection(self):
-        est = self._estimate(4)
-        measured = find_gamma_pt(4, 0.5, 1.0, 0.02, 0.2, rel_precision=0.05).gamma_pt
-        ratio = est / measured
-        assert 1e-2 <= ratio <= 1e2
-
-    def test_doubling_energies_quadruples_estimate(self):
-        model = xxz_model(XXZParams(3, 0.5, 1.0, 1.0))
-        dis = dissipator_superoperator(model)
-        base = heuristic_gamma_pt(dis, model.hamiltonian)
-        doubled = heuristic_gamma_pt(dis, 2.0 * model.hamiltonian)
-        assert doubled / base == pytest.approx(4.0, rel=1e-9)
-
-    def test_monotone_decrease_with_length(self):
-        estimates = [self._estimate(n) for n in (2, 3, 4)]
-        assert estimates[0] > estimates[1] > estimates[2]
-
-    def test_zero_span_rejected(self):
-        model = single_qubit(gamma=0.1)
-        dis = dissipator_superoperator(model)
-        with pytest.raises(ValidationError):
-            heuristic_gamma_pt(dis, np.eye(2))
-
-    def test_unnormalised_dissipator_refused(self):
-        # the same trace test and message as traceless_dissipator
-        model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
-        with pytest.raises(ValidationError, match="-4; rescale the jump operators"):
-            heuristic_gamma_pt(dissipator_superoperator(model), model.hamiltonian)
 
 
 def test_traceless_dissipator_shift_matches_population_matrix():

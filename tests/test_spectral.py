@@ -25,7 +25,14 @@ from ptlind.operators import site_operator
 from ptlind.spectral import _cluster_close_eigenvalues, _eig, _eigenvalues
 from ptlind.xxz import XXZParams, sector_basis, sector_positions, xxz_model
 
-from conftest import bits, count_calls, random_hermitian, random_model, single_qubit
+from conftest import (
+    apply_superoperator,
+    bits,
+    count_calls,
+    random_hermitian,
+    random_model,
+    single_qubit,
+)
 
 
 def union_find_clusters(w, tol):
@@ -226,7 +233,7 @@ class TestSteadyState:
         sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 0.0, 0.4)))
         rho = unvec(steady_state(eig_biortho(sup)))
         assert np.abs(rho - np.eye(8) / 8.0).max() < 1e-9
-        assert np.linalg.norm(sup.apply(np.eye(8, dtype=complex) / 8.0)) < 1e-12
+        assert np.linalg.norm(apply_superoperator(sup, np.eye(8, dtype=complex) / 8.0)) < 1e-12
 
     def test_left_partner_is_identity(self):
         sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 0.7, 0.2)))

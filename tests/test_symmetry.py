@@ -15,9 +15,11 @@ from ptlind import (
     build_superoperator,
     check_inversion,
     check_pt,
+    eig_biortho,
     hermiticity_residual,
     left_identity_residual,
     parity_from_pair,
+    pt_partner_check,
     sector_restrict,
     xxz_parity,
 )
@@ -26,21 +28,22 @@ from ptlind.operators import (
     SIGMA_PLUS,
     SIGMA_X,
     dagger,
-    product_map,
     site_operator,
     site_reversal,
 )
-from ptlind.liouville import traceless_part
 from ptlind.symmetry import _kron_identity_residual, _sandwich, _signed_permutation
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import (
+    apply_parity,
     bits,
     check_pt_rows,
     ladder_vectorization_map,
+    product_map,
     random_hermitian,
     row_superoperators,
     single_qubit,
+    traceless_part,
 )
 
 
@@ -78,14 +81,8 @@ class TestXXZParity:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_applied_to_identity_gives_z_string(self, n):
         p = xxz_parity(n)
-        out = p.apply(np.eye(2**n, dtype=complex))
+        out = apply_parity(p, np.eye(2**n, dtype=complex))
         assert np.abs(out - sigma_z_string(n)).max() < 1e-14
-
-    def test_apply_takes_operators_only(self):
-        p = xxz_parity(2)
-        for bad in (np.ones(16), np.ones((4, 4, 1)), np.eye(8)):
-            with pytest.raises(ValidationError, match="parity acts on \\(4, 4\\) operators"):
-                p.apply(bad)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_squares_to_identity(self, n):
@@ -366,6 +363,37 @@ class TestParityLeavingTheSector:
             check_pt(block, flip)
         with pytest.raises(SectorNotInvariant, match="cross-sector coupling"):
             check_inversion(block, flip, 0.25)
+
+
+class TestParityOfAnotherChain:
+    """A parity built for another chain length is bad input: refused with both Hilbert
+    dimensions before any gather (it used to end in IndexError, SectorNotInvariant or
+    a message about sector positions)."""
+
+    @pytest.fixture
+    def generator(self):
+        return build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, 0.3)))
+
+    @staticmethod
+    def refused(n_parity):
+        message = f"^parity acts on Hilbert dimension {2**n_parity}, the superoperator on 8$"
+        return pytest.raises(ValidationError, match=message)
+
+    @pytest.mark.parametrize("n_parity", [2, 4])
+    def test_check_pt(self, generator, n_parity):
+        with self.refused(n_parity):
+            check_pt(generator, xxz_parity(n_parity))
+
+    @pytest.mark.parametrize("n_parity", [2, 4])
+    def test_check_inversion(self, generator, n_parity):
+        with self.refused(n_parity):
+            check_inversion(generator, xxz_parity(n_parity), 0.25)
+
+    @pytest.mark.parametrize("n_parity", [2, 4])
+    def test_pt_partner_check(self, generator, n_parity):
+        dec = eig_biortho(generator)
+        with self.refused(n_parity):
+            pt_partner_check(dec, xxz_parity(n_parity), gamma_bar=0.3)
 
 
 class TestNoDenseParityProducts:
