@@ -121,6 +121,8 @@ CASES = [
     ["spectrum", "--config", "n5_dmz0.json", "--out", "eigs.csv"],
     ["check", "--config", "n5_dmz0.json"],
     ["threshold", "--config", "n5_dmz0.json", *_BRACKET],
+    # 496 energy gaps, more close gap pairs than the 500 listed; a 32 x 32 V
+    ["perturb", "--config", "n5_dmz0.json", "--out-v", "V.csv", "--out", "report.json"],
     ["spectrum", "--config", "n4_full.json", "--out", "eigs.csv"],
     ["check", "--config", "n4_full.json"],
     # the largest block in the table: 924-dim, gathered from 4096^2 generator positions
