@@ -10,7 +10,8 @@ dissipator ``D rho = sum_m 2 L_m rho L_m^dag - L_m^dag L_m rho
 
 No Kronecker product is formed: each term is scattered on the nonzeros of its
 two factors over the full space (``_assemble``), or summed on the entries they
-touch (``_nonzeros``), from which ``_block`` gathers every sector block.
+touch (``_nonzeros``), from which ``_block`` gathers every sector block.  Every
+set of positions is an ascending int64 array (``_distinct``), never a mask.
 
 For jump operators normalised so that ``Tr D = -N^2`` (the boundary-driven
 XXZ family is), the average damping rate ``-Tr L / N^2`` equals ``gamma``
@@ -19,6 +20,7 @@ and ``D + 1`` is the traceless part of the dissipator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -150,8 +152,7 @@ def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
         raise ValidationError("sector positions must be a 1-D integer array of j*N + k")
     keep = keep.astype(np.int64)
     n2 = hilbert_dim**2
-    # sorting finds repeats in a sixth of np.unique's time on 1024 positions (numpy 2.4)
-    if np.any((keep < 0) | (keep >= n2)) or np.any(np.diff(np.sort(keep)) == 0):
+    if np.any((keep < 0) | (keep >= n2)) or _distinct([keep]).size < keep.size:
         raise ValidationError(f"sector positions must be distinct and lie in 0..{n2 - 1}")
     return keep
 
@@ -208,21 +209,40 @@ def _supports(terms):
             yield j, ka, j2, kb, v
 
 
+def _distinct(chunks) -> np.ndarray:
+    """The distinct positions of a stream of int64 arrays, ascending.  The chunks gather
+    behind the result so far and are merged into it once they hold as many positions as
+    it does, so a merge reads at most twice the result and a chunk."""
+    parts, held = [np.empty(0, dtype=np.int64)], 0
+    for chunk in chunks:
+        parts.append(chunk.reshape(-1))
+        held += chunk.size
+        if held >= parts[0].size:
+            parts, held = [_merged(parts)], 0
+    return _merged(parts) if held else parts[0]
+
+
+def _merged(parts: list) -> np.ndarray:
+    """The distinct positions of ``parts``, ascending; ``parts`` is emptied to free them."""
+    merged = np.concatenate(parts)
+    parts.clear()
+    merged.sort()
+    new = np.ones(merged.size, dtype=bool)
+    new[1:] = merged[1:] != merged[:-1]
+    return merged[new]
+
+
 def _nonzeros(hilbert_dim: int, *term_lists) -> tuple:
     """Each of ``term_lists`` as a full-space :class:`_Nonzeros`: its sums on the entries
     that the terms of any of the lists touch, which all of them share.
 
     Each sum runs from +0 term by term in order, as :func:`_assemble` adds entry by
-    entry.  The products are formed twice, once to mark their positions and once to
-    add them, so that no more than a chunk of them is held at once.
+    entry.  The products are formed twice, once for their positions (:func:`_distinct`)
+    and once to add them, so that no more than a chunk of them is held at once.
     """
     shape = (hilbert_dim,) * 4
-    touched = np.zeros(hilbert_dim**4, dtype=bool)
-    for terms in term_lists:
-        for j, k, j2, k2, _ in _supports(terms):
-            touched[np.ravel_multi_index((j, k, j2, k2), shape)] = True
-    at = np.flatnonzero(touched)
-    del touched
+    supports = itertools.chain.from_iterable(map(_supports, term_lists))
+    at = _distinct(np.ravel_multi_index((j, k, j2, k2), shape) for j, k, j2, k2, _ in supports)
     sums = []
     for terms in term_lists:
         values = np.zeros(at.size, dtype=complex)
@@ -344,39 +364,30 @@ def _generator_entries(model: LindbladModel) -> _Nonzeros:
     return replace(d, values=_at_coupling(a.values, d.values, model.gamma, out=d.values))
 
 
-def _require_trace_normalised(dis: np.ndarray) -> None:
-    """Refuse a dissipator matrix whose trace is not ``-N^2`` to within ``1e-9 N^2``."""
-    n2 = dis.shape[0]
-    tr = np.trace(dis)
-    if abs(tr + n2) > 1e-9 * n2:
-        raise ValidationError(
-            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
-        )
-
-
 def traceless_dissipator(model: LindbladModel) -> SuperOperator:
     """``D + 1`` for a trace-normalised dissipator.
 
     The shift by the identity is only meaningful when ``Tr D = -N^2``; models
-    whose jump operators are not normalised that way are refused.
+    whose jump operators are not normalised that way (to within ``1e-9 N^2``) are refused.
     """
     dis = _assemble(_terms(model)[1], model.dim)
-    _require_trace_normalised(dis)
-    dis.flat[:: dis.shape[0] + 1] += 1.0
+    n2, tr = dis.shape[0], np.trace(dis)
+    if abs(tr + n2) > 1e-9 * n2:
+        raise ValidationError(
+            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
+        )
+    dis.flat[:: n2 + 1] += 1.0
     return SuperOperator(dis, model.dim)
 
 
 def average_damping(sup: SuperOperator) -> float:
     """Mean decay rate ``-Tr(matrix) / dim``; equals gamma for trace-normalised models."""
-    if isinstance(sup, _Nonzeros):
-        # the diagonal vector, zeros included, takes np.trace's pairwise sum
-        diagonal = np.zeros(sup.dim, dtype=complex)
-        on = sup.at % (sup.dim + 1) == 0
-        diagonal[sup.at[on] // (sup.dim + 1)] = sup.values[on]
-        trace = diagonal.sum()
-    else:
-        trace = np.trace(sup.matrix)
-    return float(-trace.real / sup.dim)
+    nz = _entries(sup)
+    # the diagonal vector, zeros included, takes np.trace's pairwise sum
+    diagonal = np.zeros(nz.dim, dtype=complex)
+    on = nz.at % (nz.dim + 1) == 0
+    diagonal[nz.at[on] // (nz.dim + 1)] = nz.values[on]
+    return float(-diagonal.sum().real / nz.dim)
 
 
 def propagator(sup: SuperOperator, t: float) -> SuperOperator:
@@ -423,20 +434,16 @@ def hermiticity_residual(sup: SuperOperator) -> float:
     dim = nz.dim
     mirror = _conjugate_rows(nz.index, nz.hilbert_dim)
     # entry (r, c) of the difference is conj(m[mirror r, mirror c]) - m[r, c], so it can
-    # be nonzero only where m or its mirror image is
-    touched = np.zeros(dim * dim, dtype=bool)
-    touched[nz.at] = True
-    for s in range(0, nz.at.size, _CHUNK):
-        touched[_mirrored(nz.at[s : s + _CHUNK], mirror)] = True
-    at = np.flatnonzero(touched)
-    del touched
+    # be nonzero only on the entries and on the mirror images that they lack
+    images = (_mirrored(nz.at[s : s + _CHUNK], mirror) for s in range(0, nz.at.size, _CHUNK))
+    at = _distinct(itertools.chain([nz.at], (i[~_lookup(nz, i)[1]] for i in images)))
     # each column's squares are added in row order, as np.linalg.norm(axis=0) adds the
     # rows of the dense C-ordered difference
     columns = np.zeros(dim)
     for s in range(0, at.size, _CHUNK):
         here = at[s : s + _CHUNK]
-        diff = np.conjugate(_lookup(nz, _mirrored(here, mirror)))
-        diff -= _lookup(nz, here)
+        diff = np.conjugate(_lookup(nz, _mirrored(here, mirror))[0])
+        diff -= _lookup(nz, here)[0]
         np.add.at(columns, here % dim, (diff.conj() * diff).real)
     return float(np.sqrt(columns).max())
 
@@ -447,10 +454,12 @@ def _mirrored(at: np.ndarray, mirror: np.ndarray) -> np.ndarray:
     return mirror[rows] * mirror.size + mirror[cols]
 
 
-def _lookup(nz: _Nonzeros, where: np.ndarray) -> np.ndarray:
-    """The entries of ``nz`` at the flat positions ``where``; +0 where it has none."""
+def _lookup(nz: _Nonzeros, where: np.ndarray) -> tuple:
+    """The entries of ``nz`` at the flat positions ``where`` (+0 where it has none), and
+    whether it has them."""
     slot = np.minimum(np.searchsorted(nz.at, where), nz.at.size - 1)
-    return np.where(nz.at[slot] == where, nz.values[slot], 0.0)
+    found = nz.at[slot] == where
+    return np.where(found, nz.values[slot], 0.0), found
 
 
 def sector_restrict(sup: SuperOperator, keep) -> SuperOperator:

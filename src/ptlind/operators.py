@@ -114,8 +114,6 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
         raise ValidationError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix exponential of non-finite input")
-    if not a.any():
-        return np.eye(a.shape[0], dtype=complex)
     with _numerical_errors("matrix exponential"):
         out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):

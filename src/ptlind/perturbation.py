@@ -19,6 +19,7 @@ terminate at zero coupling).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .liouville import (
     traceless_dissipator,
 )
 from .operators import is_hermitian, vec
-from .spectral import _eigenvalues, classify_cross, eig_biortho
+from .spectral import _close_pairs, _eigenvalues, classify_cross, eig_biortho
 
 __all__ = [
     "PerturbationReport",
@@ -56,18 +57,14 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 class PerturbationReport:
     """Population decay matrix and its spectrum.
 
-    ``v_matrix`` is the real part of the computed matrix; how far the raw
-    matrix was from real and from symmetric is recorded in the two defect
-    fields rather than assumed away.  ``xi`` are its eigenvalues (the
-    first-order population velocities), ``hybridization[:, a]`` the
-    corresponding eigenvector in the energy-projector basis.
+    ``v_matrix`` is the real part of the computed matrix; how far the raw matrix was from
+    real and from symmetric is recorded in the two defect fields rather than assumed away.
+    ``xi`` are its eigenvalues (the first-order population velocities), by descending real part.
     """
 
     energies: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
     v_matrix: np.ndarray = field(repr=False)
     xi: np.ndarray
-    hybridization: np.ndarray = field(repr=False)
     symmetry_defect: float
     reality_defect: float
 
@@ -76,7 +73,6 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
     """Compute V from its defining inner product in the energy eigenbasis."""
     energies, psi = np.linalg.eigh(model.hamiltonian)
     n = model.dim
-    psi = psi.copy()
     for j in range(n):
         psi[:, j] = _fix_phase(psi[:, j])
     dp = traceless_dissipator(model).matrix
@@ -84,18 +80,12 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
     v_raw = d_vecs.conj().T @ dp @ d_vecs
     reality = float(np.abs(v_raw.imag).max(initial=0.0))
     symmetry = float(np.abs(v_raw - v_raw.T).max(initial=0.0))
-    xi, hyb = np.linalg.eig(v_raw)
-    order = np.argsort(-xi.real)
-    xi = xi[order]
-    hyb = hyb[:, order]
-    for a in range(n):
-        hyb[:, a] = _fix_phase(hyb[:, a])
+    # eig, not eigvals: without the vectors LAPACK finds the values by another path
+    xi = np.linalg.eig(v_raw).eigenvalues
     return PerturbationReport(
         energies=energies,
-        eigenvectors=psi,
         v_matrix=v_raw.real,
-        xi=xi,
-        hybridization=hyb,
+        xi=xi[np.argsort(-xi.real)],
         symmetry_defect=symmetry,
         reality_defect=reality,
     )
@@ -214,11 +204,10 @@ def degeneracy_report(hamiltonian: np.ndarray) -> DegeneracyReport:
     j, k = np.triu_indices(energies.size, 1)
     gaps = energies[k] - energies[j]
     ends = list(zip(j.tolist(), k.tolist()))
-    close = np.flatnonzero(np.abs(gaps) <= tol)
-    a, b = np.nonzero(np.triu(np.abs(gaps[:, None] - gaps) <= tol, 1))
+    gap_pairs = itertools.islice(itertools.chain.from_iterable(_close_pairs(gaps, tol)), 500)
     return DegeneracyReport(
         energies=energies,
-        degenerate_pairs=tuple(ends[i] for i in close),
-        degenerate_gap_pairs=tuple((ends[x], ends[y]) for x, y in zip(a[:500], b[:500])),
+        degenerate_pairs=tuple(ends[i] for i in np.flatnonzero(np.abs(gaps) <= tol)),
+        degenerate_gap_pairs=tuple((ends[x], ends[y]) for x, y in gap_pairs),
         tol=tol,
     )

@@ -107,23 +107,26 @@ class SpectralDecomposition:
         return k not in self.clustered_indices
 
 
+def _close_pairs(x: np.ndarray, tol: float):
+    """The pairs (i, j), i < j, with ``|x_i - x_j| <= tol`` in row-major order, an (m, 2)
+    array per ``_CLUSTER_ROWS`` rows: no n x n matrix is held, and a caller can stop early."""
+    for start in range(0, x.size, _CLUSTER_ROWS):
+        near = np.abs(x[start:start + _CLUSTER_ROWS, None] - x[start:]) <= tol
+        yield np.argwhere(np.triu(near, 1)) + start
+
+
 def _cluster_close_eigenvalues(w: np.ndarray, tol: float) -> tuple:
     """Connected components of eigenvalues closer than ``tol`` to each other.
 
-    The pairs (i, j) with ``|w_i - w_j| <= tol`` are collected a block of
-    rows at a time, which keeps the n x n distance matrix out of memory, and
-    scipy labels the components of that graph.  Components of two or more come
-    back as ascending index tuples, ordered by their smallest index.
+    scipy labels the components of the graph of :func:`_close_pairs`.  Components
+    of two or more come back as ascending index tuples, ordered by their smallest index.
     """
     from scipy.sparse import coo_array  # here: at module level, +22 ms on every CLI start
     from scipy.sparse.csgraph import connected_components
 
     if w.size == 0:
         return ()
-    edges = np.concatenate([
-        np.argwhere(np.abs(w[start:start + _CLUSTER_ROWS, None] - w) <= tol) + (start, 0)
-        for start in range(0, w.size, _CLUSTER_ROWS)
-    ])
+    edges = np.concatenate(list(_close_pairs(w, tol)))
     graph = coo_array((np.ones(len(edges)), edges.T), shape=(w.size, w.size))
     labels = connected_components(graph, directed=False)[1]
     _, first, counts = np.unique(labels, return_index=True, return_counts=True)

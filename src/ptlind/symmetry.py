@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotInvolution, NotUnitary, SectorNotInvariant, ValidationError
 from .liouville import (
-    SuperOperator, _block, _entries, _nonzeros, _positions, average_damping, propagator,
+    SuperOperator, _block, _distinct, _entries, _nonzeros, _positions, average_damping, propagator,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -197,7 +197,7 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     _require_same_space(parity, liou.hilbert_dim)
     nz = _entries(liou)
     dim = nz.dim
-    gamma_bar = average_damping(liou)
+    gamma_bar = average_damping(nz)
     lp = np.zeros((dim, dim), dtype=complex)
     flat = lp.reshape(-1)
     flat[nz.at] = nz.values
@@ -210,7 +210,7 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     else:
         # L' is nonzero on the matrix's entries and the diagonal; the buffer is re-zeroed
         # there and takes P L' P + (L')^dag
-        at = np.union1d(nz.at, np.arange(dim) * (dim + 1))
+        at = _distinct([nz.at, np.arange(dim) * (dim + 1)])
         values = flat[at]
         flat[at] = 0.0
         g, inverse, sign = gather

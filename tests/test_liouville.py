@@ -21,7 +21,7 @@ from ptlind import (
     vec,
 )
 from ptlind.liouville import (
-    _NORM_LIMIT, _assemble, _block, _conjugate_rows, _generator_entries, _nonzeros,
+    _NORM_LIMIT, _assemble, _block, _conjugate_rows, _distinct, _generator_entries, _nonzeros,
     _refuse_large, _refuse_large_parts, _split,
 )
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
@@ -169,6 +169,39 @@ class TestAverageDamping:
         gamma = 0.37
         sup = build_superoperator(xxz_model(XXZParams(n, 0.5, mu, gamma)))
         assert average_damping(sup) == pytest.approx(gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("hilbert_dim", [1, 2, 3, 8, 17, 32])
+    @pytest.mark.parametrize("fill", [1.0, 0.3])
+    def test_entries_route_is_np_trace_on_dense_matrices(self, hilbert_dim, fill, rng):
+        # every input is read through its nonzero entries; the diagonal vector, zeros
+        # included, is summed as np.trace sums the dense diagonal
+        dim = hilbert_dim**2
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m[rng.random((dim, dim)) >= fill] = 0.0
+        sup = SuperOperator(m, hilbert_dim)
+        assert same_hex(average_damping(sup), dense_average_damping(sup))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_entries_route_is_np_trace_on_sector_blocks(self, n):
+        block = build_superoperator(xxz_model(XXZParams(n, 0.7, 0.4, 0.3)), sector_basis(n, 0))
+        assert same_hex(average_damping(block), dense_average_damping(block))
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chunks=st.lists(
+            st.lists(st.integers(-2**62, 2**62) | st.integers(-3, 3), max_size=40), max_size=12
+        ),
+        repeat=st.integers(1, 3),
+    )
+    def test_equals_np_unique_of_the_concatenation(self, chunks, repeat):
+        # no chunks, empty chunks and repeated ones included
+        arrays = [np.array(c, dtype=np.int64) for c in chunks] * repeat
+        got = _distinct(iter(arrays))
+        expected = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *arrays]))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
 
 
 class TestTracelessPart:
@@ -687,6 +720,16 @@ class TestAssemblyMemory:
         base = tracemalloc.get_traced_memory()[0]
         build_superoperator(model, keep)
         assert tracemalloc.get_traced_memory()[1] - base < 1.5 * 16 * keep.size**2
+
+    def test_entries_and_hermiticity_at_seven_sites(self, traced):
+        # 122,480 entries among 128^4 = 2.7e8 positions: each set of positions is an
+        # int64 array of about 1 MB, where a mask over all of them would take 256 MiB
+        model = xxz_model(XXZParams(7, 0.5, 1.0, 0.3))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        residual = hermiticity_residual(_generator_entries(model))
+        assert tracemalloc.get_traced_memory()[1] - base < 32 * 1024**2
+        assert residual <= 1e-13
 
 
 class TestOverflowingCoupling:

@@ -135,8 +135,11 @@ class TestSiteOperator:
 
 class TestMatExp:
     def test_zero_is_exact_identity(self):
-        out = mat_exp(np.zeros((5, 5)))
-        assert np.array_equal(out, np.eye(5))
+        # scipy's expm itself returns it, with +0 off the diagonal
+        for n in (0, 1, 2, 3, 5, 256):
+            out = mat_exp(np.zeros((n, n)))
+            assert out.shape == (n, n) and out.dtype == complex
+            assert np.array_equal(bits(out), bits(np.eye(n, dtype=complex)))
 
     def test_diagonal_case(self):
         theta = 0.3

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,22 +149,40 @@ class TestDegeneracyReport:
         with pytest.raises(ValidationError, match="not Hermitian"):
             degeneracy_report(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_same_pairs_as_the_pairwise_loop(self, n):
-        # n = 5 has more degenerate gap pairs than the 500 listed
-        h = xxz_model(XXZParams(n, 0.5, 0.0, 0.0)).hamiltonian
+    @pytest.mark.parametrize("h", [
+        *(xxz_model(XXZParams(n, 0.5, 0.0, 0.0)).hamiltonian for n in (3, 4, 5, 6)),
+        np.zeros((30, 30)),  # every gap pair is close: 94,395 of them
+        np.diag(np.arange(40.0)),  # equispaced levels
+        np.diag(np.arange(64.0) ** 2),  # the 500th close pair lies past the first 128 rows
+        np.diag(np.arange(3.0)),
+    ], ids=["3", "4", "5", "6", "zero30", "ladder40", "squares64", "ladder3"])
+    def test_same_pairs_as_the_pairwise_loop(self, h):
+        # all but the chains of three and four sites and the three-level ladder have more
+        # close gap pairs than the 500 listed
         rep = degeneracy_report(h)
         e = rep.energies
-        gaps = [(j, k, e[k] - e[j]) for j in range(2**n) for k in range(j + 1, 2**n)]
+        gaps = [(j, k, e[k] - e[j]) for j in range(e.size) for k in range(j + 1, e.size)]
         pairs = [(j, k) for j, k, g in gaps if abs(g) <= rep.tol]
-        gap_pairs = [
+        gap_pairs = itertools.islice((
             ((ja, ka), (jb, kb))
             for a, (ja, ka, ga) in enumerate(gaps)
             for jb, kb, gb in gaps[a + 1 :]
             if abs(ga - gb) <= rep.tol
-        ][:500]
+        ), 500)
         assert rep.degenerate_pairs == tuple(pairs)
         assert rep.degenerate_gap_pairs == tuple(gap_pairs)
+
+    def test_six_sites_hold_no_gap_by_gap_matrix(self):
+        # 2016 gaps: a 2016^2 comparison would take 4 MB as booleans, 33 MB as differences
+        h = xxz_model(XXZParams(6, 0.5, 0.0, 0.0)).hamiltonian
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = degeneracy_report(h)
+            assert tracemalloc.get_traced_memory()[1] - base < 8 * 1024**2
+        finally:
+            tracemalloc.stop()
+        assert len(rep.degenerate_gap_pairs) == 500
 
 
 def test_traceless_dissipator_shift_matches_population_matrix():
