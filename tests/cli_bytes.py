@@ -93,6 +93,9 @@ CASES = [
     ["evolve", "--config", "n4_dmz0.json", "--out", "series.csv"],
     ["scaling", "--config", "n4_dmz0.json", "--n-list", " 4 ,", "--out", "table.csv", *_BRACKET],
     ["scaling", "--config", "n4_dmz0.json", "--n-list", "", "--out", "table.csv"],
+    # two lengths, so the log-linear fit runs: n = 3 gives the tau-floor entry
+    ["scaling", "--config", "n4_dmz0.json", "--n-list", "3,4", "--out", "table.csv",
+     "--out-fit", "fit.json", *_BRACKET],
     # help pages
     ["--help"],
     *([command, "--help"] for command in
