@@ -146,10 +146,10 @@ def _entries(sup) -> _Nonzeros:
 
 
 def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
-    """``keep`` as an int64 array of distinct flat positions ``j*N + k`` in ``0..N^2 - 1``."""
+    """Non-empty ``keep`` as int64 distinct flat positions ``j*N + k`` in ``0..N^2 - 1``."""
     keep = np.asarray(keep)
-    if keep.ndim != 1 or (keep.size and keep.dtype.kind not in "iu"):
-        raise ValidationError("sector positions must be a 1-D integer array of j*N + k")
+    if keep.ndim != 1 or keep.size == 0 or keep.dtype.kind not in "iu":
+        raise ValidationError("sector positions must be a non-empty 1-D integer array of j*N + k")
     keep = keep.astype(np.int64)
     n2 = hilbert_dim**2
     if np.any((keep < 0) | (keep >= n2)) or _distinct([keep]).size < keep.size:

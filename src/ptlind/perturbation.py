@@ -32,7 +32,7 @@ from .liouville import (
     _split,
     traceless_dissipator,
 )
-from .operators import is_hermitian, vec
+from .operators import is_hermitian
 from .spectral import _close_pairs, _eigenvalues, classify_cross, eig_biortho
 
 __all__ = [
@@ -43,14 +43,6 @@ __all__ = [
     "velocity_check",
     "degeneracy_report",
 ]
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component real positive (reproducible vectors)."""
-    k = int(np.argmax(np.abs(v)))
-    if abs(v[k]) == 0.0:
-        return v
-    return v * (np.conj(v[k]) / abs(v[k]))
 
 
 @dataclass(frozen=True)
@@ -70,14 +62,15 @@ class PerturbationReport:
 
 
 def population_matrix(model: LindbladModel) -> PerturbationReport:
-    """Compute V from its defining inner product in the energy eigenbasis."""
+    """Compute V from its defining inner product in the energy eigenbasis, each eigenvector's
+    first largest-magnitude component made real positive (reproducible vectors)."""
     energies, psi = np.linalg.eigh(model.hamiltonian)
     n = model.dim
-    for j in range(n):
-        psi[:, j] = _fix_phase(psi[:, j])
-    dp = traceless_dissipator(model).matrix
-    d_vecs = np.column_stack([vec(np.outer(psi[:, j], psi[:, j].conj())) for j in range(n)])
-    v_raw = d_vecs.conj().T @ dp @ d_vecs
+    top = psi[np.argmax(np.abs(psi), axis=0), np.arange(n)]
+    # np.hypot rounds as abs() of one complex scalar does; np.abs of an array may not
+    psi *= np.conj(top) / np.hypot(top.real, top.imag)
+    d_vecs = (psi[:, None, :] * psi.conj()).reshape(n * n, n)  # column j: vec(|psi_j><psi_j|)
+    v_raw = d_vecs.conj().T @ traceless_dissipator(model).matrix @ d_vecs
     reality = float(np.abs(v_raw.imag).max(initial=0.0))
     symmetry = float(np.abs(v_raw - v_raw.T).max(initial=0.0))
     # eig, not eigvals: without the vectors LAPACK finds the values by another path

@@ -42,7 +42,7 @@ from .spectral import (
     _zero_mode,
     classify_cross,
 )
-from .xxz import XXZParams, sector_positions, xxz_model
+from .xxz import XXZParams, _require_integer, sector_positions, xxz_model
 
 __all__ = [
     "ThresholdResult",
@@ -92,7 +92,6 @@ class ThresholdResult:
     gamma_pt: float
     bracket: tuple
     evaluations: tuple
-    tau_rel: float
     sector: str
 
 
@@ -105,12 +104,11 @@ def find_gamma_pt(
     sector: str = "dmz0",
     rel_precision: float = 1e-3,
     tau_rel: float = DEFAULT_TAU_REL,
-    max_expand: int = 6,
 ) -> ThresholdResult:
     """Bisect the off-cross-empty predicate between the two couplings.
 
     ``gamma_min`` must be unbroken and ``gamma_max`` broken; if not, the
-    bracket is expanded by decades up to ``max_expand`` times per side
+    bracket is widened a decade at a time, at most six decades per side,
     before :class:`BracketInvalid` is raised.  Both ends must be finite,
     downward expansion stops before gamma would underflow to 0, and upward
     expansion stops before ``gamma * D`` would overflow.  Bisection is
@@ -138,7 +136,7 @@ def find_gamma_pt(
 
     lo, hi = float(gamma_min), float(gamma_max)
     lo_ok = probe(lo)
-    for _ in range(max_expand):
+    for _ in range(6):
         if lo_ok or lo / 10.0 == 0.0:  # a subnormal gamma_min would reach 0
             break
         lo /= 10.0
@@ -150,7 +148,7 @@ def find_gamma_pt(
             "(degenerate energy gaps break the symmetric phase at zero)"
         )
     hi_ok = probe(hi)
-    for _ in range(max_expand):
+    for _ in range(6):
         if not hi_ok or _overflows(d, hi * 10.0):
             break
         hi *= 10.0
@@ -175,7 +173,6 @@ def find_gamma_pt(
         gamma_pt=float(np.sqrt(lo * hi)),
         bracket=(lo, hi),
         evaluations=tuple(evaluations),
-        tau_rel=tau_rel,
         sector=sector,
     )
 
@@ -201,10 +198,13 @@ def scaling_study(
 ) -> ScalingResult:
     """Threshold per chain length plus the slope of ln(threshold) vs length.
 
-    Bracketing failures propagate: a chain that never breaks, or that is
-    broken at arbitrarily small coupling, has no threshold to fit.
+    Every length must be an integer (as :class:`XXZParams` requires) in 2..5, with no
+    repeats, before any bisection.  Bracketing failures propagate: a chain that never
+    breaks, or that is broken at arbitrarily small coupling, has no threshold to fit.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = list(n_list)
+    for n in n_list:
+        _require_integer(n)
     if not n_list or len(set(n_list)) != len(n_list):
         raise ValidationError(f"chain lengths must be non-empty and distinct, got {n_list}")
     if any(n < 2 or n > 5 for n in n_list):

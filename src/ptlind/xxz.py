@@ -51,8 +51,7 @@ class XXZParams:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.n_sites, (int, np.integer)):
-            raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
+        _require_integer(self.n_sites)
         if self.n_sites < 2:
             raise ValidationError(f"need at least 2 sites, got {self.n_sites}")
         _refuse_long_chain(self.n_sites)
@@ -90,6 +89,12 @@ def _jump_operators(n: int, mu: float) -> tuple:
         0.5 * np.sqrt(1.0 - mu) * site_operator("+", n, n),
         0.5 * np.sqrt(1.0 + mu) * site_operator("-", n, n),
     )
+
+
+def _require_integer(n_sites) -> None:
+    """The integer rule on a chain length."""
+    if not isinstance(n_sites, (int, np.integer)):
+        raise ValidationError(f"n_sites must be an integer, got {n_sites!r}")
 
 
 def _refuse_long_chain(n: int) -> None:

@@ -15,6 +15,7 @@ from ptlind import (
     eig_biortho,
     propagator,
     steady_state,
+    traceless_dissipator,
     xxz_parity,
 )
 from ptlind.operators import (
@@ -268,6 +269,22 @@ def count_calls(monkeypatch, target: str) -> list:
 
     monkeypatch.setattr(target, wrapper)
     return calls
+
+
+def loop_population_matrix(model: LindbladModel) -> np.ndarray:
+    """Oracle: the raw complex matrix V of ``population_matrix``, one level at a time.
+
+    Each eigenvector's largest component is made real positive, and each projector
+    ``vec(|psi_j><psi_j|)`` is an ``np.outer``; the one-pass routine must match it bit
+    for bit.
+    """
+    psi = np.linalg.eigh(model.hamiltonian)[1]
+    for j in range(model.dim):
+        v = psi[:, j]
+        k = int(np.argmax(np.abs(v)))
+        psi[:, j] = v * (np.conj(v[k]) / abs(v[k]))
+    d_vecs = np.column_stack([vec(np.outer(psi[:, j], psi[:, j].conj())) for j in range(model.dim)])
+    return d_vecs.conj().T @ traceless_dissipator(model).matrix @ d_vecs
 
 
 def bits(a: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""The functions of ``src/ptlind`` that no command and no recipe enters.
+"""The functions of ``src/ptlind`` that no command and no recipe enters, and the
+statements of the entered ones that never run.
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 COLUMNS=80 python tests/reach.py
 
 Runs every case of the byte table (``cli_bytes.py``) and the relaxation recipe of
-acceptance criterion 10 under a ``sys.setprofile`` hook, then prints each function
-defined in ``src/ptlind`` (methods and nested functions included) whose code was never
-entered, with its line count (decorators included), and the totals.  A function listed
-here is reached only by tests, if at all.
+acceptance criterion 10 under a ``sys.settrace`` hook that traces lines in
+``src/ptlind`` only.  It prints each function defined there (methods and nested
+functions included) whose code was never entered, with its line count (decorators
+included), and the totals; then, for each entered function, the first lines of its
+statements that never ran, ``raise`` statements left out, with their count.  A function
+or statement listed here is reached only by tests, if at all.
 """
 
 from __future__ import annotations
@@ -16,10 +19,42 @@ import importlib.util
 import sys
 from pathlib import Path
 
+# statement fields that hold nested statements
+_BODIES = ("body", "orelse", "finalbody", "handlers")
+
+
+def statement_spans(function: ast.AST) -> list:
+    """``(first, last)`` line spans of the statements in the body of ``function``, in
+    order; ``raise`` statements and the docstring are left out.  A statement ran when a
+    traced line falls in its span: a compound statement spans its header, a nested
+    ``def`` or ``class`` its first line (its body is another code object), and a
+    ``try`` nothing, since it runs no code of its own."""
+    spans = []
+
+    def visit(body):
+        for stmt in body:
+            if isinstance(stmt, ast.Raise):
+                continue
+            nested = [s for field in _BODIES for s in getattr(stmt, field, ())]
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+                spans.append((first, first))
+            elif not nested:
+                spans.append((stmt.lineno, stmt.end_lineno))
+            else:
+                if not isinstance(stmt, ast.Try):
+                    spans.append((stmt.lineno, max(stmt.lineno, stmt.body[0].lineno - 1)))
+                for child in nested:
+                    visit(child.body if isinstance(child, ast.ExceptHandler) else [child])
+
+    visit(function.body[1:] if ast.get_docstring(function) is not None else function.body)
+    return spans
+
 
 def defined_functions(source: Path) -> dict:
-    """``(file, first line) -> (qualified name, line count)`` of every function in the
-    package directory ``source``; the first line is a code object's ``co_firstlineno``."""
+    """``(file, first line) -> (qualified name, line count, statement spans)`` of every
+    function in the package directory ``source``; the first line is a code object's
+    ``co_firstlineno``."""
     out = {}
     for path in sorted(source.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -29,7 +64,11 @@ def defined_functions(source: Path) -> dict:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     name = f"{prefix}{child.name}"
                     first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    out[(str(path), first)] = (f"{path.stem}.{name}", child.end_lineno - first + 1)
+                    out[(str(path), first)] = (
+                        f"{path.stem}.{name}",
+                        child.end_lineno - first + 1,
+                        statement_spans(child),
+                    )
                     visit(child, f"{name}.")
                 elif isinstance(child, ast.ClassDef):
                     visit(child, f"{prefix}{child.name}.")
@@ -51,16 +90,29 @@ def relax_recipe() -> None:
     ptlind.observable_decay(params, current, rho0=rho0, t_grid=t_grid)
 
 
-def entered_code() -> set:
-    """``(file, first line)`` of every code object entered; the hook is on before the
-    package is imported, so code that runs at import counts as reached."""
-    entered = set()
+def traced_run(source: Path) -> tuple:
+    """``(file, first line)`` of every code object of ``source`` entered, and
+    ``(file, line)`` of every line of it that ran.  The hook is on before the package is
+    imported, so code that runs at import counts as reached."""
+    entered, ran, inside = set(), set(), {}
 
-    def hook(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
+    def in_source(filename: str) -> bool:
+        if filename not in inside:
+            inside[filename] = Path(filename).resolve().parent == source
+        return inside[filename]
 
-    sys.setprofile(hook)
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        if event != "call" or not in_source(frame.f_code.co_filename):
+            return None
+        entered.add(frame.f_code)
+        return trace_lines
+
+    sys.settrace(trace_calls)
     try:
         from cli_bytes import CASES, run_case
 
@@ -68,16 +120,33 @@ def entered_code() -> set:
             run_case(argv)
         relax_recipe()
     finally:
-        sys.setprofile(None)
-    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in entered}
+        sys.settrace(None)
+    files = {name: str(Path(name).resolve()) for name in inside}
+    return (
+        {(files[c.co_filename], c.co_firstlineno) for c in entered},
+        {(files[name], line) for name, line in ran},
+    )
 
 
 if __name__ == "__main__":
     source = Path(importlib.util.find_spec("ptlind").origin).resolve().parent
     functions = defined_functions(source)
-    reached = entered_code()
-    unreached = sorted((name, lines) for key, (name, lines) in functions.items() if key not in reached)
+    entered, ran = traced_run(source)
+    unreached = sorted(
+        (name, lines) for key, (name, lines, _) in functions.items() if key not in entered
+    )
     for name, lines in unreached:
         print(f"{lines:5d}  {name}")
     total = sum(lines for _, lines in unreached)
     print(f"{len(unreached)} of {len(functions)} functions, {total} lines, never entered")
+    print()
+    missed = []
+    for (path, first), (name, _, spans) in functions.items():
+        if (path, first) in entered:
+            lines = [a for a, b in spans if not any((path, x) in ran for x in range(a, b + 1))]
+            if lines:
+                missed.append((name, lines))
+    for name, lines in sorted(missed):
+        print(f"{len(lines):5d}  {name}: {', '.join(map(str, lines))}")
+    count = sum(len(lines) for _, lines in missed)
+    print(f"{count} statements in {len(missed)} entered functions never ran (raise left out)")

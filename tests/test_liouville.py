@@ -146,6 +146,24 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match=message):
             SuperOperator(matrix, 2, index)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda model: SuperOperator(np.zeros((0, 0)), 8, []),
+            lambda model: build_superoperator(model, sector_basis(3, 1)),  # no odd dmz at n = 3
+            lambda model: _split(model, []),
+            lambda model: sector_restrict(build_superoperator(model), []),
+            lambda model: xxz_parity(3).matrix_on([]),
+        ],
+        ids=["SuperOperator", "build_superoperator", "_split", "sector_restrict", "matrix_on"],
+    )
+    def test_empty_position_set_rejected(self, build):
+        # each used to return a 0 x 0 block, on which hermiticity_residual raised an
+        # untyped ValueError and average_damping divided 0 by 0
+        message = r"^sector positions must be a non-empty 1-D integer array of j\*N \+ k$"
+        with pytest.raises(ValidationError, match=message):
+            build(xxz_model(XXZParams(3, 0.5, 1.0, 0.1)))
+
     @pytest.mark.parametrize("index", [[0, 5], [-1, 0], [0, 0]])
     def test_positions_outside_the_space_or_repeated_rejected(self, index):
         # each used to be accepted: the residual then raised IndexError, or read

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptlind import (
     DegenerateAtEvaluationPoint,
@@ -19,7 +21,29 @@ from ptlind import (
 from ptlind.operators import site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
-from conftest import dissipator_superoperator, single_qubit
+from conftest import bits, dissipator_superoperator, loop_population_matrix, single_qubit
+
+# entries from a few values give repeated energies and equal-magnitude components
+_ENTRY = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _custom_models(draw) -> LindbladModel:
+    """A Hermitian H and one or two jumps of dim 2..6, scaled so that Tr D = -N^2."""
+    n = draw(st.integers(2, 6))
+
+    def matrix():
+        parts = draw(st.lists(_ENTRY, min_size=2 * n * n, max_size=2 * n * n))
+        return np.array(parts).view(complex).reshape(n, n)
+
+    h = matrix()
+    h = h + h.conj().T
+    jumps = [matrix() for _ in range(draw(st.integers(1, 2)))]
+    # Tr D = sum_L 2 |tr L|^2 - 2 N |L|_F^2
+    trace = sum(2 * abs(np.trace(L)) ** 2 - 2 * n * np.linalg.norm(L) ** 2 for L in jumps)
+    assume(trace < -1e-3)
+    scale = np.sqrt(n * n / -trace)
+    return LindbladModel(h, tuple(scale * L for L in jumps), 0.1)
 
 
 class TestPopulationMatrix:
@@ -32,6 +56,15 @@ class TestPopulationMatrix:
         assert rep.symmetry_defect == pytest.approx(2.0)  # one-sided decay is not symmetric
         xi = sorted(rep.xi.real)
         assert np.allclose(xi, [-1.0, 1.0], atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=_custom_models())
+    def test_bit_equal_to_the_loop_over_levels(self, model):
+        rep = population_matrix(model)
+        v_raw = loop_population_matrix(model)
+        assert np.array_equal(bits(rep.v_matrix), bits(v_raw.real))
+        assert rep.reality_defect == np.abs(v_raw.imag).max()
+        assert rep.symmetry_defect == np.abs(v_raw - v_raw.T).max()
 
     @pytest.mark.parametrize("n,mu", [(2, 0.0), (2, 0.5), (3, 0.5), (4, 1.0)])
     def test_xxz_real_and_symmetric(self, n, mu):

@@ -70,14 +70,15 @@ class TestFindGammaPt:
     def test_two_site_chain_never_breaks(self):
         # the six-dimensional block has a single conjugate coherence pair,
         # which the mirror symmetry pins to the vertical line at any coupling
-        with pytest.raises(BracketInvalid, match="stays on the cross"):
-            find_gamma_pt(2, 0.5, 1.0, 0.01, 10.0, max_expand=3)
+        # (checked over the fixed walk of six decades, up to gamma = 1e7)
+        with pytest.raises(BracketInvalid, match=r"up to gamma = 1\.000e\+07; .* stays on the cross"):
+            find_gamma_pt(2, 0.5, 1.0, 0.01, 10.0)
 
     def test_three_site_chain_breaks_at_zero(self):
         # mirror magnetization blocks share every gap, and a boundary jump
         # couples them at first order: off the cross at any coupling
-        with pytest.raises(BracketInvalid, match="arbitrarily small"):
-            find_gamma_pt(3, 0.5, 1.0, 0.01, 1.0, max_expand=2)
+        with pytest.raises(BracketInvalid, match=r"down to gamma = 1\.000e-06; .* arbitrarily small"):
+            find_gamma_pt(3, 0.5, 1.0, 1.0, 10.0)
 
     @pytest.mark.xfail(
         strict=True,
@@ -277,6 +278,23 @@ class TestScalingStudy:
         with pytest.raises(ValidationError) as err:
             scaling_study(n_list, 0.5, 1.0)
         assert str(err.value) == f"chain lengths must be non-empty and distinct, got {shown}"
+        assert probes == []
+
+    @pytest.mark.parametrize(
+        "n_list,message",
+        [
+            ([4.9], "n_sites must be an integer, got 4.9"),
+            (["4"], "n_sites must be an integer, got '4'"),
+            ([True, 3], "chain lengths must lie in 2..5 (desk scale), got [True, 3]"),
+        ],
+        ids=["float", "string", "bool"],
+    )
+    def test_non_integer_lengths_refused(self, monkeypatch, n_list, message):
+        # int() used to turn 4.9 and "4" into n = 4 and bisect it, and True into 1
+        probes = count_calls(monkeypatch, "ptlind.threshold.find_gamma_pt")
+        with pytest.raises(ValidationError) as err:
+            scaling_study(n_list, 0.5, 1.0)
+        assert str(err.value) == message
         assert probes == []
 
     @pytest.mark.parametrize("name", ["rel_precision", "tau_rel"])
