@@ -160,11 +160,12 @@ def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
 _SECTOR_TOL = 1e-12
 
 
-def _block(nz: _Nonzeros, keep) -> np.ndarray:
-    """The block of ``nz`` on the distinct flat positions ``keep``, in their order.  Every
-    sector block is gathered here, under one invariance rule: :class:`SectorNotInvariant`
-    if the largest entry that couples a kept position to a dropped one exceeds
-    ``_SECTOR_TOL`` times the largest kept entry, that coupling, and 1."""
+def _kept(nz: _Nonzeros, keep) -> tuple:
+    """``(rows, cols, values)`` of the entries of ``nz`` between the distinct flat
+    positions ``keep``, in block rows and columns (their order in ``keep``), under the one
+    invariance rule of every block: :class:`SectorNotInvariant` if the largest entry that
+    couples a kept position to a dropped one exceeds ``_SECTOR_TOL`` times the largest
+    kept entry, that coupling, and 1."""
     keep = _check_positions(keep, nz.hilbert_dim)
     absent = _positions(nz.index, nz.hilbert_dim)[keep] < 0
     if np.any(absent):
@@ -172,14 +173,21 @@ def _block(nz: _Nonzeros, keep) -> np.ndarray:
     where = _positions(keep, nz.hilbert_dim)[nz.index]  # each row's block row; -1 if dropped
     rows, cols = where[nz.at // nz.dim], where[nz.at % nz.dim]
     kept = (rows >= 0) & (cols >= 0)
-    block = np.zeros((keep.size, keep.size), dtype=complex)
-    block[rows[kept], cols[kept]] = nz.values[kept]
     coupling = float(np.abs(nz.values[(rows >= 0) != (cols >= 0)]).max(initial=0.0))
     scale = max(1.0, float(np.abs(nz.values[kept]).max(initial=0.0)), coupling)
     if coupling > _SECTOR_TOL * scale:
         raise SectorNotInvariant(
             f"cross-sector coupling {coupling:.3e} exceeds {_SECTOR_TOL:.1e} * {scale:.3e}"
         )
+    return rows[kept], cols[kept], nz.values[kept]
+
+
+def _block(nz: _Nonzeros, keep) -> np.ndarray:
+    """The block of ``nz`` on the distinct flat positions ``keep``, in their order: every
+    sector block is scattered here from :func:`_kept`'s entries, under its rule."""
+    rows, cols, values = _kept(nz, keep)
+    block = np.zeros((np.size(keep),) * 2, dtype=complex)
+    block[rows, cols] = values
     return block
 
 

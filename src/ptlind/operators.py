@@ -68,6 +68,12 @@ def is_hermitian(a: np.ndarray) -> bool:
     return bool(np.linalg.norm(a - dagger(a)) <= 1e-12 * max(1.0, np.linalg.norm(a)))
 
 
+def _require_integer(value, name: str = "n_sites") -> None:
+    """The integer rule on a chain length, or on the count ``name``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     """Pauli (or ladder) operator acting on one site of an ``n_sites`` chain.
 
@@ -75,6 +81,8 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     """
     if kind not in _SITE_KINDS:
         raise ValidationError(f"unknown operator kind {kind!r}")
+    _require_integer(n_sites)
+    _require_integer(site, "site")
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} out of range 1..{n_sites}")
     left = np.eye(2 ** (site - 1), dtype=complex)
@@ -84,6 +92,9 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
 
 def site_reversal(n_sites: int) -> np.ndarray:
     """Permutation that reverses the site order j <-> n+1-j."""
+    _require_integer(n_sites)
+    if n_sites < 0:
+        raise ValidationError(f"need a non-negative number of sites, got {n_sites}")
     states = np.arange(2**n_sites)
     reversed_states = sum(((states >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
     r = np.zeros((states.size, states.size), dtype=complex)

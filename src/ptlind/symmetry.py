@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvolution, NotUnitary, SectorNotInvariant, ValidationError
+from .errors import NotInvolution, NotUnitary, ValidationError
 from .liouville import (
-    SuperOperator, _block, _distinct, _entries, _nonzeros, _positions, average_damping, propagator,
+    SuperOperator, _block, _distinct, _entries, _kept, _nonzeros, average_damping, propagator,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -109,48 +109,31 @@ def _kron_identity_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(off.sum() * np.linalg.norm(y) ** 2 + np.linalg.norm(diag_blocks) ** 2))
 
 
-def _signed_permutation(x: np.ndarray) -> tuple | None:
-    """``(columns, signs)`` of a matrix whose every row holds one nonzero, +1 or -1
-    (real): row ``i`` is ``signs[i]`` at ``columns[i]``.  None for any other matrix."""
-    rows, cols = np.nonzero(x)
-    if not np.array_equal(rows, np.arange(x.shape[0])):
-        return None
-    vals = x[rows, cols]
-    if np.any(vals.imag != 0) or np.any(np.abs(vals.real) != 1):
-        return None
-    return cols, vals.real
-
-
-def _signed_gather(parity: ParitySuperOp, index: np.ndarray) -> tuple | None:
+def _signed_gather(parity: ParitySuperOp, index) -> tuple | None:
     """``P`` on the flat positions ``index`` as ``(g, inverse, sign)``: ``P[r, g(r)] =
-    sign[r]`` and ``inverse`` undoes ``g``.  None unless both ``a`` and ``b.T`` are signed
-    permutations, as ``xxz_parity``'s are.
-
-    ``P = kron(a, b.T)`` is then one too, ``P[p, pi(p)] = s(p)``, and row ``r`` maps to
-    the row ``g(r)`` that holds ``pi(index[r])``.  An image outside ``index`` raises
-    :class:`SectorNotInvariant`.
-    """
-    left, right = _signed_permutation(parity.left_op), _signed_permutation(parity.right_op.T)
-    if left is None or right is None:
+    sign[r]`` and ``inverse`` undoes ``g``.  The block's entries are read from those of
+    ``kron(A, B.T)`` under the one invariance rule (:func:`_kept`, which raises
+    :class:`SectorNotInvariant`); None unless every block row holds one of them, +1 or
+    -1, as ``xxz_parity``'s rows do."""
+    (entries,) = _nonzeros(parity.hilbert_dim, [(1.0, parity.left_op, parity.right_op.T)])
+    rows, cols, values = _kept(entries, index)
+    sign = np.zeros(np.size(index))
+    sign[rows] = values.real
+    # as many entries as rows and none left at 0: one per row
+    if rows.size != sign.size or np.any(values.imag != 0) or np.any(np.abs(sign) != 1):
         return None
-    n = parity.hilbert_dim
-    (cols_a, signs_a), (cols_bt, signs_bt) = left, right
-    j, k = np.divmod(index, n)
-    g = _positions(index, n)[cols_a[j] * n + cols_bt[k]]
-    if np.any(g < 0):
-        raise SectorNotInvariant("the parity maps kept positions outside the sector")
-    inverse = np.empty_like(g)
-    inverse[g] = np.arange(g.size)
-    return g, inverse, signs_a[j] * signs_bt[k]
+    g, inverse = np.empty_like(rows), np.empty_like(rows)
+    g[rows], inverse[cols] = cols, rows
+    return g, inverse, sign
 
 
 def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``P m P`` for a matrix ``m`` on the flat positions ``index``, which P must keep.
 
-    For a signed permutation (:func:`_signed_gather`), ``(P m P)[r, c] = s(r)
-    m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
-    product would round.  Any other parity's block is gathered on ``index``
-    (``matrix_on``) and multiplied in.
+    Where P's block is a signed permutation (:func:`_signed_gather`), ``(P m P)[r, c] =
+    s(r) m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
+    product would round.  Any other block is scattered on ``index`` (``matrix_on``) and
+    multiplied in.
     """
     gather = _signed_gather(parity, index)
     if gather is None:
@@ -205,7 +188,8 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     lp_norm = np.linalg.norm(lp)
     gather = _signed_gather(parity, nz.index)
     if gather is None:
-        diff = _sandwich(parity, lp, nz.index)
+        p = parity.matrix_on(nz.index)  # as _sandwich's product
+        diff = p @ lp @ p
         diff += dagger(lp)
     else:
         # L' is nonzero on the matrix's entries and the diagonal; the buffer is re-zeroed

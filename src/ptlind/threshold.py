@@ -30,7 +30,7 @@ from .liouville import (
     build_superoperator,
     propagator,
 )
-from .operators import _numerical_errors, dagger, is_hermitian, unvec, vec
+from .operators import _numerical_errors, _require_integer, dagger, is_hermitian, unvec, vec
 from .spectral import (
     DEFAULT_TAU_REL,
     CrossClassification,
@@ -42,7 +42,7 @@ from .spectral import (
     _zero_mode,
     classify_cross,
 )
-from .xxz import XXZParams, _require_integer, sector_positions, xxz_model
+from .xxz import XXZParams, sector_positions, xxz_model
 
 __all__ = [
     "ThresholdResult",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .liouville import LindbladModel, _refuse_large_parts
-from .operators import site_operator
+from .operators import _require_integer, site_operator
 
 __all__ = [
     "XXZParams",
@@ -91,12 +91,6 @@ def _jump_operators(n: int, mu: float) -> tuple:
     )
 
 
-def _require_integer(n_sites) -> None:
-    """The integer rule on a chain length."""
-    if not isinstance(n_sites, (int, np.integer)):
-        raise ValidationError(f"n_sites must be an integer, got {n_sites!r}")
-
-
 def _refuse_long_chain(n: int) -> None:
     """The magnitude rule on the hopping alone, whose entries 2 are in H at any delta: a
     chain that it refuses (as it does every chain of 1024 sites or more) is too long."""
@@ -131,6 +125,7 @@ def spin_current(n_sites: int) -> np.ndarray:
     Hermitian, traceless, commutes with the total magnetization, and has
     vanishing diagonal matrix elements in the energy eigenbasis.
     """
+    _require_integer(n_sites)
     if n_sites < 2:
         raise ValidationError(f"need at least 2 sites, got {n_sites}")
     j_op = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
@@ -146,6 +141,10 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
     ``dmz = 0`` is the block containing the identity, all energy-eigenbasis
     populations, the steady state, and the spin current.
     """
+    _require_integer(n_sites)
+    _require_integer(dmz, "dmz")
+    if n_sites < 1:
+        raise ValidationError(f"need at least 1 site, got {n_sites}")
     if abs(dmz) > 2 * n_sites:
         raise ValidationError(f"|dmz| = {abs(dmz)} exceeds 2n = {2 * n_sites}")
     states = np.arange(2**n_sites)
@@ -157,6 +156,7 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
 def sector_positions(n_sites: int, sector: str) -> np.ndarray | None:
     """Flat positions of a sector named in ``SECTORS``: ``sector_basis(n_sites, 0)`` for
     ``"dmz0"``, None for ``"full"``.  Any other name is refused."""
+    _require_integer(n_sites)
     if sector not in SECTORS:
         raise ValidationError(f"unknown sector {sector!r}; use {' or '.join(map(repr, SECTORS))}")
     return sector_basis(n_sites, 0) if sector == "dmz0" else None

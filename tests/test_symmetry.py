@@ -31,7 +31,7 @@ from ptlind.operators import (
     site_operator,
     site_reversal,
 )
-from ptlind.symmetry import _kron_identity_residual, _sandwich, _signed_permutation
+from ptlind.symmetry import _kron_identity_residual, _sandwich, _signed_gather
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import (
@@ -225,6 +225,12 @@ def random_unitary_involution(rng, dim):
     return (q * rng.choice([-1.0, 1.0], size=dim)) @ dagger(q)
 
 
+def i_sigma_x_pair(n):
+    """``rho -> (i sx_1) rho (i sx_n)``: each factor squares to -1, so the map is an
+    involution, and ``kron(a, b.T)`` holds -1 where the factors hold i."""
+    return parity_from_pair(1j * site_operator("x", 1, n), 1j * site_operator("x", n, n))
+
+
 def dense_sandwich(parity, m, index):
     """Oracle: ``P m P`` with P the dense ``kron(a, b.T)`` restricted to ``index``."""
     p = np.kron(parity.left_op, parity.right_op.T)[np.ix_(index, index)]
@@ -289,18 +295,27 @@ class TestFactoredParity:
         assert check_pt(sup, parity).pt_residual == residual
 
     def test_signed_permutations_are_recognised_exactly(self):
-        a = xxz_parity(3).left_op
-        cols, signs = _signed_permutation(a)
-        assert np.array_equal(a[np.arange(8), cols], signs)
-        assert set(signs) == {-1.0, 1.0}
-        assert _signed_permutation(np.diag([1.0, 1j])) is None  # a phase
-        assert _signed_permutation(np.diag([1.0, 0.5])) is None  # not a sign
-        assert _signed_permutation(np.array([[1.0, 1.0], [0.0, 1.0]])) is None  # two in a row
-        assert _signed_permutation(np.array([[0.0, 0.0], [0.0, 1.0]])) is None  # an empty row
+        # the gather reads P's block itself: the XXZ parity's and the i sigma^x pair's
+        # are signed permutations, a sigma^y flip's holds +-i
+        for parity in (xxz_parity(3), i_sigma_x_pair(3)):
+            index = np.arange(64)
+            g, inverse, sign = _signed_gather(parity, index)
+            block = parity.matrix_on(index)
+            assert np.array_equal(block[index, g], sign)
+            assert np.array_equal(inverse[g], index)
+            assert set(np.abs(sign)) == {1.0}
+        sigma_y = parity_from_pair(site_operator("y", 1, 3), np.eye(8))
+        assert _signed_gather(sigma_y, np.arange(64)) is None
+        # nor is a phase whose real part rounds to 1, or a row with a second, tiny entry
+        tilt = parity_from_pair(np.diag([1.0 + 1e-20j, 1.0]), np.eye(2))
+        leak = parity_from_pair(np.array([[1.0, 0.0], [1e-14, -1.0]]), np.eye(2))
+        for parity in (tilt, leak):
+            assert _signed_gather(parity, np.arange(4)) is None
 
     def test_other_monomial_pairs_take_the_assembled_block(self):
         # each factor is i times a permutation and squares to -1, so the map is an
-        # involution, but neither factor is a signed permutation
+        # involution; neither factor is a signed permutation, but P = kron(a, b.T) is,
+        # so the gather takes it, bit-equal to the dense products
         flip = 1j * SIGMA_X
         parity = parity_from_pair(np.kron(flip, SIGMA_X), np.kron(SIGMA_X, flip))
         m = random_matrix(np.random.default_rng(5), 16)
@@ -356,13 +371,65 @@ class TestParityLeavingTheSector:
             check_inversion(block, flip, 0.25)
 
     def test_parity_that_is_no_signed_permutation(self, block):
-        # sigma^x is a signed permutation, refused by the gather; sigma^y, i times a
-        # signed permutation, is not one, so its assembled block refuses it
+        # sigma^y, i times a signed permutation, is not one; its block is refused by
+        # the same rule as sigma^x's
         flip = parity_from_pair(site_operator("y", 1, 3), np.eye(8))
         with pytest.raises(SectorNotInvariant, match="cross-sector coupling"):
             check_pt(block, flip)
         with pytest.raises(SectorNotInvariant, match="cross-sector coupling"):
             check_inversion(block, flip, 0.25)
+
+
+class TestOneRuleForParityBlocks:
+    """The gather reads P's block under the rule of every block: it refuses exactly the
+    position sets that ``matrix_on`` refuses, with its message, and returns a map exactly
+    where that block's rows each hold one +-1."""
+
+    PARITIES = {
+        "xxz": xxz_parity,
+        "left sigma^x": lambda n: parity_from_pair(site_operator("x", 1, n), np.eye(2**n)),
+        "i sigma^x pair": i_sigma_x_pair,
+        "left sigma^y": lambda n: parity_from_pair(site_operator("y", 1, n), np.eye(2**n)),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        name=st.sampled_from(sorted(PARITIES)),
+        closed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_and_block_agree(self, n, name, closed, seed):
+        rng = np.random.default_rng(seed)
+        parity = self.PARITIES[name](n)
+        # each parity here holds one nonzero per row of kron(a, b.T): position p's image
+        rows, image = np.nonzero(np.kron(parity.left_op, parity.right_op.T))
+        assert np.array_equal(rows, np.arange(4**n))
+        drawn = rng.choice(4**n, size=rng.integers(1, 4**n + 1), replace=False)
+        positions = np.union1d(drawn, image[drawn])  # an involution's orbits: p, image[p]
+        if not closed:
+            p = rng.choice(np.flatnonzero(image != np.arange(4**n)))
+            positions = np.union1d(np.setdiff1d(positions, image[p]), [p])
+        positions = rng.permutation(positions)
+        try:
+            block = parity.matrix_on(positions)
+        except SectorNotInvariant as refusal:
+            assert not closed
+            with pytest.raises(SectorNotInvariant) as err:
+                _signed_gather(parity, positions)
+            assert str(err.value) == str(refusal)
+            return
+        assert closed
+        gather = _signed_gather(parity, positions)
+        single = np.all(np.count_nonzero(block, axis=1) == 1)
+        single = single and set(block[block != 0]) <= {1.0, -1.0}
+        assert (gather is not None) == single
+        if gather is not None:
+            g, inverse, sign = gather
+            r = np.arange(positions.size)
+            assert np.array_equal(block[r, g], sign)
+            assert np.count_nonzero(block) == positions.size
+            assert np.array_equal(inverse[g], r)
 
 
 class TestParityOfAnotherChain:

@@ -89,6 +89,42 @@ class TestModel:
             XXZParams(n, 0.0, 0.0, 0.1)
 
 
+class TestCountsAtEveryEntry:
+    """Every public function that takes a chain length, a site or a magnetization
+    difference refuses a non-integer or an out-of-range count with a ValidationError
+    that names it."""
+
+    CASES = [
+        (spin_current, (2.5,), "n_sites must be an integer, got 2.5"),
+        (spin_current, ("3",), "n_sites must be an integer, got '3'"),
+        (sector_basis, (2.5,), "n_sites must be an integer, got 2.5"),
+        (sector_positions, (2.5, "dmz0"), "n_sites must be an integer, got 2.5"),
+        (xxz_parity, (2.5,), "n_sites must be an integer, got 2.5"),
+        (site_reversal, (2.5,), "n_sites must be an integer, got 2.5"),
+        (site_operator, ("z", 1, 2.5), "n_sites must be an integer, got 2.5"),
+        (site_operator, ("z", 1.5, 3), "site must be an integer, got 1.5"),
+        (sector_basis, (3, 0.5), "dmz must be an integer, got 0.5"),
+        (site_reversal, (-1,), "need a non-negative number of sites, got -1"),
+        (sector_basis, (0,), "need at least 1 site, got 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "function, args, message",
+        CASES,
+        ids=[f"{f.__name__}{args!r}" for f, args, _ in CASES],
+    )
+    def test_refused(self, function, args, message):
+        with pytest.raises(ValidationError) as err:
+            function(*args)
+        assert str(err.value) == message
+
+    def test_smallest_counts_keep_their_results(self):
+        assert np.array_equal(site_reversal(0), np.eye(1))
+        assert np.array_equal(sector_basis(1), [0, 3])
+        assert xxz_parity(0).hilbert_dim == 1
+        assert np.array_equal(sector_basis(np.int64(2), np.int64(2)), [1, 2, 7, 11])
+
+
 class TestHamiltonianFromBits:
     """H written from the basis states equals the site-operator products, bit for bit."""
 
