@@ -24,7 +24,6 @@ from .liouville import (
     left_identity_residual,
     propagator,
     sector_restrict,
-    traceless_dissipator,
 )
 from .operators import (
     dagger,

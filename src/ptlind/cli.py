@@ -39,12 +39,11 @@ from .liouville import (
     LindbladModel,
     _generator_entries,
     _refuse_large,
-    _refuse_large_parts,
     average_damping,
     build_superoperator,
     hermiticity_residual,
 )
-from .operators import SIGMA_MINUS, SIGMA_Z, is_hermitian
+from .operators import SIGMA_MINUS, SIGMA_Z, _refuse_large_parts, _refuse_long_chain, is_hermitian
 from .perturbation import degeneracy_report, population_matrix
 from .spectral import (
     DEFAULT_TAU_REL,
@@ -56,7 +55,7 @@ from .spectral import (
 )
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
-from .xxz import SECTORS, XXZParams, _largest_parts, _refuse_long_chain, sector_positions
+from .xxz import SECTORS, XXZParams, _largest_parts, sector_positions
 from .xxz import spin_current, xxz_model
 
 __all__ = ["ModelConfig", "parse_config", "write_spectrum_csv", "run_command", "main"]

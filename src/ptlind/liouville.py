@@ -27,13 +27,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SectorNotInvariant, ValidationError
-from .operators import dagger, is_hermitian, mat_exp
+from .operators import _refuse_large_parts, dagger, is_hermitian, mat_exp
 
 __all__ = [
     "LindbladModel",
     "SuperOperator",
     "build_superoperator",
-    "traceless_dissipator",
     "average_damping",
     "propagator",
     "hermiticity_residual",
@@ -240,6 +239,17 @@ def _merged(parts: list) -> np.ndarray:
     return merged[new]
 
 
+def _sparse_sum(at_a: np.ndarray, a, at_b: np.ndarray, b) -> tuple:
+    """``(at, values)``: the distinct positions of ``at_a`` and ``at_b``, ascending, and
+    the values that a zero vector holds there after ``x[at_a] = a`` and then
+    ``x[at_b] += b``, computed as those assignments compute them."""
+    at = _distinct([at_a, at_b])
+    values = np.zeros(at.size, dtype=complex)
+    values[np.searchsorted(at, at_a)] = a
+    values[np.searchsorted(at, at_b)] += b
+    return at, values
+
+
 def _nonzeros(hilbert_dim: int, *term_lists) -> tuple:
     """Each of ``term_lists`` as a full-space :class:`_Nonzeros`: its sums on the entries
     that the terms of any of the lists touch, which all of them share.
@@ -307,11 +317,6 @@ def _overflows(d: np.ndarray, gamma: float) -> bool:
     return not math.isfinite(float(gamma) * _largest_part(d))
 
 
-# A Frobenius norm squares its entries: below this bound the norms that the library
-# takes of a generator, and of the difference of two such matrices, stay finite.
-_NORM_LIMIT = math.sqrt(np.finfo(float).max) / 4
-
-
 def _refuse_large(hamiltonian: np.ndarray, lindblads, gamma: float | None = None) -> None:
     """The magnitude rule: refuse a model whose generator norms could overflow.
 
@@ -319,27 +324,10 @@ def _refuse_large(hamiltonian: np.ndarray, lindblads, gamma: float | None = None
     ``H`` and ``l_m`` of each jump, in Python floats (which overflow to inf without a
     warning): ``|-i ad H| <= 2 sqrt(2) N^1.5 h`` and ``|D| <= sum_m (4 + 4 sqrt(N)) N^2
     l_m^2``, since ``|kron(A, B)| = |A| |B|``.  Without ``gamma`` each term must stay
-    below ``_NORM_LIMIT`` on its own; with it, ``-i ad H + gamma D`` must.
+    below ``operators._NORM_LIMIT`` on its own; with it, ``-i ad H + gamma D`` must.
     """
     parts = [_largest_part(L) for L in lindblads]
     _refuse_large_parts(hamiltonian.shape[0], _largest_part(hamiltonian), parts, gamma)
-
-
-def _refuse_large_parts(n: int, h: float, parts, gamma: float | None = None) -> None:
-    """:func:`_refuse_large` on the largest parts themselves: ``h`` of an N x N ``H``
-    and ``parts`` of the jumps."""
-    n = float(n) if n < _NORM_LIMIT else math.inf  # 2**n_sites may not convert to a float
-    coherent = 2.0 * math.sqrt(2.0) * n**1.5 * h
-    dissipative = sum((4.0 + 4.0 * math.sqrt(n)) * n * n * p * p for p in parts)
-    if gamma is not None:
-        if not coherent + float(gamma) * dissipative < _NORM_LIMIT:
-            raise ValidationError(f"coupling gamma = {gamma} overflows the generator's norms")
-    elif not coherent < _NORM_LIMIT:
-        raise ValidationError(f"Hamiltonian entries up to {h:.3e} overflow the generator's norms")
-    elif not dissipative < _NORM_LIMIT:
-        raise ValidationError(
-            f"jump operator entries up to {max(parts):.3e} overflow the generator's norms"
-        )
 
 
 def _at_coupling(a: np.ndarray, d: np.ndarray, gamma: float, out=None) -> np.ndarray:
@@ -372,30 +360,22 @@ def _generator_entries(model: LindbladModel) -> _Nonzeros:
     return replace(d, values=_at_coupling(a.values, d.values, model.gamma, out=d.values))
 
 
-def traceless_dissipator(model: LindbladModel) -> SuperOperator:
-    """``D + 1`` for a trace-normalised dissipator.
-
-    The shift by the identity is only meaningful when ``Tr D = -N^2``; models
-    whose jump operators are not normalised that way (to within ``1e-9 N^2``) are refused.
-    """
-    dis = _assemble(_terms(model)[1], model.dim)
-    n2, tr = dis.shape[0], np.trace(dis)
-    if abs(tr + n2) > 1e-9 * n2:
-        raise ValidationError(
-            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
-        )
-    dis.flat[:: n2 + 1] += 1.0
-    return SuperOperator(dis, model.dim)
-
-
 def average_damping(sup: SuperOperator) -> float:
     """Mean decay rate ``-Tr(matrix) / dim``; equals gamma for trace-normalised models."""
-    nz = _entries(sup)
-    # the diagonal vector, zeros included, takes np.trace's pairwise sum
-    diagonal = np.zeros(nz.dim, dtype=complex)
-    on = nz.at % (nz.dim + 1) == 0
-    diagonal[nz.at[on] // (nz.dim + 1)] = nz.values[on]
-    return float(-diagonal.sum().real / nz.dim)
+    return float(-_trace(sup).real / sup.dim)
+
+
+def _trace(sup) -> complex:
+    """``Tr(matrix)`` of a :class:`SuperOperator` or of its nonzero entries, summed as
+    ``np.trace`` sums it: pairwise over the diagonal vector, zeros included.  A dense
+    matrix gives a contiguous copy of its diagonal and nothing else is read."""
+    if isinstance(sup, _Nonzeros):
+        diagonal = np.zeros(sup.dim, dtype=complex)
+        on = sup.at % (sup.dim + 1) == 0
+        diagonal[sup.at[on] // (sup.dim + 1)] = sup.values[on]
+    else:
+        diagonal = np.diagonal(sup.matrix).copy()
+    return diagonal.sum()
 
 
 def propagator(sup: SuperOperator, t: float) -> SuperOperator:

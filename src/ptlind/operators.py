@@ -17,6 +17,7 @@ Every other module builds on the two conventions fixed here:
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 import scipy.linalg
@@ -74,6 +75,37 @@ def _require_integer(value, name: str = "n_sites") -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+# A Frobenius norm squares its entries: below this bound the norms that the library
+# takes of a generator, and of the difference of two such matrices, stay finite.
+_NORM_LIMIT = math.sqrt(np.finfo(float).max) / 4
+
+
+def _refuse_large_parts(n: int, h: float, parts, gamma: float | None = None) -> None:
+    """The magnitude rule (``liouville._refuse_large``) on the largest parts themselves:
+    ``h`` of an N x N ``H`` and ``parts`` of the jumps."""
+    n = float(n) if n < _NORM_LIMIT else math.inf  # 2**n_sites may not convert to a float
+    coherent = 2.0 * math.sqrt(2.0) * n**1.5 * h
+    dissipative = sum((4.0 + 4.0 * math.sqrt(n)) * n * n * p * p for p in parts)
+    if gamma is not None:
+        if not coherent + float(gamma) * dissipative < _NORM_LIMIT:
+            raise ValidationError(f"coupling gamma = {gamma} overflows the generator's norms")
+    elif not coherent < _NORM_LIMIT:
+        raise ValidationError(f"Hamiltonian entries up to {h:.3e} overflow the generator's norms")
+    elif not dissipative < _NORM_LIMIT:
+        raise ValidationError(
+            f"jump operator entries up to {max(parts):.3e} overflow the generator's norms"
+        )
+
+
+def _refuse_long_chain(n: int) -> None:
+    """The magnitude rule on the hopping alone, whose entries 2 are in H at any delta: a
+    chain that it refuses (as it does every chain of 1024 sites or more) is too long."""
+    try:
+        _refuse_large_parts(2 ** min(int(n), 1024), 2.0, ())
+    except ValidationError:
+        raise ValidationError(f"a chain of {n} sites overflows the generator's norms") from None
+
+
 def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     """Pauli (or ladder) operator acting on one site of an ``n_sites`` chain.
 
@@ -82,6 +114,7 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     if kind not in _SITE_KINDS:
         raise ValidationError(f"unknown operator kind {kind!r}")
     _require_integer(n_sites)
+    _refuse_long_chain(n_sites)
     _require_integer(site, "site")
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} out of range 1..{n_sites}")
@@ -95,6 +128,7 @@ def site_reversal(n_sites: int) -> np.ndarray:
     _require_integer(n_sites)
     if n_sites < 0:
         raise ValidationError(f"need a non-negative number of sites, got {n_sites}")
+    _refuse_long_chain(n_sites)
     states = np.arange(2**n_sites)
     reversed_states = sum(((states >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
     r = np.zeros((states.size, states.size), dtype=complex)

@@ -29,8 +29,11 @@ from .liouville import (
     LindbladModel,
     SuperOperator,
     _at_coupling,
+    _nonzeros,
+    _sparse_sum,
     _split,
-    traceless_dissipator,
+    _terms,
+    _trace,
 )
 from .operators import is_hermitian
 from .spectral import _close_pairs, _eigenvalues, classify_cross, eig_biortho
@@ -61,16 +64,52 @@ class PerturbationReport:
     reality_defect: float
 
 
+# columns of D + 1 per product with the projectors (even: see population_matrix)
+_COLUMNS = 64
+
+
 def population_matrix(model: LindbladModel) -> PerturbationReport:
     """Compute V from its defining inner product in the energy eigenbasis, each eigenvector's
-    first largest-magnitude component made real positive (reproducible vectors)."""
+    first largest-magnitude component made real positive (reproducible vectors).
+
+    ``D + 1`` is meaningful only when ``Tr D = -N^2``; models whose jump operators are not
+    normalised that way (to within ``1e-9 N^2``) are refused.  Its N^2 x N^2 matrix is
+    never formed: ``d_vecs^H (D + 1)`` is taken a block of ``_COLUMNS`` columns at a time,
+    each scattered from the dissipator's nonzero entries into one reused zeroed block.
+    """
+    (dis,) = _nonzeros(model.dim, _terms(model)[1])
+    n2, tr = dis.dim, _trace(dis)
+    if abs(tr + n2) > 1e-9 * n2:
+        raise ValidationError(
+            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
+        )
+    at, values = _sparse_sum(dis.at, dis.values, np.arange(n2) * (n2 + 1), 1.0)
+    rows, cols = np.divmod(at, n2)
+    order = np.argsort(cols)
+    rows, cols, values = rows[order], cols[order], values[order]
     energies, psi = np.linalg.eigh(model.hamiltonian)
     n = model.dim
     top = psi[np.argmax(np.abs(psi), axis=0), np.arange(n)]
     # np.hypot rounds as abs() of one complex scalar does; np.abs of an array may not
     psi *= np.conj(top) / np.hypot(top.real, top.imag)
     d_vecs = (psi[:, None, :] * psi.conj()).reshape(n * n, n)  # column j: vec(|psi_j><psi_j|)
-    v_raw = d_vecs.conj().T @ traceless_dissipator(model).matrix @ d_vecs
+    left = d_vecs.conj().T
+    # V keeps its bits: each product still sums over all N^2 rows, and as OpenBLAS's
+    # zgemm takes columns in pairs, every block but the last is _COLUMNS (even) wide, so
+    # each column meets the kernel that it meets in one product.  A last single column
+    # joins the block before it, where numpy would take it through a matrix-vector product
+    edges = list(range(0, n2, _COLUMNS)) + [n2]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    bounds = np.searchsorted(cols, edges)
+    block = np.zeros((n2, _COLUMNS + 1), dtype=complex)
+    product = np.empty((n, n2), dtype=complex)
+    for start, stop, lo, hi in zip(edges[:-1], edges[1:], bounds[:-1], bounds[1:]):
+        r, c = rows[lo:hi], cols[lo:hi] - start
+        block[r, c] = values[lo:hi]
+        np.matmul(left, block[:, : stop - start], out=product[:, start:stop])
+        block[r, c] = 0.0
+    v_raw = product @ d_vecs
     reality = float(np.abs(v_raw.imag).max(initial=0.0))
     symmetry = float(np.abs(v_raw - v_raw.T).max(initial=0.0))
     # eig, not eigvals: without the vectors LAPACK finds the values by another path

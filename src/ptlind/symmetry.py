@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotInvolution, NotUnitary, ValidationError
 from .liouville import (
-    SuperOperator, _block, _distinct, _entries, _kept, _nonzeros, average_damping, propagator,
+    SuperOperator, _block, _entries, _kept, _nonzeros, _sparse_sum, average_damping, propagator,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -109,19 +109,22 @@ def _kron_identity_residual(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(off.sum() * np.linalg.norm(y) ** 2 + np.linalg.norm(diag_blocks) ** 2))
 
 
-def _signed_gather(parity: ParitySuperOp, index) -> tuple | None:
-    """``P`` on the flat positions ``index`` as ``(g, inverse, sign)``: ``P[r, g(r)] =
-    sign[r]`` and ``inverse`` undoes ``g``.  The block's entries are read from those of
+def _parity_block(parity: ParitySuperOp, index):
+    """``P`` on the flat positions ``index``, its entries read once, from those of
     ``kron(A, B.T)`` under the one invariance rule (:func:`_kept`, which raises
-    :class:`SectorNotInvariant`); None unless every block row holds one of them, +1 or
-    -1, as ``xxz_parity``'s rows do."""
+    :class:`SectorNotInvariant`).  Where every block row holds one of them, +1 or -1, as
+    ``xxz_parity``'s rows do, the block is the signed permutation ``(g, inverse, sign)``:
+    ``P[r, g(r)] = sign[r]`` and ``inverse`` undoes ``g``.  Any other block is returned
+    dense, as ``matrix_on`` scatters it."""
     (entries,) = _nonzeros(parity.hilbert_dim, [(1.0, parity.left_op, parity.right_op.T)])
     rows, cols, values = _kept(entries, index)
     sign = np.zeros(np.size(index))
     sign[rows] = values.real
     # as many entries as rows and none left at 0: one per row
     if rows.size != sign.size or np.any(values.imag != 0) or np.any(np.abs(sign) != 1):
-        return None
+        block = np.zeros((sign.size, sign.size), dtype=complex)
+        block[rows, cols] = values
+        return block
     g, inverse = np.empty_like(rows), np.empty_like(rows)
     g[rows], inverse[cols] = cols, rows
     return g, inverse, sign
@@ -130,16 +133,14 @@ def _signed_gather(parity: ParitySuperOp, index) -> tuple | None:
 def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
     """``P m P`` for a matrix ``m`` on the flat positions ``index``, which P must keep.
 
-    Where P's block is a signed permutation (:func:`_signed_gather`), ``(P m P)[r, c] =
+    Where P's block is a signed permutation (:func:`_parity_block`), ``(P m P)[r, c] =
     s(r) m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
-    product would round.  Any other block is scattered on ``index`` (``matrix_on``) and
-    multiplied in.
+    product would round.  Any other block is multiplied in.
     """
-    gather = _signed_gather(parity, index)
-    if gather is None:
-        p = parity.matrix_on(index)
+    p = _parity_block(parity, index)
+    if isinstance(p, np.ndarray):
         return p @ m @ p
-    g, inverse, sign = gather
+    g, inverse, sign = p
     out = m[np.ix_(g, inverse)]
     parts = out.view(np.float64).reshape(g.size, g.size, 2)  # real signs flip both parts
     parts *= sign[:, None, None]
@@ -170,44 +171,66 @@ class SymmetryReport:
     gamma_bar: float
 
 
+# positions per group of ``_grouped_norm``: a multiple of the four that OpenBLAS's
+# strided ``ddot`` adds at once
+_GROUP = 64
+
+
+def _grouped_norm(at: np.ndarray, values: np.ndarray, size: int) -> float:
+    """``np.linalg.norm`` of the length-``size`` vector that holds ``values`` at the
+    ascending distinct positions ``at`` and +0 elsewhere, bit for bit, with no such vector.
+
+    The norm of a complex vector is ``x.real . x.real + x.imag . x.imag``: two BLAS
+    ``ddot`` at stride 2, whose OpenBLAS kernel adds its products in aligned groups of four
+    positions and the last ``size % 4`` one by one.  A group of zeros adds exactly +0, so
+    the aligned groups of ``_GROUP`` positions that hold an entry are copied, in order,
+    into a small buffer, and the vector's last ``size % _GROUP`` positions stay a tail of
+    that length.  At more than one BLAS thread OpenBLAS splits a long ``ddot`` by its
+    length, and the last bits may differ.
+    """
+    group = at // _GROUP
+    new = np.ones(at.size, dtype=bool)
+    new[1:] = group[1:] != group[:-1]
+    buffer = np.zeros(np.count_nonzero(new) * _GROUP, dtype=complex)
+    buffer[(np.cumsum(new) - 1) * _GROUP + at % _GROUP] = values
+    if at.size and group[-1] == size // _GROUP:  # the partial last group
+        buffer = buffer[: buffer.size - _GROUP + size % _GROUP]
+    return float(np.linalg.norm(buffer))
+
+
 def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     """Relative residual of ``(L')^dag = - P L' P`` for the traceless part.
 
-    ``liou`` may also be a generator's nonzero entries (``_generator_entries``): the
-    sandwich and the adjoint move entries, and only the two Frobenius norms, whose BLAS
-    sums group the squares by flat position, fill one dense buffer in turn.
+    ``liou`` may also be a generator's nonzero entries (``_generator_entries``).  Where
+    P's block is a signed permutation, the sandwich and the adjoint move entries, and the
+    two Frobenius norms, whose BLAS sums group the squares by flat position, are taken on
+    the groups that hold them (:func:`_grouped_norm`): no dim x dim array is formed.
     """
     _require_same_space(parity, liou.hilbert_dim)
     nz = _entries(liou)
     dim = nz.dim
     gamma_bar = average_damping(nz)
-    lp = np.zeros((dim, dim), dtype=complex)
-    flat = lp.reshape(-1)
-    flat[nz.at] = nz.values
-    flat[:: dim + 1] += gamma_bar  # L', as traceless_part forms it
-    lp_norm = np.linalg.norm(lp)
-    gather = _signed_gather(parity, nz.index)
-    if gather is None:
-        p = parity.matrix_on(nz.index)  # as _sandwich's product
-        diff = p @ lp @ p
+    # L', as traceless_part forms it: nonzero on the matrix's entries and the diagonal
+    at, values = _sparse_sum(nz.at, nz.values, np.arange(dim) * (dim + 1), gamma_bar)
+    lp_norm = _grouped_norm(at, values, dim * dim)
+    p = _parity_block(parity, nz.index)
+    if isinstance(p, np.ndarray):
+        lp = np.zeros((dim, dim), dtype=complex)
+        lp.reshape(-1)[at] = values
+        diff = p @ lp @ p  # as _sandwich's product
         diff += dagger(lp)
+        residual = np.linalg.norm(diff)
     else:
-        # L' is nonzero on the matrix's entries and the diagonal; the buffer is re-zeroed
-        # there and takes P L' P + (L')^dag
-        at = _distinct([nz.at, np.arange(dim) * (dim + 1)])
-        values = flat[at]
-        flat[at] = 0.0
-        g, inverse, sign = gather
+        g, inverse, sign = p
         rows, cols = np.divmod(at, dim)
         adjoint = values.conj()
         parts = values.view(np.float64).reshape(-1, 2)  # (P L' P)[g^-1 r, g c]
         parts *= sign[inverse[rows]][:, None]
         parts *= sign[cols][:, None]
-        flat[inverse[rows] * dim + g[cols]] = values
-        flat[cols * dim + rows] += adjoint
-        diff = lp
+        moved = inverse[rows] * dim + g[cols]
+        residual = _grouped_norm(*_sparse_sum(moved, values, cols * dim + rows, adjoint), dim * dim)
     return SymmetryReport(
-        pt_residual=float(np.linalg.norm(diff) / max(1.0, lp_norm)),
+        pt_residual=float(residual / max(1.0, lp_norm)),
         involution_residual=parity.involution_residual,
         unitarity_residual=parity.unitarity_residual,
         gamma_bar=gamma_bar,

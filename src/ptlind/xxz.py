@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .liouville import LindbladModel, _refuse_large_parts
-from .operators import _require_integer, site_operator
+from .liouville import LindbladModel
+from .operators import _refuse_large_parts, _refuse_long_chain, _require_integer, site_operator
 
 __all__ = [
     "XXZParams",
@@ -91,15 +91,6 @@ def _jump_operators(n: int, mu: float) -> tuple:
     )
 
 
-def _refuse_long_chain(n: int) -> None:
-    """The magnitude rule on the hopping alone, whose entries 2 are in H at any delta: a
-    chain that it refuses (as it does every chain of 1024 sites or more) is too long."""
-    try:
-        _refuse_large_parts(2 ** min(int(n), 1024), 2.0, ())
-    except ValidationError:
-        raise ValidationError(f"a chain of {n} sites overflows the generator's norms") from None
-
-
 def _largest_parts(params: XXZParams) -> tuple:
     """The magnitude rule's inputs, read from the parameters: a bound on H's largest real
     or imaginary part (the hopping's 2, or (n - 1)|delta| on its diagonal once delta
@@ -128,6 +119,7 @@ def spin_current(n_sites: int) -> np.ndarray:
     _require_integer(n_sites)
     if n_sites < 2:
         raise ValidationError(f"need at least 2 sites, got {n_sites}")
+    _refuse_long_chain(n_sites)
     j_op = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
     for j in range(1, n_sites):
         j_op += 1j * site_operator("+", j, n_sites) @ site_operator("-", j + 1, n_sites)
@@ -145,6 +137,7 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
     _require_integer(dmz, "dmz")
     if n_sites < 1:
         raise ValidationError(f"need at least 1 site, got {n_sites}")
+    _refuse_long_chain(n_sites)
     if abs(dmz) > 2 * n_sites:
         raise ValidationError(f"|dmz| = {abs(dmz)} exceeds 2n = {2 * n_sites}")
     states = np.arange(2**n_sites)

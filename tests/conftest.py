@@ -15,7 +15,6 @@ from ptlind import (
     eig_biortho,
     propagator,
     steady_state,
-    traceless_dissipator,
     xxz_parity,
 )
 from ptlind.operators import (
@@ -94,6 +93,23 @@ def hamiltonian_superoperator(model: LindbladModel) -> SuperOperator:
 def dissipator_superoperator(model: LindbladModel) -> SuperOperator:
     """Oracle: the dissipator ``D`` alone (independent of gamma)."""
     return SuperOperator(_assemble(_terms(model)[1], model.dim), model.dim)
+
+
+def traceless_dissipator(model: LindbladModel) -> SuperOperator:
+    """Oracle: ``D + 1`` as one dense N^2 x N^2 matrix, for a trace-normalised dissipator.
+
+    The shift by the identity is only meaningful when ``Tr D = -N^2``; models whose jump
+    operators are not normalised that way (to within ``1e-9 N^2``) are refused, as
+    ``population_matrix`` refuses them.
+    """
+    dis = _assemble(_terms(model)[1], model.dim)
+    n2, tr = dis.shape[0], np.trace(dis)
+    if abs(tr + n2) > 1e-9 * n2:
+        raise ValidationError(
+            f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
+        )
+    dis.flat[:: n2 + 1] += 1.0
+    return SuperOperator(dis, model.dim)
 
 
 def traceless_part(sup: SuperOperator) -> SuperOperator:

@@ -17,14 +17,15 @@ from ptlind import (
     left_identity_residual,
     propagator,
     sector_restrict,
-    traceless_dissipator,
     vec,
 )
 from ptlind.liouville import (
-    _NORM_LIMIT, _assemble, _block, _conjugate_rows, _distinct, _generator_entries, _nonzeros,
-    _refuse_large, _refuse_large_parts, _split,
+    _assemble, _block, _conjugate_rows, _distinct, _entries, _generator_entries, _nonzeros,
+    _refuse_large, _split,
 )
-from ptlind.operators import SIGMA_MINUS, SIGMA_Z, dagger, site_operator
+from ptlind.operators import (
+    _NORM_LIMIT, SIGMA_MINUS, SIGMA_Z, _refuse_large_parts, dagger, site_operator,
+)
 from ptlind.threshold import coherence_probe_state, observable_decay
 from ptlind.symmetry import check_pt, parity_from_pair, xxz_parity
 from ptlind.xxz import XXZParams, sector_basis, sector_positions, spin_current, xxz_model
@@ -198,6 +199,28 @@ class TestAverageDamping:
         m[rng.random((dim, dim)) >= fill] = 0.0
         sup = SuperOperator(m, hilbert_dim)
         assert same_hex(average_damping(sup), dense_average_damping(sup))
+
+    @pytest.mark.parametrize("hilbert_dim", [1, 2, 3, 8, 17, 32])
+    @pytest.mark.parametrize("fill", [1.0, 0.3])
+    def test_dense_diagonal_is_the_entries_route(self, hilbert_dim, fill, rng):
+        # a dense matrix's diagonal is copied, not read through its nonzero entries
+        dim = hilbert_dim**2
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m[rng.random((dim, dim)) >= fill] = 0.0
+        sup = SuperOperator(m, hilbert_dim)
+        assert same_hex(average_damping(sup), average_damping(_entries(sup)))
+
+    def test_dense_matrix_is_read_on_its_diagonal_alone(self, rng):
+        # N = 32: the 1024^2 matrix is 16.8 MB, and its nonzero entries took 34.6 MB
+        m = rng.normal(size=(1024, 1024)) + 1j * rng.normal(size=(1024, 1024))
+        sup = SuperOperator(m, 32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            average_damping(sup)
+            assert tracemalloc.get_traced_memory()[1] - base < 64 * 1024
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_entries_route_is_np_trace_on_sector_blocks(self, n):
@@ -405,18 +428,6 @@ class TestGeneratorInvariants:
         sup = build_superoperator(random_model(rng, dim=3))
         rho = random_density(rng, 3)
         assert sup.trace_vector() @ vec(rho) == pytest.approx(1.0)
-
-
-class TestTracelessDissipator:
-    def test_xxz_accepted_and_traceless(self):
-        model = xxz_model(XXZParams(3, 0.5, 0.5, 0.2))
-        dp = traceless_dissipator(model)
-        assert abs(np.trace(dp.matrix)) < 1e-9 * 64
-
-    def test_unnormalised_model_refused(self):
-        model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
-        with pytest.raises(ValidationError, match="-4; rescale the jump operators"):
-            traceless_dissipator(model)
 
 
 def custom_model(seed, dim, n_jumps, gamma, fill):
@@ -833,12 +844,6 @@ class TestMagnitudeRule:
 
 class TestDiagonalShifts:
     """The in-place diagonal shifts equal adding a dense identity, in value."""
-
-    def test_traceless_dissipator(self):
-        for n in (2, 3, 4):
-            model = xxz_model(XXZParams(n, 0.7, 0.6, 0.3))
-            dense = kron_terms(model)[1] + np.eye(4**n)
-            assert np.array_equal(traceless_dissipator(model).matrix, dense)
 
     def test_traceless_part(self, rng):
         for model in (random_model(rng), xxz_model(XXZParams(3, 0.7, 0.6, 0.3))):

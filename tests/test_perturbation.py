@@ -18,10 +18,18 @@ from ptlind import (
     sector_restrict,
     velocity_check,
 )
-from ptlind.operators import site_operator
+from ptlind.operators import SIGMA_MINUS, SIGMA_Z, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
-from conftest import bits, dissipator_superoperator, loop_population_matrix, single_qubit
+from conftest import (
+    bits,
+    dissipator_superoperator,
+    kron_terms,
+    loop_population_matrix,
+    random_model,
+    single_qubit,
+    traceless_dissipator,
+)
 
 # entries from a few values give repeated energies and equal-magnitude components
 _ENTRY = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
@@ -39,11 +47,25 @@ def _custom_models(draw) -> LindbladModel:
     h = matrix()
     h = h + h.conj().T
     jumps = [matrix() for _ in range(draw(st.integers(1, 2)))]
-    # Tr D = sum_L 2 |tr L|^2 - 2 N |L|_F^2
-    trace = sum(2 * abs(np.trace(L)) ** 2 - 2 * n * np.linalg.norm(L) ** 2 for L in jumps)
-    assume(trace < -1e-3)
-    scale = np.sqrt(n * n / -trace)
+    assume(_dissipator_trace(jumps) < -1e-3)
+    return _trace_normalised(h, jumps)
+
+
+def _dissipator_trace(jumps) -> float:
+    """Tr D = sum_L 2 |tr L|^2 - 2 N |L|_F^2."""
+    return sum(2 * abs(np.trace(L)) ** 2 - 2 * len(L) * np.linalg.norm(L) ** 2 for L in jumps)
+
+
+def _trace_normalised(h, jumps) -> LindbladModel:
+    """The model with its jumps scaled so that Tr D = -N^2, at gamma = 0.1."""
+    scale = np.sqrt(len(h) ** 2 / -_dissipator_trace(jumps))
     return LindbladModel(h, tuple(scale * L for L in jumps), 0.1)
+
+
+def _uneven_blocks(dim: int) -> LindbladModel:
+    """A random trace-normalised model of dimension ``dim``."""
+    model = random_model(np.random.default_rng(dim), dim=dim, n_jumps=1)
+    return _trace_normalised(model.hamiltonian, model.lindblads)
 
 
 class TestPopulationMatrix:
@@ -65,6 +87,44 @@ class TestPopulationMatrix:
         assert np.array_equal(bits(rep.v_matrix), bits(v_raw.real))
         assert rep.reality_defect == np.abs(v_raw.imag).max()
         assert rep.symmetry_defect == np.abs(v_raw - v_raw.T).max()
+
+    @pytest.mark.parametrize("build", [
+        *(lambda n=n: xxz_model(XXZParams(n, 0.5, 0.7, 0.3)) for n in (3, 4, 5, 6)),
+        lambda: _uneven_blocks(9),
+        lambda: _uneven_blocks(33),
+    ], ids=["chain3", "chain4", "chain5", "chain6", "custom9", "custom33"])
+    def test_bit_equal_to_the_loop_in_column_blocks(self, build):
+        # the chains' 4^n columns make 1, 4, 16 and 64 blocks of 64; 81 columns make
+        # blocks of 64 and 17, and 1089 make 16 of 64 and one of 65, not one of a single
+        # column.  (Near-equal blocks of 60 and 61 changed eight columns of V at 1089.)
+        # The drawn models above fit in one block
+        model = build()
+        rep = population_matrix(model)
+        v_raw = loop_population_matrix(model)
+        assert np.array_equal(bits(rep.v_matrix), bits(v_raw.real))
+        assert rep.reality_defect == np.abs(v_raw.imag).max()
+        assert rep.symmetry_defect == np.abs(v_raw - v_raw.T).max()
+
+    def test_unnormalised_model_refused(self):
+        # with the oracle's message, before any product
+        model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
+        message = r"^dissipator trace -16\+0j is not -N\^2 = -4; rescale the jump operators$"
+        with pytest.raises(ValidationError, match=message):
+            population_matrix(model)
+        with pytest.raises(ValidationError, match=message):
+            traceless_dissipator(model)
+
+    def test_six_sites_hold_no_superoperator_matrix(self):
+        # D + 1 at n = 6 is 268 MB as one matrix; a block of 64 of its columns is 4 MB,
+        # and the projectors, the product and its conjugate transpose 4 MB each
+        model = xxz_model(XXZParams(6, 0.5, 1.0, 0.3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            population_matrix(model)
+            assert tracemalloc.get_traced_memory()[1] - base < 40 * 1024**2
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("n,mu", [(2, 0.0), (2, 0.5), (3, 0.5), (4, 1.0)])
     def test_xxz_real_and_symmetric(self, n, mu):
@@ -216,6 +276,26 @@ class TestDegeneracyReport:
         finally:
             tracemalloc.stop()
         assert len(rep.degenerate_gap_pairs) == 500
+
+
+class TestTracelessDissipator:
+    """The dense ``D + 1`` oracle that ``loop_population_matrix`` reads."""
+
+    def test_xxz_accepted_and_traceless(self):
+        model = xxz_model(XXZParams(3, 0.5, 0.5, 0.2))
+        dp = traceless_dissipator(model)
+        assert abs(np.trace(dp.matrix)) < 1e-9 * 64
+
+    def test_unnormalised_model_refused(self):
+        model = LindbladModel(0.5 * SIGMA_Z, (2.0 * SIGMA_MINUS,), 0.1)
+        with pytest.raises(ValidationError, match="-4; rescale the jump operators"):
+            traceless_dissipator(model)
+
+    def test_shift_equals_a_dense_identity(self):
+        for n in (2, 3, 4):
+            model = xxz_model(XXZParams(n, 0.7, 0.6, 0.3))
+            dense = kron_terms(model)[1] + np.eye(4**n)
+            assert np.array_equal(traceless_dissipator(model).matrix, dense)
 
 
 def test_traceless_dissipator_shift_matches_population_matrix():

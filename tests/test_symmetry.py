@@ -31,7 +31,8 @@ from ptlind.operators import (
     site_operator,
     site_reversal,
 )
-from ptlind.symmetry import _kron_identity_residual, _sandwich, _signed_gather
+from ptlind.liouville import _generator_entries
+from ptlind.symmetry import _GROUP, _grouped_norm, _kron_identity_residual, _parity_block, _sandwich
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import (
@@ -52,6 +53,54 @@ def sigma_z_string(n):
     for j in range(1, n + 1):
         out = out @ site_operator("z", j, n)
     return out
+
+
+@st.composite
+def _sparse_vectors(draw) -> tuple:
+    """``(at, values, size)``: a length that is mostly no multiple of the group width, and
+    entries at ascending distinct positions, many at group edges or in the last partial
+    group.  Their parts are zero or of magnitudes from 1e-150 to 1e150: often all of one
+    scale, so that the order of the sums shows in the last bits."""
+    size = draw(st.integers(1, 6 * _GROUP + 40))
+    edges = {g + d for g in range(0, size + _GROUP, _GROUP) for d in (-1, 0, 1, 3, 4)}
+    edges |= set(range(size - size % _GROUP - 1, size))
+    near = sorted(p for p in edges if 0 <= p < size)
+    last = list(range(max(0, size - 4), size))  # BLAS adds the last size % 4 one by one
+    position = st.one_of(st.sampled_from(last), st.sampled_from(near), st.integers(0, size - 1))
+    at = draw(st.lists(position, max_size=160, unique=True))
+    low = draw(st.integers(-150, 150))
+    high = draw(st.sampled_from([low, 150]))
+    part = st.one_of(
+        st.just(0.0),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(low, high)),
+    )
+    values = [complex(draw(part), draw(part)) for _ in at]
+    return np.array(sorted(at), dtype=np.int64), np.array(values, dtype=complex), size
+
+
+class TestGroupedNorm:
+    """The norm on the groups that hold entries is ``np.linalg.norm`` of the dense vector,
+    bit for bit (lengths below OpenBLAS's 10,000, under which ``ddot`` runs on one thread)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(vector=_sparse_vectors())
+    def test_bit_equal_to_the_dense_norm(self, vector):
+        at, values, size = vector
+        dense = np.zeros(size, dtype=complex)
+        dense[at] = values
+        assert _grouped_norm(at, values, size).hex() == float(np.linalg.norm(dense)).hex()
+
+    def test_every_tail_length(self):
+        # lengths 128..256 end in every partial group; half the positions hold entries
+        # of one scale, so a tail summed in the wrong groups shows in the last bits
+        rng = np.random.default_rng(11)
+        for size in range(2 * _GROUP, 4 * _GROUP + 1):
+            for _ in range(20):
+                at = np.flatnonzero(rng.random(size) < 0.5)
+                values = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+                dense = np.zeros(size, dtype=complex)
+                dense[at] = values
+                assert _grouped_norm(at, values, size) == np.linalg.norm(dense), size
 
 
 class TestParityFromPair:
@@ -296,21 +345,23 @@ class TestFactoredParity:
 
     def test_signed_permutations_are_recognised_exactly(self):
         # the gather reads P's block itself: the XXZ parity's and the i sigma^x pair's
-        # are signed permutations, a sigma^y flip's holds +-i
+        # are signed permutations, a sigma^y flip's holds +-i and comes back dense
         for parity in (xxz_parity(3), i_sigma_x_pair(3)):
             index = np.arange(64)
-            g, inverse, sign = _signed_gather(parity, index)
+            g, inverse, sign = _parity_block(parity, index)
             block = parity.matrix_on(index)
             assert np.array_equal(block[index, g], sign)
             assert np.array_equal(inverse[g], index)
             assert set(np.abs(sign)) == {1.0}
         sigma_y = parity_from_pair(site_operator("y", 1, 3), np.eye(8))
-        assert _signed_gather(sigma_y, np.arange(64)) is None
+        dense = _parity_block(sigma_y, np.arange(64))
+        assert np.array_equal(bits(dense), bits(sigma_y.matrix_on(np.arange(64))))
         # nor is a phase whose real part rounds to 1, or a row with a second, tiny entry
         tilt = parity_from_pair(np.diag([1.0 + 1e-20j, 1.0]), np.eye(2))
         leak = parity_from_pair(np.array([[1.0, 0.0], [1e-14, -1.0]]), np.eye(2))
         for parity in (tilt, leak):
-            assert _signed_gather(parity, np.arange(4)) is None
+            dense = _parity_block(parity, np.arange(4))
+            assert np.array_equal(bits(dense), bits(parity.matrix_on(np.arange(4))))
 
     def test_other_monomial_pairs_take_the_assembled_block(self):
         # each factor is i times a permutation and squares to -1, so the map is an
@@ -383,7 +434,7 @@ class TestParityLeavingTheSector:
 class TestOneRuleForParityBlocks:
     """The gather reads P's block under the rule of every block: it refuses exactly the
     position sets that ``matrix_on`` refuses, with its message, and returns a map exactly
-    where that block's rows each hold one +-1."""
+    where that block's rows each hold one +-1, and otherwise ``matrix_on``'s block."""
 
     PARITIES = {
         "xxz": xxz_parity,
@@ -416,20 +467,22 @@ class TestOneRuleForParityBlocks:
         except SectorNotInvariant as refusal:
             assert not closed
             with pytest.raises(SectorNotInvariant) as err:
-                _signed_gather(parity, positions)
+                _parity_block(parity, positions)
             assert str(err.value) == str(refusal)
             return
         assert closed
-        gather = _signed_gather(parity, positions)
+        gather = _parity_block(parity, positions)
         single = np.all(np.count_nonzero(block, axis=1) == 1)
         single = single and set(block[block != 0]) <= {1.0, -1.0}
-        assert (gather is not None) == single
-        if gather is not None:
+        assert isinstance(gather, tuple) == single
+        if isinstance(gather, tuple):
             g, inverse, sign = gather
             r = np.arange(positions.size)
             assert np.array_equal(block[r, g], sign)
             assert np.count_nonzero(block) == positions.size
             assert np.array_equal(inverse[g], r)
+        else:
+            assert np.array_equal(bits(gather), bits(block))
 
 
 class TestParityOfAnotherChain:
@@ -514,6 +567,17 @@ class TestNoDenseParityProducts:
         peak = tracemalloc.get_traced_memory()[1] - base
         assert rep.pt_residual <= 1e-12
         assert peak < 16 * 256**2
+
+    def test_check_pt_at_seven_sites(self, traced):
+        # a 16384^2 complex buffer would be 4.3 GB; L' has 122,880 entries in 81,920
+        # groups of 64 positions, which each grouped norm holds in an 84 MB buffer
+        model = xxz_model(XXZParams(7, 0.5, 1.0, 0.3))
+        entries, parity = _generator_entries(model), xxz_parity(7)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = check_pt(entries, parity)
+        assert tracemalloc.get_traced_memory()[1] - base < 150 * 1024**2
+        assert rep.pt_residual <= 1e-12
 
     def test_check_pt_forms_no_parity_block(self, traced):
         # n = 5 dmz0: a 252-dim block is 1 MB.  The traceless part and the gathered

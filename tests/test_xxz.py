@@ -106,6 +106,14 @@ class TestCountsAtEveryEntry:
         (sector_basis, (3, 0.5), "dmz must be an integer, got 0.5"),
         (site_reversal, (-1,), "need a non-negative number of sites, got -1"),
         (sector_basis, (0,), "need at least 1 site, got 0"),
+        # the magnitude rule's length, before any 2^n array (these used to end in numpy's
+        # untyped ValueError)
+        (spin_current, (339,), "a chain of 339 sites overflows the generator's norms"),
+        (spin_current, (400,), "a chain of 400 sites overflows the generator's norms"),
+        (site_operator, ("z", 1, 400), "a chain of 400 sites overflows the generator's norms"),
+        (site_reversal, (339,), "a chain of 339 sites overflows the generator's norms"),
+        (sector_basis, (400,), "a chain of 400 sites overflows the generator's norms"),
+        (xxz_parity, (400,), "a chain of 400 sites overflows the generator's norms"),
     ]
 
     @pytest.mark.parametrize(
