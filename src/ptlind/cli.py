@@ -43,7 +43,7 @@ from .liouville import (
     build_superoperator,
     hermiticity_residual,
 )
-from .operators import SIGMA_MINUS, SIGMA_Z, _refuse_large_parts, _refuse_long_chain, is_hermitian
+from .operators import SIGMA_MINUS, SIGMA_Z, _refuse_large_parts, _require_chain_length, is_hermitian
 from .perturbation import degeneracy_report, population_matrix
 from .spectral import (
     DEFAULT_TAU_REL,
@@ -159,7 +159,7 @@ def parse_config(path: str) -> ModelConfig:
         n = raw.get("n")
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise SchemaError("n", f"expected an integer >= 2, got {n!r}")
-        _keyed("n", _refuse_long_chain, n)
+        _keyed("n", _require_chain_length, n)
         delta = _require_number(raw, "delta")
         mu = _require_number(raw, "mu")
         if not -1.0 <= mu <= 1.0:

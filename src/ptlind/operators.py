@@ -97,9 +97,10 @@ def _refuse_large_parts(n: int, h: float, parts, gamma: float | None = None) -> 
         )
 
 
-def _refuse_long_chain(n: int) -> None:
-    """The magnitude rule on the hopping alone, whose entries 2 are in H at any delta: a
-    chain that it refuses (as it does every chain of 1024 sites or more) is too long."""
+def _require_chain_length(n) -> None:
+    """The integer rule, then the magnitude rule on the hopping alone, whose entries 2 are in
+    H at any delta: a chain that it refuses (every one of 1024 sites or more) is too long."""
+    _require_integer(n)
     try:
         _refuse_large_parts(2 ** min(int(n), 1024), 2.0, ())
     except ValidationError:
@@ -113,8 +114,7 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     """
     if kind not in _SITE_KINDS:
         raise ValidationError(f"unknown operator kind {kind!r}")
-    _require_integer(n_sites)
-    _refuse_long_chain(n_sites)
+    _require_chain_length(n_sites)
     _require_integer(site, "site")
     if not 1 <= site <= n_sites:
         raise ValidationError(f"site {site} out of range 1..{n_sites}")
@@ -125,10 +125,9 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
 
 def site_reversal(n_sites: int) -> np.ndarray:
     """Permutation that reverses the site order j <-> n+1-j."""
-    _require_integer(n_sites)
+    _require_chain_length(n_sites)
     if n_sites < 0:
         raise ValidationError(f"need a non-negative number of sites, got {n_sites}")
-    _refuse_long_chain(n_sites)
     states = np.arange(2**n_sites)
     reversed_states = sum(((states >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
     r = np.zeros((states.size, states.size), dtype=complex)

@@ -130,14 +130,13 @@ def _parity_block(parity: ParitySuperOp, index):
     return g, inverse, sign
 
 
-def _sandwich(parity: ParitySuperOp, m: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``P m P`` for a matrix ``m`` on the flat positions ``index``, which P must keep.
+def _sandwich(p, m: np.ndarray) -> np.ndarray:
+    """``P m P`` for P's block ``p``, as :func:`_parity_block` returns it, and ``m``.
 
-    Where P's block is a signed permutation (:func:`_parity_block`), ``(P m P)[r, c] =
-    s(r) m[g(r), g^-1(c)] s(g^-1(c))`` is one gather and two sign flips, exact where a
-    product would round.  Any other block is multiplied in.
+    Where ``p`` is a signed permutation, ``(P m P)[r, c] = s(r) m[g(r), g^-1(c)]
+    s(g^-1(c))`` is one gather and two sign flips, exact where a product would round.  A
+    dense block is multiplied in.
     """
-    p = _parity_block(parity, index)
     if isinstance(p, np.ndarray):
         return p @ m @ p
     g, inverse, sign = p
@@ -217,7 +216,7 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
     if isinstance(p, np.ndarray):
         lp = np.zeros((dim, dim), dtype=complex)
         lp.reshape(-1)[at] = values
-        diff = p @ lp @ p  # as _sandwich's product
+        diff = _sandwich(p, lp)
         diff += dagger(lp)
         residual = np.linalg.norm(diff)
     else:
@@ -248,6 +247,6 @@ def check_inversion(liou: SuperOperator, parity: ParitySuperOp, t: float) -> flo
         raise ValidationError(f"time must be finite, got {t}")
     gamma_bar = average_damping(liou)
     u_neg = propagator(liou, -t).matrix
-    u_pos = propagator(liou, t).matrix
-    rhs = np.exp(2.0 * gamma_bar * t) * _sandwich(parity, dagger(u_pos), liou.index)
+    u_adj = dagger(propagator(liou, t).matrix)
+    rhs = np.exp(2.0 * gamma_bar * t) * _sandwich(_parity_block(parity, liou.index), u_adj)
     return float(np.linalg.norm(u_neg - rhs) / np.linalg.norm(u_neg))

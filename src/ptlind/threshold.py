@@ -298,7 +298,7 @@ def observable_decay(
     """Evolve a state and fit the decay rate of ``tr[(rho(t) - rho_inf) obs]``.
 
     The default initial state is ``(I + obs / (2 |obs|_2)) / N``, which is
-    positive for any Hermitian observable; the default grid is 200 uniform
+    positive for any nonzero Hermitian observable; the default grid is 200 uniform
     points on [0.5, 50].  Repeated grid spacings reuse one step propagator.  An
     overflow or invalid value while stepping raises :class:`NumericalError`, and so
     does a step propagator ``U`` that does not preserve the trace:
@@ -307,7 +307,10 @@ def observable_decay(
     obs = _observable(params, observable)
     dim = params.hilbert_dim
     if rho0 is None:
-        rho0 = (np.eye(dim) + obs / (2.0 * np.linalg.norm(obs, 2))) / dim
+        scale = np.linalg.norm(obs, 2)
+        if scale == 0:
+            raise ValidationError("observable is zero: the default initial state needs rho0")
+        rho0 = (np.eye(dim) + obs / (2.0 * scale)) / dim
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValidationError(f"rho0 shape {rho0.shape} does not match dim {dim}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .liouville import LindbladModel
-from .operators import _refuse_large_parts, _refuse_long_chain, _require_integer, site_operator
+from .operators import _refuse_large_parts, _require_chain_length, _require_integer, site_operator
 
 __all__ = [
     "XXZParams",
@@ -51,10 +51,9 @@ class XXZParams:
     gamma: float
 
     def __post_init__(self):
-        _require_integer(self.n_sites)
+        _require_chain_length(self.n_sites)
         if self.n_sites < 2:
             raise ValidationError(f"need at least 2 sites, got {self.n_sites}")
-        _refuse_long_chain(self.n_sites)
         if not np.isfinite(self.delta):
             raise ValidationError("anisotropy delta must be finite")
         if not -1.0 <= self.mu <= 1.0:
@@ -116,10 +115,9 @@ def spin_current(n_sites: int) -> np.ndarray:
     Hermitian, traceless, commutes with the total magnetization, and has
     vanishing diagonal matrix elements in the energy eigenbasis.
     """
-    _require_integer(n_sites)
+    _require_chain_length(n_sites)
     if n_sites < 2:
         raise ValidationError(f"need at least 2 sites, got {n_sites}")
-    _refuse_long_chain(n_sites)
     j_op = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
     for j in range(1, n_sites):
         j_op += 1j * site_operator("+", j, n_sites) @ site_operator("-", j + 1, n_sites)
@@ -133,11 +131,10 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
     ``dmz = 0`` is the block containing the identity, all energy-eigenbasis
     populations, the steady state, and the spin current.
     """
-    _require_integer(n_sites)
+    _require_chain_length(n_sites)
     _require_integer(dmz, "dmz")
     if n_sites < 1:
         raise ValidationError(f"need at least 1 site, got {n_sites}")
-    _refuse_long_chain(n_sites)
     if abs(dmz) > 2 * n_sites:
         raise ValidationError(f"|dmz| = {abs(dmz)} exceeds 2n = {2 * n_sites}")
     states = np.arange(2**n_sites)
@@ -149,7 +146,7 @@ def sector_basis(n_sites: int, dmz: int = 0) -> np.ndarray:
 def sector_positions(n_sites: int, sector: str) -> np.ndarray | None:
     """Flat positions of a sector named in ``SECTORS``: ``sector_basis(n_sites, 0)`` for
     ``"dmz0"``, None for ``"full"``.  Any other name is refused."""
-    _require_integer(n_sites)
+    _require_chain_length(n_sites)
     if sector not in SECTORS:
         raise ValidationError(f"unknown sector {sector!r}; use {' or '.join(map(repr, SECTORS))}")
     return sector_basis(n_sites, 0) if sector == "dmz0" else None

@@ -30,7 +30,7 @@ from ptlind.operators import (
     vec,
 )
 from ptlind.liouville import _SECTOR_TOL, _assemble, _conjugate_rows, _positions, _terms
-from ptlind.symmetry import _sandwich
+from ptlind.symmetry import _parity_block, _sandwich
 from ptlind.xxz import XXZParams, sector_positions, xxz_model
 
 
@@ -196,7 +196,7 @@ def dense_check_pt(sup: SuperOperator, parity) -> float:
     """Oracle: the PT residual on dense matrices: the traceless part, its sandwich
     ``P L' P`` plus its adjoint, and the two Frobenius norms."""
     lp = traceless_part(sup).matrix
-    diff = _sandwich(parity, lp, sup.index) + dagger(lp)
+    diff = _sandwich(_parity_block(parity, sup.index), lp) + dagger(lp)
     return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(lp)))
 
 
@@ -391,6 +391,26 @@ def check_pt_rows(params: XXZParams) -> list:
     """
     parity = xxz_parity(params.n_sites)
     return [check_pt(row, parity).pt_residual for row in row_superoperators(params)]
+
+
+def xx_dmz0_spectrum(n: int, gamma: float) -> np.ndarray:
+    """Oracle: the ``dmz0`` spectrum of the chain at delta = 0 (any mu), by third
+    quantization (Prosen, NJP 10, 043026 (2008)).  The XX chain is quadratic after a
+    Jordan-Wigner map and the boundary jumps are linear on ``dmz0``, so with z the n
+    eigenvalues of ``Z = 2i A + (gamma/2)(e_1 e_1^T + e_n e_n^T)``, A the chain's adjacency
+    matrix, the spectrum is ``-(sum_{a in S} z_a + sum_{b in T} conj(z_b))`` over the
+    subsets S, T of {1..n} with |S| = |T|: C(2n, n) values."""
+    z_matrix = 2j * (np.eye(n, k=1) + np.eye(n, k=-1))
+    z_matrix[0, 0] += gamma / 2.0
+    z_matrix[-1, -1] += gamma / 2.0
+    z = np.linalg.eigvals(z_matrix)
+    subsets = np.arange(2**n)
+    members = (subsets[:, None] >> np.arange(n)) & 1
+    sums, sizes = members @ z, members.sum(axis=1)
+    return np.concatenate([
+        -(sums[sizes == k][:, None] + sums[sizes == k].conj()[None, :]).ravel()
+        for k in range(n + 1)
+    ])
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from ptlind import (
     LindbladModel,
     NoZeroMode,
     SuperOperator,
     ValidationError,
+    average_damping,
     build_superoperator,
     classify_cross,
     collinearity_error,
     eig_biortho,
+    is_unbroken,
     left_steady_vector,
     parity_from_pair,
     pt_partner_check,
@@ -32,6 +35,7 @@ from conftest import (
     random_hermitian,
     random_model,
     single_qubit,
+    xx_dmz0_spectrum,
 )
 
 
@@ -392,6 +396,14 @@ class TestPtPartnerCheck:
         assert rep.n_checked > 0
         assert rep.max_vector_error <= 1e-6
 
+    def test_unmatched_mirrors_are_not_checked(self, rng):
+        # a random model is not PT-symmetric under the identity parity: no eigenvalue's
+        # vertical mirror is in the spectrum, so none is checked and the mismatch shows
+        sup = build_superoperator(random_model(rng, dim=3))
+        identity = parity_from_pair(np.eye(3), np.eye(3))
+        rep = pt_partner_check(eig_biortho(sup), identity, gamma_bar=average_damping(sup))
+        assert rep.n_checked == 0
+        assert rep.max_eigenvalue_mismatch > 0
 
     def test_open_basis_refused(self):
         # |0><1| without |1><0|; the identity parity keeps it
@@ -420,6 +432,43 @@ class TestSpectrumInvariants:
         w = sorted(dec.eigenvalues, key=lambda z: (round(z.real, 8), z.imag))
         wc = sorted(np.conj(dec.eigenvalues), key=lambda z: (round(z.real, 8), z.imag))
         assert max(abs(a - b) for a, b in zip(w, wc)) <= 1e-8 * max(1.0, dec.spectral_radius)
+
+
+def xx_block_eigenvalues(n, mu, gamma):
+    """``_eigenvalues`` of the chain's ``dmz0`` block at delta = 0."""
+    sup = build_superoperator(xxz_model(XXZParams(n, 0.0, mu, gamma)), sector_positions(n, "dmz0"))
+    return _eigenvalues(sup.matrix)
+
+
+class TestExactXXSpectrum:
+    """The ``dmz0`` block at delta = 0 against its third-quantization spectrum
+    (``conftest.xx_dmz0_spectrum``), matched under an optimal assignment."""
+
+    @staticmethod
+    def assert_matches(w, exact):
+        assert w.size == exact.size
+        rows, cols = linear_sum_assignment(np.abs(w[:, None] - exact[None, :]))
+        assert np.abs(w[rows] - exact[cols]).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(max_examples=3, deadline=None)
+    @given(mu=st.floats(-1.0, 1.0))
+    def test_block_spectrum(self, n, mu):
+        # mu drops out of the spectrum
+        for gamma in np.geomspace(0.01, 12.0, 25):
+            self.assert_matches(xx_block_eigenvalues(n, mu, gamma), xx_dmz0_spectrum(n, gamma))
+
+    def test_six_sites(self):
+        self.assert_matches(xx_block_eigenvalues(6, 0.5, 0.3), xx_dmz0_spectrum(6, 0.3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("gamma", [0.02, 0.2, 2.0])
+    @pytest.mark.parametrize("mu", [1.0, 0.3])
+    def test_cross_counts(self, n, gamma, mu):
+        _, probed = is_unbroken(XXZParams(n, 0.0, mu, gamma))
+        exact = classify_cross(xx_dmz0_spectrum(n, gamma), gamma)
+        for line in ("on_h", "on_v", "off_cross"):
+            assert len(getattr(probed, line)) == len(getattr(exact, line))
 
 
 def test_collinearity_error_basics():

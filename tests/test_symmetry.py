@@ -42,6 +42,7 @@ from conftest import (
     ladder_vectorization_map,
     product_map,
     random_hermitian,
+    random_model,
     row_superoperators,
     single_qubit,
     traceless_part,
@@ -313,7 +314,8 @@ class TestFactoredParity:
         }[basis]
         m = random_matrix(rng, index.size)
         parity = xxz_parity(n)
-        assert np.array_equal(_sandwich(parity, m, index), dense_sandwich(parity, m, index))
+        expected = dense_sandwich(parity, m, index)
+        assert np.array_equal(_sandwich(_parity_block(parity, index), m), expected)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -327,7 +329,7 @@ class TestFactoredParity:
         index = rng.permutation(dim * dim) if permuted else np.arange(dim * dim)
         m = random_matrix(rng, dim * dim)
         expected = dense_sandwich(parity, m, index)
-        got = _sandwich(parity, m, index)
+        got = _sandwich(_parity_block(parity, index), m)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -339,9 +341,25 @@ class TestFactoredParity:
         parity = xxz_parity(n)
         lp = traceless_part(sup).matrix
         expected = factor_sandwich(parity, lp)
-        assert np.array_equal(_sandwich(parity, lp, sup.index), expected)
+        assert np.array_equal(_sandwich(_parity_block(parity, sup.index), lp), expected)
         residual = np.linalg.norm(expected + dagger(lp)) / max(1.0, np.linalg.norm(lp))
         assert check_pt(sup, parity).pt_residual == residual
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_check_pt_through_a_dense_block(self, dim, seed):
+        # a general unitary involution pair is no signed permutation, so check_pt
+        # multiplies its block in; the residual from the factors' own kron, bit for bit
+        rng = np.random.default_rng(seed)
+        a, b = random_unitary_involution(rng, dim), random_unitary_involution(rng, dim)
+        model = random_model(rng, dim=dim)
+        sup = build_superoperator(model)
+        parity = parity_from_pair(a, b)
+        assert isinstance(_parity_block(parity, sup.index), np.ndarray)
+        p, lp = product_map(a, b), traceless_part(sup).matrix
+        expected = np.linalg.norm(p @ lp @ p + dagger(lp)) / max(1.0, np.linalg.norm(lp))
+        for liou in (sup, _generator_entries(model)):
+            assert check_pt(liou, parity).pt_residual.hex() == float(expected).hex()
 
     def test_signed_permutations_are_recognised_exactly(self):
         # the gather reads P's block itself: the XXZ parity's and the i sigma^x pair's
@@ -372,7 +390,7 @@ class TestFactoredParity:
         m = random_matrix(np.random.default_rng(5), 16)
         index = np.arange(16)
         expected = dense_sandwich(parity, m, index)
-        assert np.array_equal(bits(_sandwich(parity, m, index)), bits(expected))
+        assert np.array_equal(bits(_sandwich(_parity_block(parity, index), m)), bits(expected))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_involution_residual_matches_dense(self, n):
@@ -552,7 +570,7 @@ class TestNoDenseParityProducts:
         parity = xxz_parity(5)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _sandwich(parity, m, np.arange(1024))
+        _sandwich(_parity_block(parity, np.arange(1024)), m)
         assert tracemalloc.get_traced_memory()[1] - base < 1.25 * self.BLOCK
 
     def test_check_pt_on_a_sector_block(self, traced):

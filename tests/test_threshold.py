@@ -373,6 +373,12 @@ class TestObservableDecay:
         with pytest.raises(ValidationError, match="observable must be Hermitian"):
             observable_decay(XXZParams(2, 0.5, 1.0, 0.1), np.diag([np.nan, 1.0, 1.0, 1.0]))
 
+    def test_zero_observable_refused_without_a_state(self):
+        # its default state divided by |obs|_2 = 0, and the call ended in "rho0 must be
+        # finite" although no rho0 was passed
+        with pytest.raises(ValidationError, match="^observable is zero: the default initial"):
+            observable_decay(XXZParams(2, 0.5, 1.0, 0.1), np.zeros((4, 4)))
+
     def test_non_finite_state_rejected(self):
         # its trace is still 1, and every deviation and the rate used to come back nan
         rho0 = np.eye(4, dtype=complex) / 4.0

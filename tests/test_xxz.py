@@ -113,6 +113,7 @@ class TestCountsAtEveryEntry:
         (site_operator, ("z", 1, 400), "a chain of 400 sites overflows the generator's norms"),
         (site_reversal, (339,), "a chain of 339 sites overflows the generator's norms"),
         (sector_basis, (400,), "a chain of 400 sites overflows the generator's norms"),
+        (sector_positions, (400, "full"), "a chain of 400 sites overflows the generator's norms"),
         (xxz_parity, (400,), "a chain of 400 sites overflows the generator's norms"),
     ]
 
