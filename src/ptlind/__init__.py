@@ -4,7 +4,6 @@ symmetry-breaking threshold of boundary-driven XXZ chains."""
 from .errors import (
     BracketInvalid,
     ConvergenceFailure,
-    DegenerateAtEvaluationPoint,
     NoZeroMode,
     NotInvolution,
     NotUnitary,
@@ -21,7 +20,6 @@ from .liouville import (
     average_damping,
     build_superoperator,
     hermiticity_residual,
-    left_identity_residual,
     propagator,
     sector_restrict,
 )
@@ -37,28 +35,21 @@ from .operators import (
 from .perturbation import (
     DegeneracyReport,
     PerturbationReport,
-    VelocityReport,
     degeneracy_report,
     population_matrix,
-    velocity_check,
 )
 from .spectral import (
     CrossClassification,
     D2Report,
-    PartnerReport,
     SpectralDecomposition,
     classify_cross,
-    collinearity_error,
     eig_biortho,
-    left_steady_vector,
-    pt_partner_check,
     steady_state,
     verify_d2,
 )
 from .symmetry import (
     ParitySuperOp,
     SymmetryReport,
-    check_inversion,
     check_pt,
     parity_from_pair,
     xxz_parity,

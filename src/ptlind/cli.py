@@ -14,18 +14,22 @@ the offending key.  Eigenvalue and time-series point clouds go to CSV with
 17 significant digits (binary64 round-trip exact); structured reports go
 to JSON and echo the full config and the tolerances used, so downstream
 plots are self-describing.  Exit codes: 0 success, 1 invalid input, 2
-numerical failure; machine-readable errors go to stderr as JSON.
+numerical failure; machine-readable errors go to stderr as JSON.  The
+command runs OpenBLAS at one thread, so its bytes do not depend on the
+machine's thread setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -479,7 +483,39 @@ def run_command(argv) -> int:
         return 1 if isinstance(exc, ValidationError) else 2
 
 
+# the thread setters of the OpenBLAS builds that numpy and scipy bundle, and of plain ones
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> list:
+    """Set every OpenBLAS loaded in this process to one thread, through its own setter;
+    returns the paths of those it set.
+
+    OpenBLAS splits long sums and products by its thread count, and the last bits of an
+    eigenvalue, a norm or a time series follow, so the outputs are the same bytes only at
+    one thread.  The libraries are read from ``/proc/self/maps``; where there is none, or
+    a library has none of the known setters (another BLAS), nothing is changed.
+    """
+    maps = Path("/proc/self/maps")
+    last = [line.split()[-1] for line in maps.read_text().splitlines()] if maps.exists() else []
+    paths = sorted({path for path in last if "/" in path and "openblas" in path.lower()})
+    pinned = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, name) for name in _BLAS_THREAD_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter(1)
+            pinned.append(path)
+    return pinned
+
+
 def main(argv=None) -> int:
+    """The ``ptlind`` command: :func:`run_command` with OpenBLAS at one thread, so that
+    the outputs do not depend on the machine's thread setting."""
+    _pin_blas_threads()
     return run_command(sys.argv[1:] if argv is None else argv)
 
 

@@ -52,7 +52,3 @@ class NoZeroMode(NumericalError):
 
 class BracketInvalid(NumericalError):
     """Both ends of a bisection bracket are in the same spectral phase."""
-
-
-class DegenerateAtEvaluationPoint(NumericalError):
-    """Perturbative formulas need simple eigenvalues; none were found."""

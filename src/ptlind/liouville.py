@@ -37,7 +37,6 @@ __all__ = [
     "propagator",
     "hermiticity_residual",
     "sector_restrict",
-    "left_identity_residual",
 ]
 
 
@@ -462,9 +461,3 @@ def sector_restrict(sup: SuperOperator, keep) -> SuperOperator:
     if np.array_equal(keep, sup.index):
         return sup
     return SuperOperator(_block(_entries(sup), keep), sup.hilbert_dim, keep)
-
-
-def left_identity_residual(sup: SuperOperator) -> float:
-    """Norm of ``vec(I)^T matrix``; zero for trace-preserving generators."""
-    t = sup.trace_vector()
-    return float(np.linalg.norm(t @ sup.matrix))

@@ -11,10 +11,10 @@ are the population decay velocities and always include 1 (the steady-state
 direction); for parity-time-symmetric models V is real and symmetric, which
 is what keeps the population modes on the real axis.
 
-The module also provides finite-difference validation of eigenvalue
-velocities ``d lambda / d gamma = <v, D u>`` and diagnostics for degenerate
-energies and energy gaps (the situations in which the symmetric phase can
-terminate at zero coupling).
+The module also provides diagnostics for degenerate energies and energy gaps
+(the situations in which the symmetric phase can terminate at zero coupling).
+The eigenvalue velocities ``d lambda / d gamma = <v, D u>`` are checked against
+finite differences by ``tests/conftest.py::velocity_check``, which no command calls.
 """
 
 from __future__ import annotations
@@ -24,26 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateAtEvaluationPoint, ValidationError
-from .liouville import (
-    LindbladModel,
-    SuperOperator,
-    _at_coupling,
-    _nonzeros,
-    _sparse_sum,
-    _split,
-    _terms,
-    _trace,
-)
+from .errors import ValidationError
+from .liouville import LindbladModel, _nonzeros, _sparse_sum, _terms, _trace
 from .operators import is_hermitian
-from .spectral import _close_pairs, _eigenvalues, classify_cross, eig_biortho
+from .spectral import _close_pairs
 
 __all__ = [
     "PerturbationReport",
-    "VelocityReport",
     "DegeneracyReport",
     "population_matrix",
-    "velocity_check",
     "degeneracy_report",
 ]
 
@@ -120,89 +109,6 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
         xi=xi[np.argsort(-xi.real)],
         symmetry_defect=symmetry,
         reality_defect=reality,
-    )
-
-
-@dataclass(frozen=True)
-class VelocityReport:
-    """Analytic eigenvalue velocities versus finite differences.
-
-    ``entries`` holds (index, eigenvalue, analytic velocity, fd velocity)
-    for every simple eigenvalue; the two confinement maxima cover the
-    simple eigenvalues lying on each symmetry line (None when that set is
-    empty, as happens when every line member is degenerate).
-    """
-
-    entries: tuple
-    max_fd_discrepancy: float
-    max_h_im_velocity: float | None
-    max_v_re_velocity: float | None
-    n_on_h: int
-    n_on_v: int
-    n_skipped_degenerate: int
-
-
-def velocity_check(
-    model: LindbladModel, dgamma: float = 1e-5, sector: np.ndarray | None = None
-) -> VelocityReport:
-    """Compare ``<v, D u>`` with centred finite differences of the spectrum.
-
-    Eigenvalues at ``gamma +- dgamma`` are tracked by nearest match.  Also
-    checks line confinement: a simple eigenvalue on the real axis must have
-    a real velocity, and one on the vertical line must have a purely
-    imaginary shifted velocity ``<v, (D + 1) u>``; "on a line" is decided by
-    :func:`classify_cross` at its default tolerance, with ``gamma`` as the line.
-    """
-    if not 0 < dgamma < np.inf:
-        raise ValidationError(f"dgamma must be positive and finite, got {dgamma}")
-    gamma = model.gamma
-    if gamma - dgamma < 0:
-        raise ValidationError("gamma - dgamma is negative; pick a smaller step")
-
-    coherent, dis_m = _split(model, sector)
-    sup = SuperOperator(_at_coupling(coherent, dis_m, gamma), model.dim, sector)
-    dec = eig_biortho(sup)
-    w = dec.eigenvalues
-    w_plus = _eigenvalues(_at_coupling(coherent, dis_m, gamma + dgamma))
-    w_minus = _eigenvalues(_at_coupling(coherent, dis_m, gamma - dgamma))
-
-    cls = classify_cross(w, gamma)
-    on_h, on_v = set(cls.on_h), set(cls.on_v)
-    entries = []
-    conf_h: list = []
-    conf_v: list = []
-    skipped = 0
-    for k in range(dec.dim):
-        if not dec.is_simple(k):
-            skipped += 1
-            continue
-        u = dec.right_vectors[:, k]
-        v = dec.left_vectors[:, k]
-        denom = np.vdot(u, v)
-        if abs(denom) < 1e-12:
-            skipped += 1
-            continue
-        analytic = np.vdot(v, dis_m @ u) / np.conj(denom)
-        lam_p = w_plus[np.argmin(np.abs(w_plus - w[k]))]
-        lam_m = w_minus[np.argmin(np.abs(w_minus - w[k]))]
-        fd = (lam_p - lam_m) / (2.0 * dgamma)
-        entries.append((k, w[k], analytic, fd))
-        if k in on_h:
-            conf_h.append(abs(analytic.imag))
-        elif k in on_v:
-            conf_v.append(abs((analytic + 1.0).real))
-    if not entries:
-        raise DegenerateAtEvaluationPoint(
-            "no simple eigenvalues at this coupling; velocities are undefined"
-        )
-    return VelocityReport(
-        entries=tuple(entries),
-        max_fd_discrepancy=float(max(abs(a - f) for _, _, a, f in entries)),
-        max_h_im_velocity=max(conf_h) if conf_h else None,
-        max_v_re_velocity=max(conf_v) if conf_v else None,
-        n_on_h=len(conf_h),
-        n_on_v=len(conf_v),
-        n_skipped_degenerate=skipped,
     )
 
 

@@ -9,12 +9,12 @@ decomposition this module provides
 * classification of eigenvalues onto the cross formed by the real axis and
   the vertical line Re = -gamma_bar,
 * verification that the spectrum is symmetric under reflection across both
-  lines, with greedy one-to-one pairing, and
-* the eigenvector partner relations that accompany those reflections.
+  lines, with greedy one-to-one pairing.
 
 Degenerate eigenvalues (within 1e-8 of the spectral radius) are clustered;
-clustered members are exempt from bi-orthonormalisation and partner checks,
-and reported as such.
+clustered members are exempt from bi-orthonormalisation, and reported as such.
+The eigenvector partner relations behind the two reflections are checked by
+``tests/conftest.py::pt_partner_check``, which no command calls.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import ConvergenceFailure, NoZeroMode, ValidationError
-from .liouville import SuperOperator, _conjugate_rows, _largest_part
-from .symmetry import _require_same_space
+from .liouville import SuperOperator, _largest_part
 
 __all__ = [
     "SpectralDecomposition",
@@ -41,32 +40,12 @@ __all__ = [
     "steady_state",
     "classify_cross",
     "verify_d2",
-    "pt_partner_check",
-    "collinearity_error",
-    "left_steady_vector",
 ]
 
 # Per unit spectral radius: distance to a symmetry line, and degeneracy gap.
 DEFAULT_TAU_REL = 1e-8
 DEGENERACY_REL_TOL = 1e-8
 _CLUSTER_ROWS = 128
-
-
-def collinearity_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Sine of the principal angle between two vectors (0 = parallel up to phase).
-
-    Computed as the norm of the component of ``a`` orthogonal to ``b``, which
-    stays accurate down to machine precision (unlike 1 - |<a,b>|^2).
-    """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    a = a / na
-    b = b / nb
-    return float(np.linalg.norm(a - np.vdot(b, a) * b))
 
 
 @dataclass(frozen=True)
@@ -94,17 +73,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.abs(self.eigenvalues).max(initial=0.0))
-
-    @property
-    def clustered_indices(self) -> frozenset:
-        return frozenset(i for group in self.clusters for i in group)
-
-    def is_simple(self, k: int) -> bool:
-        return k not in self.clustered_indices
 
 
 def _close_pairs(x: np.ndarray, tol: float):
@@ -413,71 +381,3 @@ def verify_d2(eigenvalues: np.ndarray, gamma_bar: float) -> D2Report:
         v_pairing=v_pairing,
         h_pairing=h_pairing,
     )
-
-
-@dataclass(frozen=True)
-class PartnerReport:
-    """Eigenvector partner relations under the two spectral reflections.
-
-    For each simple eigenvalue the right eigenvector of the vertical-mirror
-    partner must be parallel to P v, the left one to P u, and the
-    real-axis-mirror partner's right eigenvector to u^dag.  The worst sine
-    of principal angle over all checks is reported; members of degenerate
-    clusters are skipped and counted.
-    """
-
-    max_vector_error: float
-    n_checked: int
-    n_skipped_degenerate: int
-    max_eigenvalue_mismatch: float
-
-
-def pt_partner_check(dec: SpectralDecomposition, parity, gamma_bar: float) -> PartnerReport:
-    """Verify the eigenvector relations behind the two spectral reflections.
-
-    Eigenvalues whose mirror images match no eigenvalue within 1e-6 of the
-    spectral radius are not checked.
-    """
-    _require_same_space(parity, dec.hilbert_dim)
-    w = dec.eigenvalues
-    p = parity.matrix_on(dec.index)
-    conj = _conjugate_rows(dec.index, dec.hilbert_dim)
-    scale = max(1.0, dec.spectral_radius)
-    worst = 0.0
-    worst_match = 0.0
-    checked = 0
-    skipped = 0
-    for k in range(dec.dim):
-        if not dec.is_simple(k):
-            skipped += 1
-            continue
-        # vertical mirror: lambda_beta = -conj(lambda_k + g) - g
-        target = -np.conj(w[k] + gamma_bar) - gamma_bar
-        beta = int(np.argmin(np.abs(w - target)))
-        # real-axis mirror: lambda_eta = conj(lambda_k)
-        eta = int(np.argmin(np.abs(w - np.conj(w[k]))))
-        match = max(abs(w[beta] - target), abs(w[eta] - np.conj(w[k])))
-        worst_match = max(worst_match, match)
-        if match > 1e-6 * scale:
-            continue  # reflections unmatched; shows up in max_eigenvalue_mismatch
-        checked += 1
-        if dec.is_simple(beta):
-            worst = max(worst, collinearity_error(dec.right_vectors[:, beta], p @ dec.left_vectors[:, k]))
-            worst = max(worst, collinearity_error(dec.left_vectors[:, beta], p @ dec.right_vectors[:, k]))
-        if dec.is_simple(eta):
-            u_dag = dec.right_vectors[conj, k].conj()
-            worst = max(worst, collinearity_error(dec.right_vectors[:, eta], u_dag))
-    return PartnerReport(
-        max_vector_error=float(worst),
-        n_checked=checked,
-        n_skipped_degenerate=skipped,
-        max_eigenvalue_mismatch=float(worst_match),
-    )
-
-
-def left_steady_vector(dec: SpectralDecomposition) -> np.ndarray:
-    """Left eigenvector of the zero mode (the identity, for trace-preserving maps).
-
-    Raises :class:`NoZeroMode` under the rule of :func:`steady_state`.
-    """
-    return dec.left_vectors[:, _zero_index(dec.eigenvalues, dec.matrix_norm)]

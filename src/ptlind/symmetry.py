@@ -11,6 +11,9 @@ which in turn lets the propagator be inverted without inverting a matrix:
 
     U(-t) = exp(2 gamma_bar t)  P [U(t)]^dag P.
 
+No command evaluates that inversion identity; ``tests/conftest.py::check_inversion``
+does, through this module's dense ``P X P`` (:func:`_sandwich`).
+
 For the boundary-driven XXZ chain the parity conjugates by the site
 reversal R combined with the full sigma^z string on the left and by R alone
 on the right.  The identity then holds for each of the three ladder rows of
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import NotInvolution, NotUnitary, ValidationError
 from .liouville import (
-    SuperOperator, _block, _entries, _kept, _nonzeros, _sparse_sum, average_damping, propagator,
+    SuperOperator, _entries, _kept, _nonzeros, _sparse_sum, average_damping,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -36,7 +39,6 @@ __all__ = [
     "parity_from_pair",
     "xxz_parity",
     "check_pt",
-    "check_inversion",
 ]
 
 
@@ -46,7 +48,7 @@ class ParitySuperOp:
 
     The (A, B) pair is the whole parity: a block of its N^2 x N^2 matrix
     ``kron(A, B.T)`` on invariant positions is gathered from the entries of A
-    and B when asked for, and no such matrix is kept.
+    and B when a check needs it (:func:`_parity_block`), and no such matrix is kept.
     """
 
     left_op: np.ndarray
@@ -57,13 +59,6 @@ class ParitySuperOp:
     @property
     def hilbert_dim(self) -> int:
         return self.left_op.shape[0]
-
-    def matrix_on(self, index) -> np.ndarray:
-        """Block on the invariant flat positions ``index``, in their order, gathered from
-        the entries of ``kron(A, B.T)`` (:class:`SectorNotInvariant` if the parity couples
-        them to the rest)."""
-        (entries,) = _nonzeros(self.hilbert_dim, [(1.0, self.left_op, self.right_op.T)])
-        return _block(entries, index)
 
 
 def _require_same_space(parity: ParitySuperOp, hilbert_dim: int) -> None:
@@ -115,7 +110,7 @@ def _parity_block(parity: ParitySuperOp, index):
     :class:`SectorNotInvariant`).  Where every block row holds one of them, +1 or -1, as
     ``xxz_parity``'s rows do, the block is the signed permutation ``(g, inverse, sign)``:
     ``P[r, g(r)] = sign[r]`` and ``inverse`` undoes ``g``.  Any other block is returned
-    dense, as ``matrix_on`` scatters it."""
+    dense, its entries scattered into zeros."""
     (entries,) = _nonzeros(parity.hilbert_dim, [(1.0, parity.left_op, parity.right_op.T)])
     rows, cols, values = _kept(entries, index)
     sign = np.zeros(np.size(index))
@@ -235,18 +230,3 @@ def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:
         gamma_bar=gamma_bar,
     )
 
-
-def check_inversion(liou: SuperOperator, parity: ParitySuperOp, t: float) -> float:
-    """Relative error of the propagator inversion identity at time ``t``.
-
-    Compares ``U(-t)`` against ``exp(2 gamma_bar t) P [U(t)]^dag P``; small
-    only when the generator is PT-symmetric.
-    """
-    _require_same_space(parity, liou.hilbert_dim)
-    if not np.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t}")
-    gamma_bar = average_damping(liou)
-    u_neg = propagator(liou, -t).matrix
-    u_adj = dagger(propagator(liou, t).matrix)
-    rhs = np.exp(2.0 * gamma_bar * t) * _sandwich(_parity_block(parity, liou.index), u_adj)
-    return float(np.linalg.norm(u_neg - rhs) / np.linalg.norm(u_neg))

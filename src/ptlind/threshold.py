@@ -316,6 +316,8 @@ def observable_decay(
         raise ValidationError(f"rho0 shape {rho0.shape} does not match dim {dim}")
     if not np.all(np.isfinite(rho0)):
         raise ValidationError("rho0 must be finite")
+    if not is_hermitian(rho0):
+        raise ValidationError("rho0 must be Hermitian")
     if abs(np.trace(rho0) - 1.0) > 1e-9:
         raise ValidationError(f"rho0 must have unit trace, got {np.trace(rho0):.6g}")
     if t_grid is None:

@@ -1,3 +1,4 @@
+import cmath
 import importlib
 from dataclasses import dataclass
 
@@ -6,12 +7,14 @@ import pytest
 
 from ptlind import (
     LindbladModel,
+    NumericalError,
     SectorNotInvariant,
     SuperOperator,
     ValidationError,
     average_damping,
     build_superoperator,
     check_pt,
+    classify_cross,
     eig_biortho,
     propagator,
     steady_state,
@@ -29,8 +32,12 @@ from ptlind.operators import (
     unvec,
     vec,
 )
-from ptlind.liouville import _SECTOR_TOL, _assemble, _conjugate_rows, _positions, _terms
-from ptlind.symmetry import _parity_block, _sandwich
+from ptlind.liouville import (
+    _SECTOR_TOL, _assemble, _at_coupling, _block, _conjugate_rows, _nonzeros, _positions, _split,
+    _terms,
+)
+from ptlind.spectral import _eigenvalues, _zero_index
+from ptlind.symmetry import _parity_block, _require_same_space, _sandwich
 from ptlind.xxz import XXZParams, sector_positions, xxz_model
 
 
@@ -198,6 +205,217 @@ def dense_check_pt(sup: SuperOperator, parity) -> float:
     lp = traceless_part(sup).matrix
     diff = _sandwich(_parity_block(parity, sup.index), lp) + dagger(lp)
     return float(np.linalg.norm(diff) / max(1.0, np.linalg.norm(lp)))
+
+
+def parity_matrix_on(parity, index) -> np.ndarray:
+    """Oracle: the parity's block on the invariant flat positions ``index``, in their
+    order, gathered from the entries of ``kron(A, B.T)`` (:class:`SectorNotInvariant` if
+    the parity couples them to the rest)."""
+    (entries,) = _nonzeros(parity.hilbert_dim, [(1.0, parity.left_op, parity.right_op.T)])
+    return _block(entries, index)
+
+
+def check_inversion(liou: SuperOperator, parity, t: float) -> float:
+    """Oracle: the relative error of the propagator inversion identity at time ``t``,
+    ``U(-t)`` against ``exp(2 gamma_bar t) P [U(t)]^dag P``; small only when the generator
+    is PT-symmetric.  A parity of another Hilbert space and a non-finite ``t`` are refused."""
+    _require_same_space(parity, liou.hilbert_dim)
+    if not np.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
+    gamma_bar = average_damping(liou)
+    u_neg = propagator(liou, -t).matrix
+    u_adj = dagger(propagator(liou, t).matrix)
+    rhs = np.exp(2.0 * gamma_bar * t) * _sandwich(_parity_block(parity, liou.index), u_adj)
+    return float(np.linalg.norm(u_neg - rhs) / np.linalg.norm(u_neg))
+
+
+def left_identity_residual(sup: SuperOperator) -> float:
+    """Oracle: the norm of ``vec(I)^T matrix``; zero for trace-preserving generators."""
+    return float(np.linalg.norm(sup.trace_vector() @ sup.matrix))
+
+
+def spectral_radius(dec) -> float:
+    """The largest |eigenvalue| of a ``SpectralDecomposition`` (0 when it is empty)."""
+    return float(np.abs(dec.eigenvalues).max(initial=0.0))
+
+
+_CLUSTERED = [None, frozenset()]  # one slot: the last decomposition asked, and its set
+
+
+def clustered_indices(dec) -> frozenset:
+    """The indices of ``dec`` that lie in a degenerate cluster; the set is built once
+    for the last decomposition asked, not once per call."""
+    if _CLUSTERED[0] is not dec:
+        _CLUSTERED[:] = [dec, frozenset(i for group in dec.clusters for i in group)]
+    return _CLUSTERED[1]
+
+
+def is_simple(dec, k: int) -> bool:
+    """Whether eigenvalue ``k`` of ``dec`` lies in no degenerate cluster."""
+    return k not in clustered_indices(dec)
+
+
+def collinearity_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Oracle: the sine of the principal angle between two vectors (0 = parallel up to
+    phase), as the norm of the component of ``a`` orthogonal to ``b``, which stays
+    accurate down to machine precision (unlike 1 - |<a,b>|^2)."""
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 1.0
+    a = a / na
+    b = b / nb
+    return float(np.linalg.norm(a - np.vdot(b, a) * b))
+
+
+def left_steady_vector(dec) -> np.ndarray:
+    """Oracle: the left eigenvector of the zero mode (the identity, for trace-preserving
+    maps); :class:`NoZeroMode` under the rule of ``steady_state``."""
+    return dec.left_vectors[:, _zero_index(dec.eigenvalues, dec.matrix_norm)]
+
+
+@dataclass(frozen=True)
+class PartnerReport:
+    """Eigenvector partner relations under the two spectral reflections.
+
+    For each simple eigenvalue the right eigenvector of the vertical-mirror
+    partner must be parallel to P v, the left one to P u, and the
+    real-axis-mirror partner's right eigenvector to u^dag.  The worst sine
+    of principal angle over all checks is reported; members of degenerate
+    clusters are skipped and counted.
+    """
+
+    max_vector_error: float
+    n_checked: int
+    n_skipped_degenerate: int
+    max_eigenvalue_mismatch: float
+
+
+def pt_partner_check(dec, parity, gamma_bar: float) -> PartnerReport:
+    """Oracle: the eigenvector relations behind the two spectral reflections.
+
+    Eigenvalues whose mirror images match no eigenvalue within 1e-6 of the
+    spectral radius are not checked.
+    """
+    _require_same_space(parity, dec.hilbert_dim)
+    w = dec.eigenvalues
+    p = parity_matrix_on(parity, dec.index)
+    conj = _conjugate_rows(dec.index, dec.hilbert_dim)
+    scale = max(1.0, spectral_radius(dec))
+    worst = 0.0
+    worst_match = 0.0
+    checked = 0
+    skipped = 0
+    for k in range(dec.dim):
+        if not is_simple(dec, k):
+            skipped += 1
+            continue
+        # vertical mirror: lambda_beta = -conj(lambda_k + g) - g
+        target = -np.conj(w[k] + gamma_bar) - gamma_bar
+        beta = int(np.argmin(np.abs(w - target)))
+        # real-axis mirror: lambda_eta = conj(lambda_k)
+        eta = int(np.argmin(np.abs(w - np.conj(w[k]))))
+        match = max(abs(w[beta] - target), abs(w[eta] - np.conj(w[k])))
+        worst_match = max(worst_match, match)
+        if match > 1e-6 * scale:
+            continue  # reflections unmatched; shows up in max_eigenvalue_mismatch
+        checked += 1
+        if is_simple(dec, beta):
+            worst = max(worst, collinearity_error(dec.right_vectors[:, beta], p @ dec.left_vectors[:, k]))
+            worst = max(worst, collinearity_error(dec.left_vectors[:, beta], p @ dec.right_vectors[:, k]))
+        if is_simple(dec, eta):
+            u_dag = dec.right_vectors[conj, k].conj()
+            worst = max(worst, collinearity_error(dec.right_vectors[:, eta], u_dag))
+    return PartnerReport(
+        max_vector_error=float(worst),
+        n_checked=checked,
+        n_skipped_degenerate=skipped,
+        max_eigenvalue_mismatch=float(worst_match),
+    )
+
+
+@dataclass(frozen=True)
+class VelocityReport:
+    """Analytic eigenvalue velocities versus finite differences.
+
+    ``entries`` holds (index, eigenvalue, analytic velocity, fd velocity)
+    for every simple eigenvalue; the two confinement maxima cover the
+    simple eigenvalues lying on each symmetry line (None when that set is
+    empty, as happens when every line member is degenerate).
+    """
+
+    entries: tuple
+    max_fd_discrepancy: float
+    max_h_im_velocity: float | None
+    max_v_re_velocity: float | None
+    n_on_h: int
+    n_on_v: int
+    n_skipped_degenerate: int
+
+
+def velocity_check(
+    model: LindbladModel, dgamma: float = 1e-5, sector: np.ndarray | None = None
+) -> VelocityReport:
+    """Oracle: ``<v, D u>`` against centred finite differences of the spectrum.
+
+    Eigenvalues at ``gamma +- dgamma`` are tracked by nearest match.  Also
+    checks line confinement: a simple eigenvalue on the real axis must have
+    a real velocity, and one on the vertical line must have a purely
+    imaginary shifted velocity ``<v, (D + 1) u>``; "on a line" is decided by
+    ``classify_cross`` at its default tolerance, with ``gamma`` as the line.  A
+    spectrum with no simple eigenvalue is refused with :class:`NumericalError`.
+    """
+    if not 0 < dgamma < np.inf:
+        raise ValidationError(f"dgamma must be positive and finite, got {dgamma}")
+    gamma = model.gamma
+    if gamma - dgamma < 0:
+        raise ValidationError("gamma - dgamma is negative; pick a smaller step")
+
+    coherent, dis_m = _split(model, sector)
+    sup = SuperOperator(_at_coupling(coherent, dis_m, gamma), model.dim, sector)
+    dec = eig_biortho(sup)
+    w = dec.eigenvalues
+    w_plus = _eigenvalues(_at_coupling(coherent, dis_m, gamma + dgamma))
+    w_minus = _eigenvalues(_at_coupling(coherent, dis_m, gamma - dgamma))
+
+    cls = classify_cross(w, gamma)
+    on_h, on_v = set(cls.on_h), set(cls.on_v)
+    entries = []
+    conf_h: list = []
+    conf_v: list = []
+    skipped = 0
+    for k in range(dec.dim):
+        if not is_simple(dec, k):
+            skipped += 1
+            continue
+        u = dec.right_vectors[:, k]
+        v = dec.left_vectors[:, k]
+        denom = np.vdot(u, v)
+        if abs(denom) < 1e-12:
+            skipped += 1
+            continue
+        analytic = np.vdot(v, dis_m @ u) / np.conj(denom)
+        lam_p = w_plus[np.argmin(np.abs(w_plus - w[k]))]
+        lam_m = w_minus[np.argmin(np.abs(w_minus - w[k]))]
+        fd = (lam_p - lam_m) / (2.0 * dgamma)
+        entries.append((k, w[k], analytic, fd))
+        if k in on_h:
+            conf_h.append(abs(analytic.imag))
+        elif k in on_v:
+            conf_v.append(abs((analytic + 1.0).real))
+    if not entries:
+        raise NumericalError("no simple eigenvalues at this coupling; velocities are undefined")
+    return VelocityReport(
+        entries=tuple(entries),
+        max_fd_discrepancy=float(max(abs(a - f) for _, _, a, f in entries)),
+        max_h_im_velocity=max(conf_h) if conf_h else None,
+        max_v_re_velocity=max(conf_v) if conf_v else None,
+        n_on_h=len(conf_h),
+        n_on_v=len(conf_v),
+        n_skipped_degenerate=skipped,
+    )
 
 
 def chain_site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
@@ -411,6 +629,37 @@ def xx_dmz0_spectrum(n: int, gamma: float) -> np.ndarray:
         -(sums[sizes == k][:, None] + sums[sizes == k].conj()[None, :]).ravel()
         for k in range(n + 1)
     ])
+
+
+def mpa_steady_state(n: int, delta: float, gamma: float) -> np.ndarray:
+    """Oracle: the exact steady state of the chain at mu = 1 and delta != +-1, as a
+    matrix-product ansatz (Prosen, PRL 107, 137201 (2011), in the Lax form of Karevski,
+    Popkov and Schuetz, PRL 110, 047201 (2013)).
+
+    At mu = 1 only sigma^+ at site 1 and sigma^- at site n act, and ``rho = S^dag S /
+    tr(S^dag S)`` (this order: ``S S^dag`` is another matrix), with ``S = <0| L (x) ... (x)
+    L |0>`` contracted over auxiliary states |k>, k = 0..n+1.  With eta = arccos(delta)
+    (complex when |delta| > 1) and s solving tan(eta s) = (gamma/2) / (2i sin eta), the
+    spin-s operators act as ``S^z|k> = (s - k)|k>``, ``sin(eta) S^+|k> = sin(k eta)|k-1>``
+    and ``sin(eta) S^-|k> = sin((2s - k) eta)|k+1>``, and the 2 x 2 physical matrix of
+    ``L`` is [[sin(pi/2 + eta S^z), sin(eta) S^-], [sin(eta) S^+, sin(pi/2 - eta S^z)]],
+    up spin first and site 1 the most significant bit, as in ``xxz``.
+    """
+    eta = cmath.acos(delta)
+    s = cmath.atan(gamma / 2.0 / (2j * cmath.sin(eta))) / eta
+    k = np.arange(n + 2)
+    lax = np.zeros((2, 2, n + 2, n + 2), dtype=complex)  # lax[a, b] = <a| L |b>
+    lax[0, 0] = np.diag(np.sin(np.pi / 2 + eta * (s - k)))
+    lax[1, 1] = np.diag(np.sin(np.pi / 2 - eta * (s - k)))
+    lax[0, 1][k[1:], k[:-1]] = np.sin((2 * s - k[:-1]) * eta)
+    lax[1, 0][k[:-1], k[1:]] = np.sin(k[1:] * eta)
+    t = np.zeros((1, 1, n + 2), dtype=complex)
+    t[0, 0, 0] = 1.0  # <0|, times each site's L: the next site is the next less significant bit
+    for _ in range(n):
+        t = np.einsum("ijx,abxy->iajby", t, lax).reshape(2 * len(t), 2 * len(t), n + 2)
+    s_op = t[:, :, 0]
+    rho = s_op.conj().T @ s_op
+    return rho / np.trace(rho)
 
 
 @dataclass(frozen=True)

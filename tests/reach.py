@@ -16,7 +16,7 @@ or statement listed here is reached only by tests, if at all.
 runs the test suite instead, in this process (``pytest.main``, with the hook set for
 every thread too) and without acceptance 9b, which fails by design; the listing after
 pytest's report is then the code that no test reaches.  Code that a test runs in a
-subprocess is not traced.  It takes about 75 s at one BLAS thread.
+subprocess is not traced.  It takes about 105 s at one BLAS thread.
 """
 
 from __future__ import annotations

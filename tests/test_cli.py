@@ -896,6 +896,46 @@ class TestParserOncePerProcess:
         assert len(pages[0].splitlines()) > len(pages[1].splitlines())  # the narrow page wraps
 
 
+class TestBlasThreadPin:
+    """``main`` sets each loaded OpenBLAS to one thread through the library's own setter.
+    Here stand-in libraries record the setter calls, so no thread count is changed."""
+
+    @staticmethod
+    def stand_ins(monkeypatch, symbols) -> list:
+        calls = []
+
+        class Library:
+            def __init__(self, path):
+                for name in symbols:
+                    setattr(self, name, lambda k, path=path, name=name: calls.append((path, name, k)))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", Library)
+        return calls
+
+    def test_each_openblas_is_set_to_one_thread(self, monkeypatch):
+        calls = self.stand_ins(monkeypatch, ("openblas_get_num_threads", "openblas_set_num_threads"))
+        pinned = cli._pin_blas_threads()
+        if not pinned:
+            pytest.skip("no OpenBLAS is loaded in this process")
+        assert all("openblas" in Path(path).name.lower() for path in pinned)
+        assert calls == [(path, "openblas_set_num_threads", 1) for path in pinned]
+
+    def test_a_library_without_a_known_setter_is_left_as_it_is(self, monkeypatch):
+        calls = self.stand_ins(monkeypatch, ("openblas_get_num_threads",))
+        assert cli._pin_blas_threads() == []
+        assert calls == []
+
+    def test_main_pins_and_run_command_does_not(self, monkeypatch, tmp_path, capsys):
+        # perfbench calls run_command and measures it at the thread counts it sets
+        pins = count_calls(monkeypatch, "ptlind.cli._pin_blas_threads")
+        cfg = write_config(tmp_path, QUBIT)
+        assert cli.run_command(["check", "--config", cfg]) == 0
+        assert pins == []
+        assert main(["check", "--config", cfg]) == 0
+        assert pins == [()]
+        capsys.readouterr()
+
+
 def test_echoed_tolerances_are_pinned(tmp_path, capsys):
     # every JSON report echoes this table; a change to it changes every report
     assert TOLERANCES == {
@@ -1001,10 +1041,10 @@ class TestRunFromCheckout:
 
     @pytest.mark.parametrize("sector", ["full", "dmz0"])
     def test_gamma_pt_does_not_depend_on_the_blas_thread_count(self, run, tmp_path, sector):
-        # only gamma_pt: on the full space the reported min_off_distance of a probe
-        # moves in its last bits between one and two threads
+        # the whole report: the command runs OpenBLAS at one thread whatever the
+        # setting, so each probe's min_off_distance keeps its last bits too
         cfg = write_config(tmp_path, dict(FIG_TOP, sector=sector))
-        gamma_pt = []
+        reports = []
         for threads in ("1", "2"):
             out = tmp_path / f"result-{threads}.json"
             proc = run(
@@ -1012,5 +1052,5 @@ class TestRunFromCheckout:
                 "--gamma-min", "0.02", "--gamma-max", "0.2", OPENBLAS_NUM_THREADS=threads,
             )
             assert proc.returncode == 0, proc.stderr
-            gamma_pt.append(float.hex(json.loads(out.read_text())["gamma_pt"]))
-        assert gamma_pt[0] == gamma_pt[1]
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

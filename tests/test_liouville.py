@@ -14,7 +14,6 @@ from ptlind import (
     average_damping,
     build_superoperator,
     hermiticity_residual,
-    left_identity_residual,
     propagator,
     sector_restrict,
     vec,
@@ -41,6 +40,8 @@ from conftest import (
     dissipator_superoperator,
     hamiltonian_superoperator,
     kron_terms,
+    left_identity_residual,
+    parity_matrix_on,
     random_density,
     random_hermitian,
     random_model,
@@ -154,7 +155,7 @@ class TestModelValidation:
             lambda model: build_superoperator(model, sector_basis(3, 1)),  # no odd dmz at n = 3
             lambda model: _split(model, []),
             lambda model: sector_restrict(build_superoperator(model), []),
-            lambda model: xxz_parity(3).matrix_on([]),
+            lambda model: parity_matrix_on(xxz_parity(3), []),
         ],
         ids=["SuperOperator", "build_superoperator", "_split", "sector_restrict", "matrix_on"],
     )
@@ -582,7 +583,7 @@ def assert_blocks_match_the_dense_gather(model, keep, parity, sub):
         )
     n = model.dim
     kron = SuperOperator(_assemble([(1.0, parity.left_op, parity.right_op.T)], n), n)
-    assert outcome(lambda: parity.matrix_on(keep)) == outcome(
+    assert outcome(lambda: parity_matrix_on(parity, keep)) == outcome(
         lambda: dense_sector_restrict(kron, keep)
     )
 

@@ -12,12 +12,9 @@ from ptlind import (
     average_damping,
     build_superoperator,
     classify_cross,
-    collinearity_error,
     eig_biortho,
     is_unbroken,
-    left_steady_vector,
     parity_from_pair,
-    pt_partner_check,
     sector_restrict,
     steady_state,
     unvec,
@@ -31,10 +28,15 @@ from ptlind.xxz import XXZParams, sector_basis, sector_positions, xxz_model
 from conftest import (
     apply_superoperator,
     bits,
+    collinearity_error,
     count_calls,
+    is_simple,
+    left_steady_vector,
+    pt_partner_check,
     random_hermitian,
     random_model,
     single_qubit,
+    spectral_radius,
     xx_dmz0_spectrum,
 )
 
@@ -83,7 +85,7 @@ class TestEigBiortho:
         dec = eig_biortho(sup)
         assert dec.residuals.max() <= 1e-9 * max(1.0, dec.matrix_norm)
         for k in range(dec.dim):
-            if not dec.is_simple(k):
+            if not is_simple(dec, k):
                 continue
             v = dec.left_vectors[:, k]
             res = np.linalg.norm(
@@ -96,11 +98,11 @@ class TestEigBiortho:
         scale = max(1.0, dec.matrix_norm)
         w = dec.eigenvalues
         for a in range(dec.dim):
-            if not dec.is_simple(a):
+            if not is_simple(dec, a):
                 continue
             for b in range(dec.dim):
                 separated = a == b or abs(w[a] - w[b]) > 1e-8 * scale
-                if not (dec.is_simple(b) and separated):
+                if not (is_simple(dec, b) and separated):
                     continue
                 inner = np.vdot(dec.right_vectors[:, a], dec.left_vectors[:, b])
                 assert abs(inner - (1.0 if a == b else 0.0)) <= 1e-8
@@ -327,7 +329,7 @@ class TestVerifyD2:
         sup = build_superoperator(xxz_model(XXZParams(4, 0.5, 1.0, gamma)))
         dec = eig_biortho(sector_restrict(sup, sector_basis(4, 0)))
         rep = verify_d2(dec.eigenvalues, gamma_bar=gamma)
-        scale = max(1.0, dec.spectral_radius)
+        scale = max(1.0, spectral_radius(dec))
         assert rep.max_v_error <= 1e-8 * scale
         assert rep.max_h_error <= 1e-8 * scale
 
@@ -350,7 +352,7 @@ class TestVerifyD2:
         for _ in range(5):
             dec = eig_biortho(build_superoperator(random_model(rng)))
             rep = verify_d2(dec.eigenvalues, gamma_bar=0.0)
-            assert rep.max_h_error <= 1e-8 * max(1.0, dec.spectral_radius)
+            assert rep.max_h_error <= 1e-8 * max(1.0, spectral_radius(dec))
 
 
 class TestPtPartnerCheck:
@@ -371,7 +373,7 @@ class TestPtPartnerCheck:
         pos = {int(p): i for i, p in enumerate(dec.index)}
         for k in range(dec.dim):
             lam = dec.eigenvalues[k]
-            if abs(lam.imag) > 1e-10 or not dec.is_simple(k):
+            if abs(lam.imag) > 1e-10 or not is_simple(dec, k):
                 continue
             u = dec.right_vectors[:, k]
             u_dag = np.empty_like(u)
@@ -425,13 +427,13 @@ class TestSpectrumInvariants:
             sup = build_superoperator(xxz_model(XXZParams(3, 0.5, 1.0, gamma)))
             dec = eig_biortho(sup)
             gap = np.min(np.abs(dec.eigenvalues + 2 * gamma))
-            assert gap <= 1e-8 * max(1.0, dec.spectral_radius)
+            assert gap <= 1e-8 * max(1.0, spectral_radius(dec))
 
     def test_conjugate_pair_symmetry(self, rng):
         dec = eig_biortho(build_superoperator(random_model(rng)))
         w = sorted(dec.eigenvalues, key=lambda z: (round(z.real, 8), z.imag))
         wc = sorted(np.conj(dec.eigenvalues), key=lambda z: (round(z.real, 8), z.imag))
-        assert max(abs(a - b) for a, b in zip(w, wc)) <= 1e-8 * max(1.0, dec.spectral_radius)
+        assert max(abs(a - b) for a, b in zip(w, wc)) <= 1e-8 * max(1.0, spectral_radius(dec))
 
 
 def xx_block_eigenvalues(n, mu, gamma):

@@ -13,13 +13,10 @@ from ptlind import (
     SuperOperator,
     ValidationError,
     build_superoperator,
-    check_inversion,
     check_pt,
     eig_biortho,
     hermiticity_residual,
-    left_identity_residual,
     parity_from_pair,
-    pt_partner_check,
     sector_restrict,
     xxz_parity,
 )
@@ -38,9 +35,13 @@ from ptlind.xxz import XXZParams, sector_basis, xxz_model
 from conftest import (
     apply_parity,
     bits,
+    check_inversion,
     check_pt_rows,
     ladder_vectorization_map,
+    left_identity_residual,
+    parity_matrix_on,
     product_map,
+    pt_partner_check,
     random_hermitian,
     random_model,
     row_superoperators,
@@ -367,19 +368,19 @@ class TestFactoredParity:
         for parity in (xxz_parity(3), i_sigma_x_pair(3)):
             index = np.arange(64)
             g, inverse, sign = _parity_block(parity, index)
-            block = parity.matrix_on(index)
+            block = parity_matrix_on(parity, index)
             assert np.array_equal(block[index, g], sign)
             assert np.array_equal(inverse[g], index)
             assert set(np.abs(sign)) == {1.0}
         sigma_y = parity_from_pair(site_operator("y", 1, 3), np.eye(8))
         dense = _parity_block(sigma_y, np.arange(64))
-        assert np.array_equal(bits(dense), bits(sigma_y.matrix_on(np.arange(64))))
+        assert np.array_equal(bits(dense), bits(parity_matrix_on(sigma_y, np.arange(64))))
         # nor is a phase whose real part rounds to 1, or a row with a second, tiny entry
         tilt = parity_from_pair(np.diag([1.0 + 1e-20j, 1.0]), np.eye(2))
         leak = parity_from_pair(np.array([[1.0, 0.0], [1e-14, -1.0]]), np.eye(2))
         for parity in (tilt, leak):
             dense = _parity_block(parity, np.arange(4))
-            assert np.array_equal(bits(dense), bits(parity.matrix_on(np.arange(4))))
+            assert np.array_equal(bits(dense), bits(parity_matrix_on(parity, np.arange(4))))
 
     def test_other_monomial_pairs_take_the_assembled_block(self):
         # each factor is i times a permutation and squares to -1, so the map is an
@@ -414,7 +415,7 @@ class TestFactoredParity:
     def test_matrix_is_derived_on_first_access(self):
         parity = xxz_parity(3)
         assert not hasattr(parity, "matrix")  # the N^2 x N^2 matrix is never kept
-        whole = parity.matrix_on(np.arange(64))
+        whole = parity_matrix_on(parity, np.arange(64))
         assert np.array_equal(whole, np.kron(parity.left_op, parity.right_op.T))
 
 
@@ -451,8 +452,8 @@ class TestParityLeavingTheSector:
 
 class TestOneRuleForParityBlocks:
     """The gather reads P's block under the rule of every block: it refuses exactly the
-    position sets that ``matrix_on`` refuses, with its message, and returns a map exactly
-    where that block's rows each hold one +-1, and otherwise ``matrix_on``'s block."""
+    position sets that ``parity_matrix_on`` refuses, with its message, and returns a map
+    exactly where that block's rows each hold one +-1, and otherwise that block."""
 
     PARITIES = {
         "xxz": xxz_parity,
@@ -481,7 +482,7 @@ class TestOneRuleForParityBlocks:
             positions = np.union1d(np.setdiff1d(positions, image[p]), [p])
         positions = rng.permutation(positions)
         try:
-            block = parity.matrix_on(positions)
+            block = parity_matrix_on(parity, positions)
         except SectorNotInvariant as refusal:
             assert not closed
             with pytest.raises(SectorNotInvariant) as err:

@@ -24,13 +24,22 @@ from ptlind import (
     is_unbroken,
     observable_decay,
     scaling_study,
+    steady_state,
+    unvec,
 )
 from ptlind import threshold
 from ptlind.liouville import _split
 from ptlind.threshold import _parts, _relaxation
 from ptlind.xxz import XXZParams, spin_current, xxz_model
 
-from conftest import biortho_deviations, biortho_probe_state, bits, count_calls, full_build
+from conftest import (
+    biortho_deviations,
+    biortho_probe_state,
+    bits,
+    count_calls,
+    full_build,
+    mpa_steady_state,
+)
 
 
 class TestIsUnbroken:
@@ -388,6 +397,15 @@ class TestObservableDecay:
             with pytest.raises(ValidationError, match="rho0 must be finite"):
                 observable_decay(XXZParams(2, 0.5, 1.0, 0.1), spin_current(2), rho0=rho0)
 
+    def test_non_hermitian_state_refused_before_the_solve(self, monkeypatch):
+        # its trace is 1, and the real part of a complex deviation used to come back
+        # as the deviation, with a fitted rate
+        rho0 = np.eye(8) / 8.0 + 0.3j * np.triu(np.ones((8, 8)), 1)
+        solves = count_calls(monkeypatch, "ptlind.threshold._relaxation")
+        with pytest.raises(ValidationError, match="^rho0 must be Hermitian$"):
+            observable_decay(XXZParams(3, 0.5, 1.0, 0.1), spin_current(3), rho0=rho0)
+        assert solves == []
+
     def test_probe_state_checks_its_observable_the_same_way(self):
         params = XXZParams(2, 0.5, 1.0, 0.1)
         ket_bra = np.zeros((4, 4), dtype=complex)
@@ -398,6 +416,28 @@ class TestObservableDecay:
                 for recipe in (coherence_probe_state, observable_decay):
                     with pytest.raises(ValidationError, match=message):
                         recipe(params, bad)
+
+
+class TestExactSteadyState:
+    """At mu = 1 the steady state is known in closed form (``mpa_steady_state``): both
+    full-space solves must find it, at any anisotropy away from delta = +-1."""
+
+    @given(
+        n=st.integers(2, 4),
+        delta=st.floats(-2.0, 2.0).filter(lambda d: abs(abs(d) - 1.0) >= 0.05),
+        gamma=st.floats(np.log(0.01), np.log(5.0)).map(np.exp),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_both_solves_find_it(self, n, delta, gamma):
+        params = XXZParams(n, delta, 1.0, float(gamma))
+        exact = mpa_steady_state(n, delta, float(gamma))
+        biortho = unvec(steady_state(eig_biortho(build_superoperator(xxz_model(params)))))
+        assert np.abs(_relaxation(params).rho_inf - exact).max() <= 1e-12
+        assert np.abs(biortho - exact).max() <= 1e-12
+
+    def test_five_sites(self):
+        exact = mpa_steady_state(5, 0.5, 0.02)
+        assert np.abs(_relaxation(XXZParams(5, 0.5, 1.0, 0.02)).rho_inf - exact).max() <= 1e-12
 
 
 class TestSharedRelaxationSolve:
