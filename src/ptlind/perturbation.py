@@ -101,7 +101,7 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
     v_raw = product @ d_vecs
     reality = float(np.abs(v_raw.imag).max(initial=0.0))
     symmetry = float(np.abs(v_raw - v_raw.T).max(initial=0.0))
-    # eig, not eigvals: without the vectors LAPACK finds the values by another path
+    # eig, not eigvals: from dimension 75 on, LAPACK finds values without vectors by another path
     xi = np.linalg.eig(v_raw).eigenvalues
     return PerturbationReport(
         energies=energies,

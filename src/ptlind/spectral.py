@@ -119,8 +119,9 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     eigenvalues depend on two things: the Schur job (full Schur form, or eigenvalues
     only) and the workspace, from which the multishift QR with aggressive early
     deflation that ``zgeev`` uses from dimension 75 on picks its deflation window.
-    Its eigenvalues-only job (``scipy.linalg.eigvals``) changes both; for the
-    eigenvalues alone, :func:`_eigenvalues` keeps both and skips the vectors.
+    Its eigenvalues-only job (``scipy.linalg.eigvals``) changes both, which moves bits
+    from dimension 75 on.  :func:`_eigenvalues` takes that job only below 75, keeps
+    both from 75 on, and skips the vectors.
     """
     if not np.all(np.isfinite(m)):
         raise ValidationError("superoperator matrix has non-finite entries")
@@ -144,31 +145,41 @@ def _unscaled(m: np.ndarray) -> bool:
     return _UNSCALED_LOW <= _largest_part(m) <= _UNSCALED_HIGH / 2
 
 
+# iparmq's NMIN: zhseqr hands a Hessenberg matrix this small to zlahqr, which does the
+# same arithmetic on the active window with or without the Schur form.
+_SMALL_QR_DIM = 75
+
+
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """``_eig(m, left=False)[0]`` bit for bit, without computing any eigenvector.
 
-    These are ``zgeev``'s steps for the right vectors, less the vectors: balance
-    (permute and scale), then the full Schur form with no Schur vectors, on the
-    workspace that ``zgeev`` takes for right vectors.  ``zgees``' own workspace or
-    ``zgeev``'s eigenvalues-only job would change the last bits from dimension 75
-    on.  A matrix that ``zgeev`` would scale first (its largest entry, or the
-    balanced one's, far from 1), a non-complex, empty or non-finite one goes to
-    :func:`_eig`, which also refuses non-finite entries.
+    Below dimension ``_SMALL_QR_DIM`` it is ``zgeev``'s eigenvalues-only job: its QR
+    (``zlahqr``) does the Schur job's arithmetic on every entry of the active window.
+    From 75 on, where the QR picks its deflation window from the job and the workspace,
+    it runs ``zgeev``'s steps for the right vectors, less the vectors: balance (permute
+    and scale), then the full Schur form with no Schur vectors.  Both take ``zgeev``'s
+    workspace for right vectors.  A matrix that ``zgeev`` would scale first (its
+    largest entry far from 1), from 75 on one that ``zgees`` would (the balanced one's),
+    and a non-complex, empty or non-finite one go to :func:`_eig`, which also refuses
+    non-finite entries.
     """
     m = np.asarray(m)
     if m.dtype != np.complex128 or not _unscaled(m):
         return _eig(m, left=False)[0]
-    balanced = lapack.zgebal(m, permute=1, scale=1)[0]
-    if not _unscaled(balanced):
-        return _eig(m, left=False)[0]
     n = m.shape[0]
     lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
-    # the selector is never called: sort_t=0 reorders nothing
-    _, _, w, _, _, info = lapack.zgees(
-        lambda _: 0, balanced, compute_v=0, sort_t=0, lwork=lwork, overwrite_a=1
-    )
+    if n < _SMALL_QR_DIM:
+        w, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0, lwork=lwork)
+    else:
+        balanced = lapack.zgebal(m, permute=1, scale=1)[0]
+        if not _unscaled(balanced):
+            return _eig(m, left=False)[0]
+        # the selector is never called: sort_t=0 reorders nothing
+        _, _, w, _, _, info = lapack.zgees(
+            lambda _: 0, balanced, compute_v=0, sort_t=0, lwork=lwork, overwrite_a=1
+        )
     if info != 0:  # pragma: no cover - LAPACK rarely fails here
-        raise ConvergenceFailure(f"dense eigensolver failed on dim {n}: zgees info {info}")
+        raise ConvergenceFailure(f"dense eigensolver failed on dim {n}: LAPACK info {info}")
     return w[_order(w)]
 
 
@@ -245,12 +256,20 @@ def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
 
 def _zero_index(eigenvalues: np.ndarray, matrix_norm: float) -> int:
     """Position of the smallest ``|eigenvalue|``, refused with :class:`NoZeroMode`
-    unless it lies within ``1e-9 * max(1, matrix_norm)`` of zero."""
-    k = int(np.argmin(np.abs(eigenvalues)))
-    if abs(eigenvalues[k]) > 1e-9 * max(1.0, matrix_norm):
+    unless it lies within ``1e-9 * max(1, matrix_norm)`` of zero and the second
+    smallest does not (a degenerate zero mode has no one steady state)."""
+    mod = np.abs(eigenvalues)
+    k = int(np.argmin(mod))
+    tol = 1e-9 * max(1.0, matrix_norm)
+    if mod[k] > tol:
         raise NoZeroMode(
-            f"smallest |eigenvalue| is {abs(eigenvalues[k]):.3e}, "
-            f"above 1.0e-09 * {matrix_norm:.3e}"
+            f"smallest |eigenvalue| is {mod[k]:.3e}, above 1.0e-09 * {matrix_norm:.3e}"
+        )
+    second = np.partition(mod, 1)[1] if mod.size > 1 else np.inf
+    if second <= tol:
+        raise NoZeroMode(
+            f"zero mode is degenerate: the two smallest |eigenvalue|s {mod[k]:.3e} and "
+            f"{second:.3e} are both within 1.0e-09 * {matrix_norm:.3e}"
         )
     return k
 

@@ -570,7 +570,7 @@ class TestEvolveCommand:
             ({"n": 3}, "1e300", "5", "matrix exponential is not finite"),
             # a finite but wrong step propagator, its entries near 2e25, used to
             # overflow in the stepping with numpy's warning; its trace drift refuses it
-            ({"n": 2, "delta": 0.0, "mu": 0.0, "gamma": 0.0}, "1e20", "50",
+            ({"n": 2, "delta": 0.0, "mu": 0.0, "gamma": 0.01}, "1e20", "50",
              "time evolution failed: the step propagator at dt = 2.041e+18 drifts "
              "1.000e+00 off the trace, above 1.0e-10"),
         ],
@@ -603,6 +603,19 @@ class TestEvolveCommand:
         assert err["error"] == "NumericalError"
         assert err["message"].startswith("time evolution failed: the step propagator at dt = ")
         assert err["message"].endswith("off the trace, above 1.0e-10")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_zero_coupling_writes_no_series(self, tmp_path, monkeypatch, capsys):
+        # every energy population is a steady state: this run used to exit 0 with a
+        # growing deviation and a fitted rate of -0.0240
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, dict(FIG_TOP, n=3, gamma=0.0, sector="full"))
+        assert main(["evolve", "--config", cfg, "--out", "s.csv"]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "NoZeroMode"
+        assert err["message"].startswith("zero mode is degenerate: the two smallest ")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 

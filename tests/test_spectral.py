@@ -22,7 +22,7 @@ from ptlind import (
     xxz_parity,
 )
 from ptlind.operators import site_operator
-from ptlind.spectral import _cluster_close_eigenvalues, _eig, _eigenvalues
+from ptlind.spectral import _cluster_close_eigenvalues, _eig, _eigenvalues, _zero_index
 from ptlind.xxz import XXZParams, sector_basis, sector_positions, xxz_model
 
 from conftest import (
@@ -187,7 +187,24 @@ class TestEigenvaluesOnly:
         # the workspace, so a different workspace moves the last bits
         self.assert_bit_equal(self.generator(n, sector, 0.05))
 
-    @pytest.mark.parametrize("dim", [1, 3, 80, 120])
+    @staticmethod
+    def graded(rng, dim, spread, scale):
+        # d r / d, with d spanning 10^-spread .. 10^spread
+        r = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        d = 10.0 ** np.linspace(-spread, spread, dim)
+        return d[:, None] * r / d * scale
+
+    @staticmethod
+    def reducible(rng, dim):
+        # balancing permutes away the rows and columns that isolate eigenvalues (the
+        # last and the first), then rescales the rest: the large last column is left out
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m[:, -1] *= 1e8
+        m[-1, :-1] = 0.0
+        m[1:, 0] = 0.0
+        return m
+
+    @pytest.mark.parametrize("dim", [1, 3, 74, 75, 80, 120])
     def test_random_complex_matrices(self, rng, dim):
         self.assert_bit_equal(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
@@ -196,21 +213,48 @@ class TestEigenvaluesOnly:
 
     @pytest.mark.parametrize("spread,scale", [(3, 1.0), (70, 1.0), (100, 1e-230)])
     def test_rows_and_columns_that_balancing_rescales(self, rng, spread, scale):
-        # d r / d: at spread 70 the largest entry is out of LAPACK's unscaled range and
-        # the balanced one is not; at spread 100 and scale 1e-230 the other way round
-        r = rng.normal(size=(80, 80)) + 1j * rng.normal(size=(80, 80))
-        d = 10.0 ** np.linspace(-spread, spread, 80)
-        m = d[:, None] * r / d * scale
+        # at spread 70 the largest entry is out of LAPACK's unscaled range and the
+        # balanced one is not; at spread 100 and scale 1e-230 the other way round
+        m = self.graded(rng, 80, spread, scale)
         assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
 
     def test_reducible_matrix(self, rng):
-        # balancing permutes away the rows and columns that isolate eigenvalues (the
-        # last and the first), then rescales the rest: the large last column is left out
-        m = rng.normal(size=(90, 90)) + 1j * rng.normal(size=(90, 90))
-        m[:, -1] *= 1e8
-        m[-1, :-1] = 0.0
-        m[1:, 0] = 0.0
-        self.assert_bit_equal(m)
+        self.assert_bit_equal(self.reducible(rng, 90))
+
+    # the last dimension of zgeev's eigenvalues-only job and the first of the Schur job
+    @pytest.mark.parametrize("dim", [74, 75])
+    @pytest.mark.parametrize("spread,scale", [(3, 1.0), (70, 1.0), (100, 1e-230)])
+    def test_graded_matrices_across_the_crossover(self, rng, dim, spread, scale):
+        m = self.graded(rng, dim, spread, scale)
+        assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
+
+    @pytest.mark.parametrize("dim", [74, 75])
+    def test_reducible_matrices_across_the_crossover(self, rng, dim):
+        self.assert_bit_equal(self.reducible(rng, dim))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_random_model_generators(self, rng, dim):
+        self.assert_bit_equal(build_superoperator(random_model(rng, dim=dim)).matrix)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        sector=st.sampled_from(["dmz0", "full"]),
+        delta=st.floats(-3.0, 3.0),
+        mu=st.floats(-1.0, 1.0),
+        log_gamma=st.floats(-8.0, 3.0),
+    )
+    def test_xxz_blocks(self, n, sector, delta, mu, log_gamma):
+        params = XXZParams(n, delta, mu, 10.0**log_gamma)
+        m = build_superoperator(xxz_model(params), sector_positions(n, sector)).matrix
+        assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
+
+    @pytest.mark.parametrize("dim,schur_solves", [(1, 0), (74, 0), (75, 1), (120, 1)])
+    def test_schur_job_only_from_dimension_75(self, monkeypatch, rng, dim, schur_solves):
+        schur = count_calls(monkeypatch, "scipy.linalg.lapack.zgees")
+        solves = count_calls(monkeypatch, "ptlind.spectral._eig")
+        _eigenvalues(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        assert (len(schur), solves) == (schur_solves, [])
 
     def test_no_eigenvector_solve_unless_lapack_would_scale(self, monkeypatch):
         solves = count_calls(monkeypatch, "ptlind.spectral._eig")
@@ -268,6 +312,15 @@ class TestSteadyState:
         shifted = SuperOperator(sup.matrix - 0.5 * np.eye(9), 3, np.arange(9))
         with pytest.raises(NoZeroMode):
             steady_state(eig_biortho(shifted))
+
+    def test_degenerate_zero_mode_refused(self):
+        # without decay both energy populations are steady states
+        dec = eig_biortho(build_superoperator(single_qubit(gamma=0.0)))
+        with pytest.raises(NoZeroMode, match="^zero mode is degenerate: the two smallest "):
+            steady_state(dec)
+
+    def test_one_eigenvalue_is_a_simple_zero_mode(self):
+        assert _zero_index(np.zeros(1, dtype=complex), 0.0) == 0
 
     def test_no_zero_mode_has_no_left_partner(self, rng):
         # the left vector used to be read at the smallest |eigenvalue|, zero or not

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ptlind import (
     BracketInvalid,
     LindbladModel,
+    NoZeroMode,
     ValidationError,
     average_damping,
     build_superoperator,
@@ -417,6 +418,15 @@ class TestObservableDecay:
                     with pytest.raises(ValidationError, match=message):
                         recipe(params, bad)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1e-30])
+    def test_degenerate_zero_mode_refused(self, gamma):
+        # at zero coupling every energy population is a steady state, and the decay
+        # used to be measured from an arbitrary one of them
+        params = XXZParams(3, 0.5, 1.0, gamma)
+        for recipe in (coherence_probe_state, observable_decay):
+            with pytest.raises(NoZeroMode, match="^zero mode is degenerate: "):
+                recipe(params, spin_current(3))
+
 
 class TestExactSteadyState:
     """At mu = 1 the steady state is known in closed form (``mpa_steady_state``): both
@@ -498,7 +508,8 @@ class TestSharedRelaxationSolve:
 
     def test_signed_zero_coupling_has_its_own_entry(self, monkeypatch):
         solves = count_calls(monkeypatch, "ptlind.threshold._eig")
-        positive, negative = XXZParams(2, 0.5, 1.0, 0.0), XXZParams(2, 0.5, 1.0, -0.0)
+        # the signed zeros sit in the anisotropy: a zero coupling has no one steady state
+        positive, negative = XXZParams(2, 0.0, 1.0, 0.1), XXZParams(2, -0.0, 1.0, 0.1)
         assert positive == negative
         first = _relaxation(positive)
         assert _relaxation(positive) is first and len(solves) == 1
