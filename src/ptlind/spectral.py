@@ -35,7 +35,6 @@ __all__ = [
     "SpectralDecomposition",
     "CrossClassification",
     "D2Report",
-    "PartnerReport",
     "eig_biortho",
     "steady_state",
     "classify_cross",

@@ -299,7 +299,8 @@ def observable_decay(
 
     The default initial state is ``(I + obs / (2 |obs|_2)) / N``, which is
     positive for any nonzero Hermitian observable; the default grid is 200 uniform
-    points on [0.5, 50].  Repeated grid spacings reuse one step propagator.  An
+    points on [0.5, 50].  Repeated grid spacings reuse one step propagator, which is
+    kept from its first step to its last and dropped after it.  An
     overflow or invalid value while stepping raises :class:`NumericalError`, and so
     does a step propagator ``U`` that does not preserve the trace:
     ``max |vec(I)^T U - vec(I)^T| > 1e-10``, as scipy's ``expm`` returns at huge steps.
@@ -331,14 +332,17 @@ def observable_decay(
     sup, rho_inf = relax.generator, relax.rho_inf
 
     steps = np.diff(np.concatenate(([0.0], t_grid)))
+    keys = [round(float(dt), 15) for dt in steps]
+    last_step = {key: i for i, key in enumerate(keys)}
     step_props: dict = {}
     x = vec(rho0)
     trace = sup.trace_vector()
     deviations = np.empty(t_grid.size)
     with _numerical_errors("time evolution"):
-        for i, dt in enumerate(steps):
-            key = round(float(dt), 15)
-            if key not in step_props:
+        for i, (dt, key) in enumerate(zip(steps, keys)):
+            # rebinding u releases a propagator past its last step before expm runs again
+            u = step_props.pop(key, None)
+            if u is None:
                 u = propagator(sup, float(dt)).matrix
                 drift = float(np.abs(trace @ u - trace).max())
                 if not drift <= 1e-10:
@@ -346,8 +350,9 @@ def observable_decay(
                         f"time evolution failed: the step propagator at dt = {dt:.3e} "
                         f"drifts {drift:.3e} off the trace, above 1.0e-10"
                     )
+            x = u @ x
+            if last_step[key] > i:
                 step_props[key] = u
-            x = step_props[key] @ x
             deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
 
     mask = np.abs(deviations) > 1e-10

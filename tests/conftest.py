@@ -477,7 +477,8 @@ def biortho_probe_state(params, observable) -> tuple:
 
 def biortho_deviations(params, observable, rho0, t_grid) -> np.ndarray:
     """Oracle: ``observable_decay``'s deviations ``tr[(rho(t) - rho_inf) obs]`` on a fresh
-    bi-orthonormal solve, one step propagator per distinct rounded step."""
+    bi-orthonormal solve, one step propagator per distinct rounded step, each kept to
+    the end."""
     sup = build_superoperator(xxz_model(params))
     rho_inf = unvec(steady_state(eig_biortho(sup)))
     props, x, out = {}, vec(rho0), []

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -428,6 +429,64 @@ class TestObservableDecay:
                 recipe(params, spin_current(3))
 
 
+def distinct_steps(t_grid) -> list:
+    """The distinct rounded steps of a grid from t = 0: one step propagator each."""
+    return sorted({round(float(dt), 15) for dt in np.diff(np.concatenate(([0.0], t_grid)))})
+
+
+def made_steps(calls) -> list:
+    """The rounded steps of the ``propagator`` calls that ``count_calls`` recorded."""
+    return sorted(round(float(dt), 15) for _, dt in calls)
+
+
+class TestStepPropagators:
+    """``observable_decay`` drops each step propagator after its last step: the same
+    products in the same order as keeping every one (``biortho_deviations``), so the
+    deviations keep their bits.  ``TestSharedRelaxationSolve`` covers the relax and
+    default grids."""
+
+    def check(self, monkeypatch, params, t_grid):
+        current = spin_current(params.n_sites)
+        dim = params.hilbert_dim
+        rho0 = (np.eye(dim) + current / (2.0 * np.linalg.norm(current, 2))) / dim
+        steps = count_calls(monkeypatch, "ptlind.threshold.propagator")
+        result = observable_decay(params, current, rho0=rho0, t_grid=t_grid)
+        expected = biortho_deviations(params, current, rho0, t_grid)
+        assert np.array_equal(bits(result.deviations), bits(expected))
+        assert made_steps(steps) == distinct_steps(t_grid)
+
+    def test_a_key_ends_before_the_next_one_starts(self, monkeypatch):
+        # the 0.3 key's last step comes before the 0.7 key's first, and 0.7 returns after
+        # a single 0.5 step
+        t_grid = np.cumsum([0.3, 0.3, 0.3, 0.7, 0.7, 0.7, 0.5, 0.7])
+        self.check(monkeypatch, XXZParams(3, 0.5, 1.0, 0.1), t_grid)
+
+    @given(
+        spacings=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+        order=st.lists(st.integers(0, 3), min_size=1, max_size=25),
+        start=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_grids_of_repeated_spacings(self, spacings, order, start):
+        t_grid = start + np.cumsum([spacings[k % len(spacings)] for k in order])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, XXZParams(2, 0.5, 1.0, 0.1), t_grid)
+
+    def test_at_most_the_pending_propagators_are_alive(self):
+        # n = 4: each 256 x 256 propagator is 1 MiB.  Keeping all six keys of this grid
+        # to the end traced 13.0 MiB; dropping each after its last step traces 10.0 MiB.
+        params = XXZParams(4, 0.5, 1.0, 0.05)
+        t_grid = np.linspace(0.5, 50, 200)
+        observable_decay(params, spin_current(4), t_grid=t_grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            observable_decay(params, spin_current(4), t_grid=t_grid)
+            assert tracemalloc.get_traced_memory()[1] - base < 11.5 * 1024**2
+        finally:
+            tracemalloc.stop()
+
+
 class TestExactSteadyState:
     """At mu = 1 the steady state is known in closed form (``mpa_steady_state``): both
     full-space solves must find it, at any anisotropy away from delta = +-1."""
@@ -462,14 +521,17 @@ class TestSharedRelaxationSolve:
         XXZParams(4, 0.41, 0.63, 0.087),
         XXZParams(3, 0.5, 1.0, 0.05),
     ])
-    def test_bit_equal_to_the_biorthonormal_recipe(self, params):
+    def test_bit_equal_to_the_biorthonormal_recipe(self, params, monkeypatch):
         current = spin_current(params.n_sites)
         rho0, omega = coherence_probe_state(params, current)
         ref_rho0, ref_omega = biortho_probe_state(params, current)
         assert np.array_equal(bits(rho0), bits(ref_rho0))
         assert float.hex(omega) == float.hex(ref_omega)
         for t_grid, start in ((np.arange(0.5, 50.0, np.pi / omega), rho0), (np.linspace(0.5, 50.0, 200), None)):
-            result = observable_decay(params, current, rho0=start, t_grid=t_grid)
+            with monkeypatch.context() as patch:
+                steps = count_calls(patch, "ptlind.threshold.propagator")
+                result = observable_decay(params, current, rho0=start, t_grid=t_grid)
+            assert made_steps(steps) == distinct_steps(t_grid)
             if start is None:
                 dim = params.hilbert_dim
                 start = (np.eye(dim) + current / (2.0 * np.linalg.norm(current, 2))) / dim
