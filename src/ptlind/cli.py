@@ -283,10 +283,11 @@ def _block_eigenvalues(cfg: ModelConfig, build) -> np.ndarray:
 
     ``check`` and ``spectrum`` read the same array, so the last one solved in this
     process is kept (read-only), keyed on the config's canonical JSON text; ``build``
-    runs only for a config other than the last one.
+    runs only for a config other than the last one.  The solve owns the block that it
+    builds (:func:`spectral._eigenvalues`), and no other reference to it is kept.
     """
     key = json.dumps(cfg.raw, sort_keys=True)
-    return _BLOCK_SOLVE(key, lambda: _eigenvalues(build().matrix))
+    return _BLOCK_SOLVE(key, lambda: _eigenvalues(lambda: build().matrix))
 
 
 def _cmd_spectrum(cfg: ModelConfig, args) -> None:

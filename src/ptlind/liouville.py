@@ -138,7 +138,11 @@ def _entries(sup) -> _Nonzeros:
     """``sup`` itself, or a dense :class:`SuperOperator` read through its nonzero entries."""
     if isinstance(sup, _Nonzeros):
         return sup
-    m = sup.matrix.reshape(-1)
+    m = sup.matrix
+    if not m.flags.c_contiguous:  # a column-major block: no row-major copy of it
+        rows, cols = np.nonzero(m)
+        return _Nonzeros(rows * m.shape[1] + cols, m[rows, cols], sup.hilbert_dim, sup.index)
+    m = m.reshape(-1)
     at = np.flatnonzero(m)
     return _Nonzeros(at, m[at], sup.hilbert_dim, sup.index)
 
@@ -182,9 +186,10 @@ def _kept(nz: _Nonzeros, keep) -> tuple:
 
 def _block(nz: _Nonzeros, keep) -> np.ndarray:
     """The block of ``nz`` on the distinct flat positions ``keep``, in their order: every
-    sector block is scattered here from :func:`_kept`'s entries, under its rule."""
+    sector block is scattered here from :func:`_kept`'s entries, under its rule.  It is
+    column-major, as LAPACK takes it, so an eigensolve can work on it in place."""
     rows, cols, values = _kept(nz, keep)
-    block = np.zeros((np.size(keep),) * 2, dtype=complex)
+    block = np.zeros((np.size(keep),) * 2, dtype=complex, order="F")
     block[rows, cols] = values
     return block
 
@@ -302,8 +307,9 @@ def _split(model: LindbladModel, index=None) -> tuple:
 
 def _largest_part(a: np.ndarray) -> float:
     """The largest real or imaginary part of ``a`` in magnitude, read through a float view
-    (no temporary, and no warning where ``|z|`` itself would overflow)."""
-    parts = np.asarray(a, dtype=complex).reshape(-1).view(np.float64)
+    of either memory layout (no temporary, and no warning where ``|z|`` itself would
+    overflow)."""
+    parts = np.asarray(a, dtype=complex).ravel(order="K").view(np.float64)
     return float(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
 
 

@@ -82,7 +82,7 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
     # np.hypot rounds as abs() of one complex scalar does; np.abs of an array may not
     psi *= np.conj(top) / np.hypot(top.real, top.imag)
     d_vecs = (psi[:, None, :] * psi.conj()).reshape(n * n, n)  # column j: vec(|psi_j><psi_j|)
-    left = d_vecs.conj().T
+    left = np.conjugate(d_vecs, out=d_vecs).T  # d_vecs^H, in d_vecs' memory: one copy of it
     # V keeps its bits: each product still sums over all N^2 rows, and as OpenBLAS's
     # zgemm takes columns in pairs, every block but the last is _COLUMNS (even) wide, so
     # each column meets the kernel that it meets in one product.  A last single column
@@ -98,7 +98,8 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
         block[r, c] = values[lo:hi]
         np.matmul(left, block[:, : stop - start], out=product[:, start:stop])
         block[r, c] = 0.0
-    v_raw = product @ d_vecs
+    del block
+    v_raw = product @ np.conjugate(left, out=left).T  # d_vecs again, bit for bit
     reality = float(np.abs(v_raw.imag).max(initial=0.0))
     symmetry = float(np.abs(v_raw - v_raw.T).max(initial=0.0))
     # eig, not eigvals: from dimension 75 on, LAPACK finds values without vectors by another path

@@ -149,8 +149,9 @@ def _unscaled(m: np.ndarray) -> bool:
 _SMALL_QR_DIM = 75
 
 
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """``_eig(m, left=False)[0]`` bit for bit, without computing any eigenvector.
+def _eigenvalues(build) -> np.ndarray:
+    """``_eig(m, left=False)[0]`` bit for bit for ``m = build()``, without computing any
+    eigenvector.
 
     Below dimension ``_SMALL_QR_DIM`` it is ``zgeev``'s eigenvalues-only job: its QR
     (``zlahqr``) does the Schur job's arithmetic on every entry of the active window.
@@ -161,18 +162,25 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     largest entry far from 1), from 75 on one that ``zgees`` would (the balanced one's),
     and a non-complex, empty or non-finite one go to :func:`_eig`, which also refuses
     non-finite entries.
+
+    ``build`` is called with no argument and returns a matrix that this solve owns: a
+    column-major one (as :func:`liouville._block` scatters) is balanced and reduced in
+    place, with no copy, and holds no longer what it held.  So ``build`` runs a second
+    time, and only then, when the balanced matrix fails ``zgees``' range guard and
+    :func:`_eig` needs the original.
     """
-    m = np.asarray(m)
+    m = np.asarray(build())
     if m.dtype != np.complex128 or not _unscaled(m):
         return _eig(m, left=False)[0]
     n = m.shape[0]
     lwork = int(lapack.zgeev_lwork(n, compute_vl=0, compute_vr=1)[0].real)
     if n < _SMALL_QR_DIM:
-        w, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0, lwork=lwork)
+        w, _, _, info = lapack.zgeev(m, compute_vl=0, compute_vr=0, lwork=lwork, overwrite_a=1)
     else:
-        balanced = lapack.zgebal(m, permute=1, scale=1)[0]
+        balanced = lapack.zgebal(m, permute=1, scale=1, overwrite_a=1)[0]
         if not _unscaled(balanced):
-            return _eig(m, left=False)[0]
+            m = balanced = None  # drop the overwritten matrix before the rebuild
+            return _eig(build(), left=False)[0]
         # the selector is never called: sort_t=0 reorders nothing
         _, _, w, _, _, info = lapack.zgees(
             lambda _: 0, balanced, compute_v=0, sort_t=0, lwork=lwork, overwrite_a=1

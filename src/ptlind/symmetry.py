@@ -165,9 +165,9 @@ class SymmetryReport:
     gamma_bar: float
 
 
-# positions per group of ``_grouped_norm``: a multiple of the four that OpenBLAS's
-# strided ``ddot`` adds at once
-_GROUP = 64
+# positions per group of ``_grouped_norm``: the four that OpenBLAS's strided ``ddot``
+# adds at once, so a buffer holds no more positions than the groups with an entry
+_GROUP = 4
 
 
 def _grouped_norm(at: np.ndarray, values: np.ndarray, size: int) -> float:
@@ -177,10 +177,11 @@ def _grouped_norm(at: np.ndarray, values: np.ndarray, size: int) -> float:
     The norm of a complex vector is ``x.real . x.real + x.imag . x.imag``: two BLAS
     ``ddot`` at stride 2, whose OpenBLAS kernel adds its products in aligned groups of four
     positions and the last ``size % 4`` one by one.  A group of zeros adds exactly +0, so
-    the aligned groups of ``_GROUP`` positions that hold an entry are copied, in order,
-    into a small buffer, and the vector's last ``size % _GROUP`` positions stay a tail of
-    that length.  At more than one BLAS thread OpenBLAS splits a long ``ddot`` by its
-    length, and the last bits may differ.
+    the aligned groups of ``_GROUP`` (those same four) positions that hold an entry are
+    copied, in order, into a small buffer, and the vector's last ``size % _GROUP``
+    positions stay a tail of that length, added one by one as before.  At more than one
+    BLAS thread OpenBLAS splits a long ``ddot`` by its length, and the last bits may
+    differ.
     """
     group = at // _GROUP
     new = np.ones(at.size, dtype=bool)

@@ -69,7 +69,7 @@ def _parts(params: XXZParams, sector: str) -> tuple:
 
 
 def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
-    cls = classify_cross(_eigenvalues(_at_coupling(a, d, gamma)), gamma, tau_rel)
+    cls = classify_cross(_eigenvalues(lambda: _at_coupling(a, d, gamma)), gamma, tau_rel)
     return len(cls.off_cross) == 0, cls
 
 

@@ -377,8 +377,8 @@ def velocity_check(
     sup = SuperOperator(_at_coupling(coherent, dis_m, gamma), model.dim, sector)
     dec = eig_biortho(sup)
     w = dec.eigenvalues
-    w_plus = _eigenvalues(_at_coupling(coherent, dis_m, gamma + dgamma))
-    w_minus = _eigenvalues(_at_coupling(coherent, dis_m, gamma - dgamma))
+    w_plus = _eigenvalues(lambda: _at_coupling(coherent, dis_m, gamma + dgamma))
+    w_minus = _eigenvalues(lambda: _at_coupling(coherent, dis_m, gamma - dgamma))
 
     cls = classify_cross(w, gamma)
     on_h, on_v = set(cls.on_h), set(cls.on_v)
@@ -504,6 +504,19 @@ def count_calls(monkeypatch, target: str) -> list:
 
     monkeypatch.setattr(target, wrapper)
     return calls
+
+
+class Builds:
+    """A builder for ``spectral._eigenvalues``, which owns the matrix that a builder
+    returns: each call returns a fresh column-major copy of ``m``, as ``liouville._block``
+    scatters one, and ``calls`` counts the calls."""
+
+    def __init__(self, m):
+        self.m, self.calls = m, 0
+
+    def __call__(self) -> np.ndarray:
+        self.calls += 1
+        return np.array(self.m, order="F")
 
 
 def loop_population_matrix(model: LindbladModel) -> np.ndarray:

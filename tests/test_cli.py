@@ -357,10 +357,12 @@ class TestCheckMemory:
         return peak
 
     def test_chain_holds_one_buffer(self, peak):
-        # n = 5 dmz0: the norms are taken on the entries' groups and trace about 4.3 MiB;
-        # one dense 1024 x 1024 buffer is 16 MiB, and the dense route held the full
-        # generator, its traceless part and the sandwich, about 49 MB
-        assert peak(dict(FIG_TOP, n=5, gamma=0.3)) < 8 * 1024**2
+        # n = 5 dmz0: the block solve holds the 1 MB block once, beside LAPACK's workspace,
+        # and the norms are taken on the entries' groups of four: about 1.65 MiB.  With a
+        # copy of the block for LAPACK and one for its range check, and the norms on groups
+        # of 64, it was 4.3 MiB; one dense 1024 x 1024 buffer is 16 MiB, and the dense
+        # route held the full generator, its traceless part and the sandwich, about 49 MB
+        assert peak(dict(FIG_TOP, n=5, gamma=0.3)) < 2.5 * 1024**2
 
     def test_dense_custom_model(self, peak):
         # N = 16 with every factor dense: 65536 entries, each 24 bytes as a position and

@@ -115,9 +115,23 @@ class TestPopulationMatrix:
         with pytest.raises(ValidationError, match=message):
             traceless_dissipator(model)
 
+    def test_five_sites_hold_one_copy_of_the_projectors(self):
+        # N = 32: the projectors d_vecs (1024 x 32) and the product are 512 KiB each, and
+        # the block of 65 columns 1040 KiB.  Holding d_vecs beside its conjugate transpose,
+        # and the block through the last product, traced 2.70 MiB; now about 2.15 MiB
+        model = xxz_model(XXZParams(5, 0.5, 1.0, 0.3))
+        population_matrix(model)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            population_matrix(model)
+            assert tracemalloc.get_traced_memory()[1] - base < 2.4 * 1024**2
+        finally:
+            tracemalloc.stop()
+
     def test_six_sites_hold_no_superoperator_matrix(self):
         # D + 1 at n = 6 is 268 MB as one matrix; a block of 64 of its columns is 4 MB,
-        # and the projectors, the product and its conjugate transpose 4 MB each
+        # and the projectors (one copy, conjugated in place) and the product 4 MB each
         model = xxz_model(XXZParams(6, 0.5, 1.0, 0.3))
         tracemalloc.start()
         try:

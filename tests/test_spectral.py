@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,13 @@ from ptlind import (
     verify_d2,
     xxz_parity,
 )
+from ptlind.liouville import _block, _generator_entries
 from ptlind.operators import site_operator
 from ptlind.spectral import _cluster_close_eigenvalues, _eig, _eigenvalues, _zero_index
 from ptlind.xxz import XXZParams, sector_basis, sector_positions, xxz_model
 
 from conftest import (
+    Builds,
     apply_superoperator,
     bits,
     collinearity_error,
@@ -159,7 +163,9 @@ class TestRightVectorsOnly:
 
 
 class TestEigenvaluesOnly:
-    """``_eigenvalues(m)`` is ``_eig(m, left=False)[0]`` bit for bit, with no eigenvector."""
+    """``_eigenvalues(build)`` is ``_eig(build(), left=False)[0]`` bit for bit, with no
+    eigenvector.  ``conftest.Builds`` hands it a fresh column-major copy per call, which
+    the solve may overwrite, and counts the calls."""
 
     # LAPACK scales a matrix with entries far from 1 first; the three last scales
     # reach that path, where the eigenvalues come from the eigenvector solve
@@ -174,8 +180,10 @@ class TestEigenvaluesOnly:
         for scale in self.SCALES:
             scaled = m * scale
             kept = scaled.copy()
-            assert np.array_equal(bits(_eigenvalues(scaled)), bits(_eig(scaled, left=False)[0]))
+            build = Builds(scaled)
+            assert np.array_equal(bits(_eigenvalues(build)), bits(_eig(scaled, left=False)[0]))
             assert np.array_equal(bits(scaled), bits(kept))  # the input is left as it was
+            assert build.calls == 1
 
     @pytest.mark.parametrize("gamma", np.geomspace(1e-6, 1.0, 16))
     def test_four_site_block_over_the_bisection_range(self, gamma):
@@ -214,9 +222,12 @@ class TestEigenvaluesOnly:
     @pytest.mark.parametrize("spread,scale", [(3, 1.0), (70, 1.0), (100, 1e-230)])
     def test_rows_and_columns_that_balancing_rescales(self, rng, spread, scale):
         # at spread 70 the largest entry is out of LAPACK's unscaled range and the
-        # balanced one is not; at spread 100 and scale 1e-230 the other way round
+        # balanced one is not; at spread 100 and scale 1e-230 the other way round, and
+        # the balancing has overwritten the built matrix, so _eig solves a second build
         m = self.graded(rng, 80, spread, scale)
-        assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
+        build = Builds(m)
+        assert np.array_equal(bits(_eigenvalues(build)), bits(_eig(m, left=False)[0]))
+        assert build.calls == (2 if scale != 1.0 else 1)
 
     def test_reducible_matrix(self, rng):
         self.assert_bit_equal(self.reducible(rng, 90))
@@ -226,7 +237,10 @@ class TestEigenvaluesOnly:
     @pytest.mark.parametrize("spread,scale", [(3, 1.0), (70, 1.0), (100, 1e-230)])
     def test_graded_matrices_across_the_crossover(self, rng, dim, spread, scale):
         m = self.graded(rng, dim, spread, scale)
-        assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
+        build = Builds(m)
+        assert np.array_equal(bits(_eigenvalues(build)), bits(_eig(m, left=False)[0]))
+        # below 75 no balanced matrix is checked, so nothing is built twice
+        assert build.calls == (2 if (dim, spread) == (75, 100) else 1)
 
     @pytest.mark.parametrize("dim", [74, 75])
     def test_reducible_matrices_across_the_crossover(self, rng, dim):
@@ -247,30 +261,47 @@ class TestEigenvaluesOnly:
     def test_xxz_blocks(self, n, sector, delta, mu, log_gamma):
         params = XXZParams(n, delta, mu, 10.0**log_gamma)
         m = build_superoperator(xxz_model(params), sector_positions(n, sector)).matrix
-        assert np.array_equal(bits(_eigenvalues(m)), bits(_eig(m, left=False)[0]))
+        assert np.array_equal(bits(_eigenvalues(Builds(m))), bits(_eig(m, left=False)[0]))
 
     @pytest.mark.parametrize("dim,schur_solves", [(1, 0), (74, 0), (75, 1), (120, 1)])
     def test_schur_job_only_from_dimension_75(self, monkeypatch, rng, dim, schur_solves):
         schur = count_calls(monkeypatch, "scipy.linalg.lapack.zgees")
         solves = count_calls(monkeypatch, "ptlind.spectral._eig")
-        _eigenvalues(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        _eigenvalues(Builds(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))))
         assert (len(schur), solves) == (schur_solves, [])
 
     def test_no_eigenvector_solve_unless_lapack_would_scale(self, monkeypatch):
         solves = count_calls(monkeypatch, "ptlind.spectral._eig")
         m = self.generator(4, "dmz0", 0.05)
-        _eigenvalues(m)
+        _eigenvalues(Builds(m))
         assert solves == []
         for scale in self.SCALES[1:]:
-            _eigenvalues(m * scale)
+            _eigenvalues(Builds(m * scale))
         assert len(solves) == 3
+
+    def test_five_site_block_solve_holds_the_block_once(self):
+        # the 252-dim dmz0 block is 1 MB and zgeev's workspace for right vectors 0.52 of
+        # it; the solve balances and reduces the built block in place, about 1.54 blocks
+        # in all.  A copy for LAPACK and one for the range check of the balanced matrix
+        # took it to 3
+        block = 16 * 252**2
+        entries = _generator_entries(xxz_model(XXZParams(5, 0.5, 1.0, 0.3)))
+        keep = sector_positions(5, "dmz0")
+        _eigenvalues(lambda: _block(entries, keep))  # warm
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _eigenvalues(lambda: _block(entries, keep))
+            assert tracemalloc.get_traced_memory()[1] - base < 1.6 * block
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_entries_refused(self, bad):
         m = self.generator(3, "dmz0", 0.05)
         m[1, 2] = bad
         with pytest.raises(ValidationError, match="non-finite"):
-            _eigenvalues(m)
+            _eigenvalues(Builds(m))
 
 
 class TestSteadyState:
@@ -491,8 +522,8 @@ class TestSpectrumInvariants:
 
 def xx_block_eigenvalues(n, mu, gamma):
     """``_eigenvalues`` of the chain's ``dmz0`` block at delta = 0."""
-    sup = build_superoperator(xxz_model(XXZParams(n, 0.0, mu, gamma)), sector_positions(n, "dmz0"))
-    return _eigenvalues(sup.matrix)
+    model, keep = xxz_model(XXZParams(n, 0.0, mu, gamma)), sector_positions(n, "dmz0")
+    return _eigenvalues(lambda: build_superoperator(model, keep).matrix)
 
 
 class TestExactXXSpectrum:

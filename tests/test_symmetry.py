@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,11 +63,11 @@ def sigma_z_string(n):
 
 @st.composite
 def _sparse_vectors(draw) -> tuple:
-    """``(at, values, size)``: a length that is mostly no multiple of the group width, and
-    entries at ascending distinct positions, many at group edges or in the last partial
-    group.  Their parts are zero or of magnitudes from 1e-150 to 1e150: often all of one
-    scale, so that the order of the sums shows in the last bits."""
-    size = draw(st.integers(1, 6 * _GROUP + 40))
+    """``(at, values, size)``: a length up to 424 that is mostly no multiple of the group
+    width, and entries at ascending distinct positions, many at group edges or in the last
+    partial group.  Their parts are zero or of magnitudes from 1e-150 to 1e150: often all
+    of one scale, so that the order of the sums shows in the last bits."""
+    size = draw(st.integers(1, 424))
     edges = {g + d for g in range(0, size + _GROUP, _GROUP) for d in (-1, 0, 1, 3, 4)}
     edges |= set(range(size - size % _GROUP - 1, size))
     near = sorted(p for p in edges if 0 <= p < size)
@@ -82,7 +86,8 @@ def _sparse_vectors(draw) -> tuple:
 
 class TestGroupedNorm:
     """The norm on the groups that hold entries is ``np.linalg.norm`` of the dense vector,
-    bit for bit (lengths below OpenBLAS's 10,000, under which ``ddot`` runs on one thread)."""
+    bit for bit (lengths below OpenBLAS's 10,000, under which ``ddot`` runs on one thread,
+    and one longer vector at one thread)."""
 
     @settings(max_examples=400, deadline=None)
     @given(vector=_sparse_vectors())
@@ -93,16 +98,44 @@ class TestGroupedNorm:
         assert _grouped_norm(at, values, size).hex() == float(np.linalg.norm(dense)).hex()
 
     def test_every_tail_length(self):
-        # lengths 128..256 end in every partial group; half the positions hold entries
-        # of one scale, so a tail summed in the wrong groups shows in the last bits
+        # lengths 128..256 end in every partial group, many times over; half the positions
+        # hold entries of one scale, so a tail summed in the wrong groups shows in the last
+        # bits
         rng = np.random.default_rng(11)
-        for size in range(2 * _GROUP, 4 * _GROUP + 1):
+        for size in range(128, 257):
             for _ in range(20):
                 at = np.flatnonzero(rng.random(size) < 0.5)
                 values = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
                 dense = np.zeros(size, dtype=complex)
                 dense[at] = values
                 assert _grouped_norm(at, values, size) == np.linalg.norm(dense), size
+
+    def test_a_buffer_longer_than_the_five_site_one(self):
+        # 7,000 of the 262,144 groups of a 2^20 + 3 vector hold entries, so the buffer
+        # holds 26,336 positions, more than the 20,480 of each n = 5 PT norm.
+        # Past 10,000 OpenBLAS splits a ddot between threads, so both norms are taken in
+        # a process at one thread.
+        script = """
+import numpy as np
+from ptlind.symmetry import _GROUP, _grouped_norm
+rng = np.random.default_rng(5)
+size = 2**20 + 3
+groups = np.sort(rng.choice(size // _GROUP, 7000, replace=False))
+at = (groups[:, None] * _GROUP + np.arange(_GROUP)).reshape(-1)
+at = np.union1d(at[rng.random(at.size) < 0.5], np.arange(size - 3, size))
+values = rng.normal(size=at.size) + 1j * rng.normal(size=at.size)
+dense = np.zeros(size, dtype=complex)
+dense[at] = values
+print(_grouped_norm(at, values, size).hex(), float(np.linalg.norm(dense)).hex())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        grouped, dense = proc.stdout.split()
+        assert grouped == dense
 
 
 class TestParityFromPair:
@@ -588,14 +621,16 @@ class TestNoDenseParityProducts:
         assert peak < 16 * 256**2
 
     def test_check_pt_at_seven_sites(self, traced):
-        # a 16384^2 complex buffer would be 4.3 GB; L' has 122,880 entries in 81,920
-        # groups of 64 positions, which each grouped norm holds in an 84 MB buffer
+        # a 16384^2 complex buffer would be 4.3 GB; L' has 122,880 entries in 114,688
+        # groups of 4 positions, which each grouped norm holds in a 7.3 MB buffer.  The
+        # check traces about 21 MiB; groups of 64 positions (81,920 of them, an 84 MB
+        # buffer) took it to 94 MiB
         model = xxz_model(XXZParams(7, 0.5, 1.0, 0.3))
         entries, parity = _generator_entries(model), xxz_parity(7)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         rep = check_pt(entries, parity)
-        assert tracemalloc.get_traced_memory()[1] - base < 150 * 1024**2
+        assert tracemalloc.get_traced_memory()[1] - base < 32 * 1024**2
         assert rep.pt_residual <= 1e-12
 
     def test_check_pt_forms_no_parity_block(self, traced):
