@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import NumericalError, ValidationError
 
@@ -147,19 +148,57 @@ def _numerical_errors(what: str):
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (Pade scaling-and-squaring via scipy).
+    """Matrix exponential (Pade scaling-and-squaring, scipy's ``expm`` bit for bit).
 
     Accurate to better than 1e-10 relative for dimensions up to 1024 and
     spectral radius up to 50; ``mat_exp(0)`` is exactly the identity.  An overflow
     or invalid value on the way, or a non-finite result, raises :class:`NumericalError`.
+    Beside ``a``, a generic N x N input holds 6 N x N matrices at most, where
+    ``scipy.linalg.expm`` holds 8.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    return _expm(a)
+
+
+def _expm(m: np.ndarray, t: float | None = None) -> np.ndarray:
+    """``scipy.linalg.expm(m)``, or ``scipy.linalg.expm(t * m)``, bit for bit.
+
+    scipy's generic branch runs in place: ``m`` (or ``t * m``, written by ``np.multiply``
+    with scipy's own arithmetic) goes into slot 0 of one ``(5, N, N)`` workspace, scipy's
+    Pade kernels (``scipy.linalg._matfuncs_expm``, Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 970 (2009)) leave ``exp(2**-s A)`` there, and the ``s`` squarings alternate
+    between slot 1 and the result, so that the last lands in the result.  The kernels
+    are private: ``pade_UV_calc(Am, m)`` is their signature in scipy 1.17, which
+    ``pyproject.toml`` requires, and the tests hold the output to scipy's bits.  What
+    scipy sends elsewhere (N <= 1, and diagonal or triangular input by its
+    ``bandwidth``) goes to ``scipy.linalg.expm`` itself.  ``exp(m)`` takes no ``t``,
+    because ``m * 1.0`` can turn the sign of a zero in ``m`` and of a word of the result.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
         raise ValidationError("matrix exponential of non-finite input")
+    n = m.shape[0]
     with _numerical_errors("matrix exponential"):
-        out = scipy.linalg.expm(a)
+        work = np.empty((5, n, n), dtype=complex)
+        if t is None:
+            work[0] = m
+        else:
+            np.multiply(m, t, out=work[0])
+        if n <= 1 or not all(scipy.linalg.bandwidth(work[0])):
+            del work  # scipy's other branches take their own workspace
+            out = scipy.linalg.expm(m if t is None else t * m)
+        else:
+            order, s = pick_pade_structure(work)
+            if order < 0 or pade_UV_calc(work, order) != 0:
+                raise NumericalError("matrix exponential failed in scipy's Pade kernels")
+            out = np.empty((n, n), dtype=complex) if s else work[0].copy()
+            square = work[0]
+            for left in range(s - 1, -1, -1):
+                # the squares alternate between slot 1 and the result, the last in the result
+                target = work[1] if left % 2 else out
+                np.matmul(square, square, out=target)
+                square = target
     if not np.all(np.isfinite(out)):
         raise NumericalError("matrix exponential is not finite")
     return out

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptlind import (
     LindbladModel,
@@ -478,17 +479,33 @@ def biortho_probe_state(params, observable) -> tuple:
 def biortho_deviations(params, observable, rho0, t_grid) -> np.ndarray:
     """Oracle: ``observable_decay``'s deviations ``tr[(rho(t) - rho_inf) obs]`` on a fresh
     bi-orthonormal solve, one step propagator per distinct rounded step, each kept to
-    the end."""
+    the end and each taken from ``scipy.linalg.expm`` itself."""
     sup = build_superoperator(xxz_model(params))
     rho_inf = unvec(steady_state(eig_biortho(sup)))
     props, x, out = {}, vec(rho0), []
     for dt in np.diff(np.concatenate(([0.0], t_grid))):
         key = round(float(dt), 15)
         if key not in props:
-            props[key] = propagator(sup, float(dt)).matrix
+            props[key] = scipy.linalg.expm(float(dt) * sup.matrix)
         x = props[key] @ x
         out.append(np.trace((unvec(x) - rho_inf) @ observable).real)
     return np.array(out)
+
+
+def scipy_expm(a, t=None):
+    """Oracle: ``scipy.linalg.expm`` of ``a`` (or of ``t * a``) under ``mat_exp``'s
+    refusals.  Returns the matrix's words (``bits``), or the text of the
+    :class:`NumericalError` that an overflow, an invalid value or a non-finite result
+    gives."""
+    a = np.asarray(a, dtype=complex)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = scipy.linalg.expm(a if t is None else t * a)
+    except FloatingPointError as exc:
+        return f"matrix exponential failed: {exc}"
+    if not np.all(np.isfinite(out)):
+        return "matrix exponential is not finite"
+    return bits(out)
 
 
 def count_calls(monkeypatch, target: str) -> list:

@@ -45,6 +45,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_model,
+    scipy_expm,
     single_qubit,
     traceless_part,
 )
@@ -287,6 +288,30 @@ class TestPropagator:
         sup = build_superoperator(random_model(rng, dim=2))
         with pytest.raises(ValidationError):
             propagator(sup, np.inf)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_relax_steps_are_scipys_bits(self, n):
+        # the relax recipe's half-period grid: 2 intended steps, 4-7 distinct ones
+        params = XXZParams(n, 0.5, 1.0, 0.05)
+        _, omega = coherence_probe_state(params, spin_current(n))
+        steps = np.diff(np.concatenate(([0.0], np.arange(0.5, 50.0, np.pi / omega))))
+        sup = build_superoperator(xxz_model(params))
+        for dt in {round(float(dt), 15): float(dt) for dt in steps}.values():
+            assert np.array_equal(bits(propagator(sup, dt).matrix), scipy_expm(sup.matrix, dt))
+
+    def test_holds_six_matrices(self):
+        # n = 4: each 256 x 256 matrix is 1 MiB.  t = 1 takes two squarings, and
+        # scipy.linalg.expm(t * L) traced 9.0 MiB: t * L, five Pade slots, two squares
+        # and the result.  In one workspace: five slots and the result.
+        sup = build_superoperator(xxz_model(XXZParams(4, 0.5, 1.0, 0.05)))
+        propagator(sup, 1.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            propagator(sup, 1.0)
+            assert tracemalloc.get_traced_memory()[1] - base < 6.5 * 1024**2
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("t", [1e308, -1e308])
     def test_overflowing_time_refused_before_any_arithmetic(self, t):

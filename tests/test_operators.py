@@ -6,19 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 from ptlind import (
     NumericalError,
+    SuperOperator,
     ValidationError,
     dagger,
     is_hermitian,
     mat_exp,
+    propagator,
     site_operator,
     site_reversal,
     unvec,
     vec,
 )
-from ptlind.operators import IDENTITY_2, SIGMA_PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from ptlind.operators import (
+    IDENTITY_2, SIGMA_PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Y, SIGMA_Z, _expm,
+)
 
 from conftest import (
     BasisConvention,
@@ -31,6 +36,7 @@ from conftest import (
     product_map,
     random_density,
     random_hermitian,
+    scipy_expm,
     transpose_permutation,
 )
 
@@ -189,6 +195,86 @@ class TestMatExp:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=message):
                 mat_exp(a)
+
+    def test_generic_squaring_overflow_refused_as_scipy_would(self):
+        # a generic 3 x 3 with eigenvalues up to about 1200: the 8 squarings overflow
+        a = 200.0 * np.array([[1.0, 2.0, 3.0], [0.5, 1.0, 4.0], [2.0, 1.0, 1.0]])
+        message = "matrix exponential failed: overflow encountered in matmul"
+        assert scipy_expm(a) == message
+        sup = SuperOperator(a, 2, np.arange(3))
+        for call in (lambda: mat_exp(a), lambda: propagator(sup, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError) as refused:
+                    call()
+            assert str(refused.value) == message
+
+
+def expm_outcome(call):
+    """``call()``'s words (``bits``), or the text of the :class:`NumericalError` it raises."""
+    try:
+        return bits(call())
+    except NumericalError as exc:
+        return str(exc)
+
+
+def same_outcome(got, expected) -> bool:
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    return got.shape == expected.shape and np.array_equal(got, expected)
+
+
+@st.composite
+def expm_inputs(draw):
+    """A random N x N matrix, N = 0..40, with 1-norm about ``scale`` (1e-4..1e3, so every
+    Pade order, 0 to 9 squarings and overflow), some signed zeros, and scipy's other
+    branches: diagonal, upper and lower triangular."""
+    n = draw(st.one_of(st.integers(0, 4), st.integers(5, 40)))
+    scale = 10.0 ** draw(st.floats(-4.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (scale / max(n, 1))
+    a[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3]))] = -0.0
+    shape = draw(st.sampled_from([None, np.diag, np.triu, np.tril]))
+    if shape is np.diag:
+        return np.diag(np.diag(a))
+    return a if shape is None else shape(a)
+
+
+class TestScipyBits:
+    """``mat_exp`` and ``propagator`` run scipy's own Pade kernels in one workspace: each
+    output word, and each refusal's text, is what ``scipy.linalg.expm`` gives."""
+
+    @given(a=expm_inputs(), t=st.one_of(st.none(), st.floats(-10.0, 10.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_every_branch_bit_for_bit(self, a, t):
+        if t is None:
+            got = expm_outcome(lambda: mat_exp(a))
+        else:
+            got = expm_outcome(lambda: _expm(a, t))
+        assert same_outcome(got, scipy_expm(a, t))
+
+    def test_every_pade_order_and_squaring_count(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        base /= np.abs(base).sum(axis=0).max()
+        reached = set()
+        for scale in (1e-3, 0.1, 0.5, 1.5, 3.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0):
+            a = scale * base
+            work = np.empty((5, 12, 12), dtype=complex)
+            work[0] = a
+            reached.add(pick_pade_structure(work))
+            assert same_outcome(expm_outcome(lambda: mat_exp(a)), scipy_expm(a))
+            assert same_outcome(expm_outcome(lambda: _expm(base, scale)), scipy_expm(base, scale))
+        assert {order for order, _ in reached} == {3, 5, 7, 9, 13}
+        assert {s for _, s in reached} >= set(range(6))
+
+    def test_times_one_is_not_the_matrix(self):
+        # 1 - 0i times 1.0 is 1 + 0i, and exp turns the zero's sign into the output's:
+        # so mat_exp copies its input and only a propagator multiplies
+        a = np.array([[complex(1.0, -0.0)]])
+        assert not np.array_equal(scipy_expm(a), scipy_expm(a, 1.0))
+        assert np.array_equal(bits(mat_exp(a)), scipy_expm(a))
+        assert np.array_equal(bits(_expm(a, 1.0)), scipy_expm(a, 1.0))
 
 
 # entries in thousandths up to 1e3, so no product underflows; and any finite complex number

@@ -23,6 +23,7 @@ NEVER_ENTERED = {
     "spectral.eig_biortho": "a traced layer of perfbench",
     "spectral.steady_state": "a traced layer of perfbench",
     "threshold.is_unbroken": "a traced layer of perfbench",
+    "operators.mat_exp": "a traced layer of perfbench; propagator calls _expm itself",
     "spectral.SpectralDecomposition.dim": "perfbench's _count_eig hook reads it",
     "spectral._cluster_close_eigenvalues": "eig_biortho calls it",
     "symmetry._sandwich": "check_pt's dense branch, for parities that are no signed permutation",
