@@ -111,9 +111,6 @@ class SuperOperator:
         j, k = np.divmod(self.index, self.hilbert_dim)
         return (j == k).astype(float)
 
-    def replace_matrix(self, matrix: np.ndarray) -> "SuperOperator":
-        return SuperOperator(matrix, self.hilbert_dim, self.index)
-
 
 @dataclass(frozen=True)
 class _Nonzeros:
@@ -132,6 +129,8 @@ class _Nonzeros:
     @property
     def dim(self) -> int:
         return self.index.size
+
+    trace_vector = SuperOperator.trace_vector
 
 
 def _entries(sup) -> _Nonzeros:
@@ -383,20 +382,50 @@ def _trace(sup) -> complex:
     return diagonal.sum()
 
 
-def propagator(sup: SuperOperator, t: float) -> SuperOperator:
-    """Time-t propagator ``exp(t * matrix)``.
+# positions per group of ``_grouped_norm``: the four that OpenBLAS's strided ``ddot``
+# adds at once, so a buffer holds no more positions than the groups with an entry
+_GROUP = 4
+
+
+def _grouped_norm(at: np.ndarray, values: np.ndarray, size: int) -> float:
+    """``np.linalg.norm`` of the length-``size`` vector that holds ``values`` at the
+    ascending distinct positions ``at`` and +0 elsewhere, bit for bit, with no such vector.
+
+    The norm of a complex vector is ``x.real . x.real + x.imag . x.imag``: two BLAS
+    ``ddot`` at stride 2, whose OpenBLAS kernel adds its products in aligned groups of four
+    positions and the last ``size % 4`` one by one.  A group of zeros adds exactly +0, so
+    the aligned groups of ``_GROUP`` (those same four) positions that hold an entry are
+    copied, in order, into a small buffer, and the vector's last ``size % _GROUP``
+    positions stay a tail of that length, added one by one as before.  At more than one
+    BLAS thread OpenBLAS splits a long ``ddot`` by its length, and the last bits may
+    differ.
+    """
+    group = at // _GROUP
+    new = np.ones(at.size, dtype=bool)
+    new[1:] = group[1:] != group[:-1]
+    buffer = np.zeros(np.count_nonzero(new) * _GROUP, dtype=complex)
+    buffer[(np.cumsum(new) - 1) * _GROUP + at % _GROUP] = values
+    if at.size and group[-1] == size // _GROUP:  # the partial last group
+        buffer = buffer[: buffer.size - _GROUP + size % _GROUP]
+    return float(np.linalg.norm(buffer))
+
+
+def propagator(sup, t: float) -> SuperOperator:
+    """Time-t propagator ``exp(t * matrix)`` of a :class:`SuperOperator`, or of a
+    generator's nonzero entries (``_generator_entries``), which give the same words.
 
     Computed by scaling-and-squaring rather than eigendecomposition so it
     stays valid at exceptional (defective) spectral points.  ``t * matrix`` is written
     into the exponential's own workspace, so a propagator holds 6 matrices of the
     generator's size at most beside the generator, where ``scipy.linalg.expm(t * matrix)``
-    held 9; its bits are scipy's.
+    held 9; its bits are scipy's.  From the entries, no dense generator is held at all.
     """
     if not np.isfinite(t):
         raise ValidationError(f"propagation time must be finite, got {t}")
-    if _overflows(sup.matrix, t):
+    dense = isinstance(sup, SuperOperator)
+    if _overflows(sup.matrix if dense else sup.values, t):
         raise ValidationError(f"propagation time t = {t} overflows t * matrix")
-    return sup.replace_matrix(_expm(sup.matrix, t))
+    return SuperOperator(_expm(sup.matrix if dense else sup, t), sup.hilbert_dim, sup.index)
 
 
 def _positions(index: np.ndarray, hilbert_dim: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     Beside ``a``, a generic N x N input holds 6 N x N matrices at most, where
     ``scipy.linalg.expm`` holds 8.
     """
-    return _expm(a)
+    return _expm(np.asarray(a))
 
 
 def _expm(m: np.ndarray, t: float | None = None) -> np.ndarray:
@@ -172,21 +172,41 @@ def _expm(m: np.ndarray, t: float | None = None) -> np.ndarray:
     scipy sends elsewhere (N <= 1, and diagonal or triangular input by its
     ``bandwidth``) goes to ``scipy.linalg.expm`` itself.  ``exp(m)`` takes no ``t``,
     because ``m * 1.0`` can turn the sign of a zero in ``m`` and of a word of the result.
+
+    With a ``t``, ``m`` may also be, in place of an array, a square matrix's nonzero
+    entries (``liouville._Nonzeros``: its ``values`` at the ascending row-major flat
+    positions ``at`` of a ``dim x dim`` matrix, +0 elsewhere), and no dense copy of the
+    matrix is made: slot 0 is filled with ``0.0 * t`` and ``values * t`` is scattered
+    into it.  A +0 entry times ``t`` is ``0.0 * t`` in complex arithmetic too, signed
+    zeros included, so slot 0 holds ``np.multiply``'s words for the dense matrix at any
+    finite ``t``.  scipy's other branches get ``t * m`` of the dense matrix, as for an
+    array: where a product underflows, numpy's fused complex loops can give ``t * m``
+    and ``m * t`` zeros of opposite signs.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    entries = not isinstance(m, np.ndarray)
+    if entries:
+        n, at, values = m.dim, m.at, m.values
+    else:
+        m = values = np.asarray(m, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValidationError(f"matrix must be square, got shape {m.shape}")
+        n = m.shape[0]
+    if not np.all(np.isfinite(values)):
         raise ValidationError("matrix exponential of non-finite input")
-    n = m.shape[0]
     with _numerical_errors("matrix exponential"):
         work = np.empty((5, n, n), dtype=complex)
-        if t is None:
+        if entries:
+            work[0] = 0.0 * t
+            work[0].reshape(-1)[at] = values * t
+        elif t is None:
             work[0] = m
         else:
             np.multiply(m, t, out=work[0])
         if n <= 1 or not all(scipy.linalg.bandwidth(work[0])):
             del work  # scipy's other branches take their own workspace
+            if entries:
+                m = np.zeros((n, n), dtype=complex)
+                m.reshape(-1)[at] = values
             out = scipy.linalg.expm(m if t is None else t * m)
         else:
             order, s = pick_pade_structure(work)

@@ -107,10 +107,14 @@ def _order(w: np.ndarray) -> np.ndarray:
     return np.lexsort((w.imag, -w.real))
 
 
-def _eig(m: np.ndarray, left: bool = True) -> tuple:
+def _eig(m: np.ndarray, left: bool = True, overwrite: bool = False) -> tuple:
     """Eigenvalues, left and right eigenvectors, sorted by (Re descending, Im ascending).
 
-    With ``left=False`` the left vectors are not computed and come back as None.
+    With ``left=False`` the left vectors are not computed and come back as None.  With
+    ``overwrite`` the solve owns ``m``: ``zgeev`` works on a column-major complex one in
+    place, with no copy, and it holds no longer what it held.  Passed with no other
+    reference (``_eig(build(), ...)``), it is freed before the sorted vectors are copied.
+
     LAPACK's ``zgeev`` runs the same Schur path and the same back-substitution for
     the right vectors whenever any eigenvectors are requested, so the eigenvalues and
     the right vectors are bit-equal with or without the left ones (tested on the
@@ -125,9 +129,10 @@ def _eig(m: np.ndarray, left: bool = True) -> tuple:
     if not np.all(np.isfinite(m)):
         raise ValidationError("superoperator matrix has non-finite entries")
     try:
-        out = scipy.linalg.eig(m, left=left, right=True)
+        out = scipy.linalg.eig(m, left=left, right=True, overwrite_a=overwrite)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise ConvergenceFailure(f"dense eigensolver failed on dim {m.shape[0]}: {exc}") from exc
+    del m
     w, vl, vr = out if left else (out[0], None, out[1])
     order = _order(w)
     return w[order], None if vl is None else vl[:, order], vr[:, order]
@@ -203,20 +208,22 @@ def _read_only(value):
 class _LastSolve:
     """A memo with one slot: the value computed for the last key, made read-only.
 
-    A call with a new key drops the kept value before it computes the next one, and
-    the lock lets one computation run at a time, so at most one value is alive.  A
-    computation that raises leaves the slot empty.
+    A call with a new key, or whose ``reuse`` refuses the kept value, drops that value
+    before it computes the next one, and the lock lets one computation run at a time,
+    so at most one value is alive.  ``keep`` maps the value to what the slot keeps and
+    returns from then on.  A computation that raises leaves the slot empty.
     """
 
     def __init__(self):
         self.entries: dict = {}  # at most one: key -> value
         self.lock = threading.Lock()
 
-    def __call__(self, key, compute):
+    def __call__(self, key, compute, reuse=lambda value: True, keep=lambda value: value):
         with self.lock:
-            if key not in self.entries:
+            if key not in self.entries or not reuse(self.entries[key]):
                 self.entries.clear()
                 self.entries[key] = _read_only(compute())
+            self.entries[key] = keep(self.entries[key])
             return self.entries[key]
 
 

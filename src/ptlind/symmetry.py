@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NotInvolution, NotUnitary, ValidationError
 from .liouville import (
-    SuperOperator, _entries, _kept, _nonzeros, _sparse_sum, average_damping,
+    SuperOperator, _entries, _grouped_norm, _kept, _nonzeros, _sparse_sum, average_damping,
 )
 from .operators import dagger, site_reversal, site_operator
 
@@ -163,34 +163,6 @@ class SymmetryReport:
     involution_residual: float
     unitarity_residual: float
     gamma_bar: float
-
-
-# positions per group of ``_grouped_norm``: the four that OpenBLAS's strided ``ddot``
-# adds at once, so a buffer holds no more positions than the groups with an entry
-_GROUP = 4
-
-
-def _grouped_norm(at: np.ndarray, values: np.ndarray, size: int) -> float:
-    """``np.linalg.norm`` of the length-``size`` vector that holds ``values`` at the
-    ascending distinct positions ``at`` and +0 elsewhere, bit for bit, with no such vector.
-
-    The norm of a complex vector is ``x.real . x.real + x.imag . x.imag``: two BLAS
-    ``ddot`` at stride 2, whose OpenBLAS kernel adds its products in aligned groups of four
-    positions and the last ``size % 4`` one by one.  A group of zeros adds exactly +0, so
-    the aligned groups of ``_GROUP`` (those same four) positions that hold an entry are
-    copied, in order, into a small buffer, and the vector's last ``size % _GROUP``
-    positions stay a tail of that length, added one by one as before.  At more than one
-    BLAS thread OpenBLAS splits a long ``ddot`` by its length, and the last bits may
-    differ.
-    """
-    group = at // _GROUP
-    new = np.ones(at.size, dtype=bool)
-    new[1:] = group[1:] != group[:-1]
-    buffer = np.zeros(np.count_nonzero(new) * _GROUP, dtype=complex)
-    buffer[(np.cumsum(new) - 1) * _GROUP + at % _GROUP] = values
-    if at.size and group[-1] == size // _GROUP:  # the partial last group
-        buffer = buffer[: buffer.size - _GROUP + size % _GROUP]
-    return float(np.linalg.norm(buffer))
 
 
 def check_pt(liou: SuperOperator, parity: ParitySuperOp) -> SymmetryReport:

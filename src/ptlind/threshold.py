@@ -16,18 +16,20 @@ of inventing a threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BracketInvalid, NumericalError, ValidationError
 from .liouville import (
-    SuperOperator,
+    _Nonzeros,
     _at_coupling,
+    _block,
+    _generator_entries,
+    _grouped_norm,
     _overflows,
     _refuse_large,
     _split,
-    build_superoperator,
     propagator,
 )
 from .operators import _numerical_errors, _require_integer, dagger, is_hermitian, unvec, vec
@@ -242,15 +244,17 @@ class DecayResult:
 
 @dataclass(frozen=True)
 class _Relaxation:
-    """The full-space generator of one ``XXZParams`` and its right-vector spectrum.
+    """The full-space generator of one ``XXZParams``, as its nonzero entries, and its
+    right-vector spectrum.
 
-    ``right_vectors`` have unit columns, ``zero_mode`` is the position of the
-    steady state ``rho_inf`` among the ``eigenvalues``.  Every array is read-only.
+    ``right_vectors`` have unit columns, or are None once :func:`observable_decay` has
+    released them; ``zero_mode`` is the position of the steady state ``rho_inf`` among
+    the ``eigenvalues``.  Every array is read-only.
     """
 
-    generator: SuperOperator
+    generator: _Nonzeros
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
+    right_vectors: np.ndarray | None
     zero_mode: int
     rho_inf: np.ndarray
 
@@ -258,24 +262,39 @@ class _Relaxation:
 _RELAXATION = _LastSolve()
 
 
-def _relaxation(params: XXZParams) -> _Relaxation:
+def _solve_relaxation(params: XXZParams) -> _Relaxation:
+    """The full-space right-vector solve of ``params``.
+
+    The generator's entries are scattered once into a column-major matrix that ``zgeev``
+    overwrites in place and that is freed before the vectors are sorted; its norm is
+    taken from the entries, bit-equal to the dense matrix's.
+    """
+    model = xxz_model(params)
+    _refuse_large(model.hamiltonian, model.lindblads, model.gamma)
+    nz = _generator_entries(model)
+    w, _, vr = _eig(_block(nz, nz.index), left=False, overwrite=True)
+    _unit_columns(vr)
+    norm = _grouped_norm(nz.at, nz.values, nz.dim**2)
+    k0, u = _zero_mode(w, vr, nz.index, nz.hilbert_dim, norm)
+    return _Relaxation(nz, w, vr, k0, unvec(u))
+
+
+def _relaxation(params: XXZParams, vectors: bool = True) -> _Relaxation:
     """The one full-space solve that :func:`coherence_probe_state` and
     :func:`observable_decay` share, kept in a one-slot memo for the last params.
 
-    The key is the exact parameter values (``float.hex``, so 0.0 and -0.0 differ).
+    The key is the exact parameter values (``float.hex``, so 0.0 and -0.0 differ).  With
+    ``vectors=False`` the slot keeps the solve without its right vectors from then on,
+    and a later call that needs them solves again.
     """
     key = (int(params.n_sites), *(float(v).hex() for v in (params.delta, params.mu, params.gamma)))
 
     def solve() -> _Relaxation:
-        model = xxz_model(params)
-        _refuse_large(model.hamiltonian, model.lindblads, model.gamma)
-        sup = build_superoperator(model)
-        w, _, vr = _eig(sup.matrix, left=False)
-        _unit_columns(vr)
-        k0, u = _zero_mode(w, vr, sup.index, sup.hilbert_dim, float(np.linalg.norm(sup.matrix)))
-        return _Relaxation(sup, w, vr, k0, unvec(u))
+        return _solve_relaxation(params)
 
-    return _RELAXATION(key, solve)
+    if vectors:
+        return _RELAXATION(key, solve, reuse=lambda relax: relax.right_vectors is not None)
+    return _RELAXATION(key, solve, keep=lambda relax: replace(relax, right_vectors=None))
 
 
 def _observable(params: XXZParams, observable: np.ndarray) -> np.ndarray:
@@ -304,6 +323,9 @@ def observable_decay(
     overflow or invalid value while stepping raises :class:`NumericalError`, and so
     does a step propagator ``U`` that does not preserve the trace:
     ``max |vec(I)^T U - vec(I)^T| > 1e-10``, as scipy's ``expm`` returns at huge steps.
+    The propagators are made from the generator's entries, and the shared solve's right
+    vectors are released before the first step: a :func:`coherence_probe_state` before
+    this call shares its solve, one after it on the same params solves again.
     """
     obs = _observable(params, observable)
     dim = params.hilbert_dim
@@ -328,7 +350,8 @@ def observable_decay(
     if not finite or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValidationError("t_grid must be a non-empty strictly increasing array of times >= 0")
 
-    relax = _relaxation(params)
+    # stepping reads the generator and the steady state only: the memo drops the vectors
+    relax = _relaxation(params, vectors=False)
     sup, rho_inf = relax.generator, relax.rho_inf
 
     steps = np.diff(np.concatenate(([0.0], t_grid)))
@@ -382,7 +405,8 @@ def coherence_probe_state(params: XXZParams, observable: np.ndarray) -> tuple[np
     free of the slow beats that a multi-mode deviation produces; sampling at
     multiples of the half-period pi/frequency removes the oscillation from
     the fit entirely.  The mode enters with weight ``_PROBE_WEIGHT``; a state that this
-    leaves non-positive is refused.
+    leaves non-positive is refused.  The solve is shared with a later
+    :func:`observable_decay` on the same params, which releases its right vectors.
     """
     obs = _observable(params, observable)
     relax = _relaxation(params)

@@ -124,7 +124,7 @@ def traceless_part(sup: SuperOperator) -> SuperOperator:
     """Oracle: ``sup`` shifted by its average damping, so that the result is traceless."""
     m = sup.matrix.copy()
     m.flat[:: sup.dim + 1] += average_damping(sup)
-    return sup.replace_matrix(m)
+    return SuperOperator(m, sup.hilbert_dim, sup.index)
 
 
 def apply_superoperator(sup: SuperOperator, rho: np.ndarray) -> np.ndarray:

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +302,18 @@ class TestPropagator:
         sup = build_superoperator(xxz_model(params))
         for dt in {round(float(dt), 15): float(dt) for dt in steps}.values():
             assert np.array_equal(bits(propagator(sup, dt).matrix), scipy_expm(sup.matrix, dt))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_entries_give_the_dense_words(self, n):
+        # slot 0 is filled with 0.0 * t, then values * t is scattered into it: the words
+        # of np.multiply(dense, t), signed zeros and a subnormal time included
+        model = xxz_model(XXZParams(n, 0.5, 1.0, 0.05))
+        nz, dense = _generator_entries(model), build_superoperator(model)
+        for t in (0.0, -0.0, 5e-324, 0.37, -0.37, 1e3):
+            from_entries = propagator(nz, t)
+            assert np.array_equal(bits(from_entries.matrix), bits(propagator(dense, t).matrix))
+            assert from_entries.hilbert_dim == dense.hilbert_dim
+            assert np.array_equal(from_entries.index, dense.index)
 
     def test_holds_six_matrices(self):
         # n = 4: each 256 x 256 matrix is 1 MiB.  t = 1 takes two squarings, and
@@ -715,6 +731,34 @@ class TestGeneratorEntries:
             assert np.array_equal(bits(densified(nz)), bits(dense.matrix))
             assert same_hex(check_pt(nz, parity).pt_residual, expected)
             assert same_hex(check_pt(nz, parity).gamma_bar, dense_average_damping(dense))
+
+    def test_frobenius_norm_from_the_entries(self):
+        # the relaxation solve's zero-mode tolerance reads it.  Past 10,000 positions
+        # (n = 4) OpenBLAS splits a ddot between threads, so both norms are taken in a
+        # process at one thread.
+        script = """
+import numpy as np
+from ptlind import build_superoperator
+from ptlind.liouville import _generator_entries, _grouped_norm
+from ptlind.xxz import XXZParams, xxz_model
+for n in (2, 3, 4):
+    for delta, mu, gamma in ((0.5, 1.0, 0.05), (0.41, 0.63, 0.087)):
+        model = xxz_model(XXZParams(n, delta, mu, gamma))
+        nz = _generator_entries(model)
+        grouped = _grouped_norm(nz.at, nz.values, nz.dim**2)
+        print(grouped.hex(), float(np.linalg.norm(build_superoperator(model).matrix)).hex())
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 6
+        for line in lines:
+            grouped, dense = line.split()
+            assert grouped == dense
 
     def test_mirror_images_outside_the_support(self, rng):
         # rho -> E01 rho: the mirror image of each entry is absent, so the difference

@@ -32,8 +32,8 @@ from ptlind.operators import (
     site_operator,
     site_reversal,
 )
-from ptlind.liouville import _generator_entries
-from ptlind.symmetry import _GROUP, _grouped_norm, _kron_identity_residual, _parity_block, _sandwich
+from ptlind.liouville import _GROUP, _generator_entries, _grouped_norm
+from ptlind.symmetry import _kron_identity_residual, _parity_block, _sandwich
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
 from conftest import (
@@ -117,7 +117,7 @@ class TestGroupedNorm:
         # a process at one thread.
         script = """
 import numpy as np
-from ptlind.symmetry import _GROUP, _grouped_norm
+from ptlind.liouville import _GROUP, _grouped_norm
 rng = np.random.default_rng(5)
 size = 2**20 + 3
 groups = np.sort(rng.choice(size // _GROUP, 7000, replace=False))

@@ -541,23 +541,41 @@ class TestSharedRelaxationSolve:
             assert np.array_equal(bits(result.deviations), bits(expected))
 
     def test_one_solve_per_recipe_and_a_fresh_one_per_params(self, monkeypatch):
-        # each solve records its size and how many entries were alive when it started
-        solves, eig = [], threshold._eig
+        # each solve records its params and how many entries were alive when it started
+        solves, solve = [], threshold._solve_relaxation
 
-        def counted(m, left=True):
-            solves.append((m.shape[0], left, len(threshold._RELAXATION.entries)))
-            return eig(m, left)
+        def counted(params):
+            solves.append((params, len(threshold._RELAXATION.entries)))
+            return solve(params)
 
-        monkeypatch.setattr(threshold, "_eig", counted)
-        builds = count_calls(monkeypatch, "ptlind.threshold.build_superoperator")
+        monkeypatch.setattr(threshold, "_solve_relaxation", counted)
+        eigs = count_calls(monkeypatch, "ptlind.threshold._eig")
         params = XXZParams(4, 0.5, 1.0, 0.05)
         current = spin_current(4)
         rho0, omega = coherence_probe_state(params, current)
         observable_decay(params, current, rho0=rho0, t_grid=np.arange(0.5, 50.0, np.pi / omega))
-        assert solves == [(256, False, 0)] and len(builds) == 1
-        observable_decay(replace(params, gamma=0.06), current, t_grid=np.linspace(0.5, 5.0, 10))
-        assert solves == [(256, False, 0)] * 2 and len(builds) == 2
+        assert solves == [(params, 0)] and [m.shape for m, in eigs] == [(256, 256)]
+        other = replace(params, gamma=0.06)
+        observable_decay(other, current, t_grid=np.linspace(0.5, 5.0, 10))
+        assert solves == [(params, 0), (other, 0)] and len(eigs) == 2
         assert len(threshold._RELAXATION.entries) == 1
+
+    def test_a_probe_after_a_decay_solves_again(self, monkeypatch):
+        # the decay releases the right vectors, which only the probe reads
+        solves = count_calls(monkeypatch, "ptlind.threshold._solve_relaxation")
+        params = XXZParams(3, 0.5, 1.0, 0.05)
+        current = spin_current(3)
+        t_grid = np.linspace(0.5, 5.0, 10)
+        first = observable_decay(params, current, t_grid=t_grid)
+        assert len(solves) == 1 and _relaxation(params, vectors=False).right_vectors is None
+        rho0, omega = coherence_probe_state(params, current)
+        ref_rho0, ref_omega = biortho_probe_state(params, current)
+        assert len(solves) == 2
+        assert np.array_equal(bits(rho0), bits(ref_rho0))
+        assert float.hex(omega) == float.hex(ref_omega)
+        again = observable_decay(params, current, t_grid=t_grid)
+        assert len(solves) == 2
+        assert np.array_equal(bits(again.deviations), bits(first.deviations))
 
     def test_returned_state_is_the_callers(self):
         params = XXZParams(3, 0.5, 1.0, 0.05)
@@ -567,7 +585,9 @@ class TestSharedRelaxationSolve:
         again, _ = coherence_probe_state(params, spin_current(3))
         assert np.array_equal(bits(again), bits(before))
         relax = _relaxation(params)
-        for a in (relax.generator.matrix, relax.eigenvalues, relax.right_vectors, relax.rho_inf):
+        entries = relax.generator
+        kept = (entries.at, entries.values, entries.index, relax.eigenvalues, relax.right_vectors)
+        for a in (*kept, relax.rho_inf):
             assert not a.flags.writeable
 
     def test_signed_zero_coupling_has_its_own_entry(self, monkeypatch):
@@ -588,19 +608,20 @@ class TestSharedRelaxationSolve:
         # more threads than cores, alternating params, with frequent thread switches
         params = [XXZParams(2, 0.5, 1.0, 0.1), XXZParams(2, 0.7, 0.4, 0.2)]
         expected = [biortho_probe_state(p, spin_current(2)) for p in params]
-        failures, in_flight, most, count_lock, eig = [], [0], [0], threading.Lock(), threshold._eig
+        failures, in_flight, most, count_lock = [], [0], [0], threading.Lock()
+        original = threshold._solve_relaxation
 
-        def solve(m, left=True):
+        def solve(p):
             with count_lock:
                 in_flight[0] += 1
                 most[0] = max(most[0], in_flight[0])
             try:
-                return eig(m, left)
+                return original(p)
             finally:
                 with count_lock:
                     in_flight[0] -= 1
 
-        monkeypatch.setattr(threshold, "_eig", solve)
+        monkeypatch.setattr(threshold, "_solve_relaxation", solve)
 
         def work(offset):
             for i in range(40):
@@ -623,3 +644,47 @@ class TestSharedRelaxationSolve:
         assert failures == []
         assert most == [1]  # never two solves at once
         assert len(threshold._RELAXATION.entries) == 1
+
+
+class TestRelaxationMemory:
+    """At n = 4 one N^2 x N^2 complex matrix is 1 MiB.  The recipe holds, at each phase,
+    only what it reads: a probe solve, then a decay on the default grid.  With a dense
+    generator in the slot and scipy's own copy of it in the solve, the phases traced
+    3.55, 2.04 after the probe, 10.1 and 2.04 after the decay."""
+
+    MATRIX = 1024**2
+
+    @pytest.fixture
+    def recipe(self):
+        """Run the probe and the decay from an empty slot; returns what each phase
+        traced above the start, in matrices: (solve peak, held after the probe, stepping
+        peak, held after the decay)."""
+        params = XXZParams(4, 0.5, 1.0, 0.05)
+        current = spin_current(4)
+        observable_decay(XXZParams(2, 0.5, 1.0, 0.1), spin_current(2))  # first-call setup
+        threshold._RELAXATION.entries.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            coherence_probe_state(params, current)
+            probe_held, solve_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            observable_decay(params, current)
+            decay_held, step_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        traced = (solve_peak, probe_held, step_peak, decay_held)
+        return tuple((m - base) / self.MATRIX for m in traced)
+
+    def test_the_solve_scatters_one_matrix_that_zgeev_overwrites(self, recipe):
+        # the matrix and the vectors, and the sorted vectors once the matrix is freed
+        assert recipe[0] <= 2.75
+
+    def test_the_slot_keeps_the_vectors_until_a_decay(self, recipe):
+        # the right vectors, then the generator's entries and the steady state only
+        assert recipe[1] <= 1.1
+        assert recipe[3] <= 0.1
+
+    def test_stepping_holds_no_generator_and_no_vectors(self, recipe):
+        # five Pade slots, the propagator being made and at most two pending ones
+        assert recipe[2] <= 8.25
