@@ -308,6 +308,26 @@ def _observable(params: XXZParams, observable: np.ndarray) -> np.ndarray:
     return obs
 
 
+def _pack(u: np.ndarray) -> tuple:
+    """A square complex matrix as the flat positions and values of its nonzero entries
+    and the packed sign bits of all its real and imaginary parts; :func:`_unpack`
+    restores every word.  The sign bits keep the -0 parts that a step propagator's
+    Pade solve leaves where no squaring follows."""
+    flat = u.reshape(-1)
+    at = np.flatnonzero(flat)
+    return u.shape[0], at, flat[at], np.packbits(np.signbit(flat.view(np.float64)))
+
+
+def _unpack(packed: tuple) -> np.ndarray:
+    """The C-ordered matrix that :func:`_pack` packed, word for word."""
+    n, at, values, signs = packed
+    out = np.zeros((n, n), dtype=complex)
+    flat = out.reshape(-1)
+    flat.view(np.float64)[np.unpackbits(signs, count=2 * n * n).view(bool)] = -0.0
+    flat[at] = values
+    return out
+
+
 def observable_decay(
     params: XXZParams,
     observable: np.ndarray,
@@ -319,7 +339,11 @@ def observable_decay(
     The default initial state is ``(I + obs / (2 |obs|_2)) / N``, which is
     positive for any nonzero Hermitian observable; the default grid is 200 uniform
     points on [0.5, 50].  Repeated grid spacings reuse one step propagator, which is
-    kept from its first step to its last and dropped after it.  An
+    kept from its first step to its last and dropped after it.  Only the propagator of
+    the step being taken is dense: one that a later step reads again is packed
+    (:func:`_pack`) when the grid moves to another spacing and unpacked word for word
+    when it returns, so the products, and the deviations' bits, are those of keeping it
+    dense.  An
     overflow or invalid value while stepping raises :class:`NumericalError`, and so
     does a step propagator ``U`` that does not preserve the trace:
     ``max |vec(I)^T U - vec(I)^T| > 1e-10``, as scipy's ``expm`` returns at huge steps.
@@ -357,25 +381,31 @@ def observable_decay(
     steps = np.diff(np.concatenate(([0.0], t_grid)))
     keys = [round(float(dt), 15) for dt in steps]
     last_step = {key: i for i, key in enumerate(keys)}
-    step_props: dict = {}
+    packed: dict = {}
+    u, u_key = None, None
     x = vec(rho0)
     trace = sup.trace_vector()
     deviations = np.empty(t_grid.size)
     with _numerical_errors("time evolution"):
         for i, (dt, key) in enumerate(zip(steps, keys)):
-            # rebinding u releases a propagator past its last step before expm runs again
-            u = step_props.pop(key, None)
-            if u is None:
-                u = propagator(sup, float(dt)).matrix
-                drift = float(np.abs(trace @ u - trace).max())
-                if not drift <= 1e-10:
-                    raise NumericalError(
-                        f"time evolution failed: the step propagator at dt = {dt:.3e} "
-                        f"drifts {drift:.3e} off the trace, above 1.0e-10"
-                    )
+            if key != u_key:
+                if last_step.get(u_key, -1) > i and u_key not in packed:
+                    packed[u_key] = _pack(u)
+                # the dense propagator is released before the next one is made or unpacked
+                u, u_key = None, key
+                if key in packed:
+                    u = _unpack(packed[key])
+                else:
+                    u = propagator(sup, float(dt)).matrix
+                    drift = float(np.abs(trace @ u - trace).max())
+                    if not drift <= 1e-10:
+                        raise NumericalError(
+                            f"time evolution failed: the step propagator at dt = {dt:.3e} "
+                            f"drifts {drift:.3e} off the trace, above 1.0e-10"
+                        )
             x = u @ x
-            if last_step[key] > i:
-                step_props[key] = u
+            if last_step[key] == i:
+                packed.pop(key, None)
             deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
 
     mask = np.abs(deviations) > 1e-10

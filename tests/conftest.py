@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ptlind import cli
 from ptlind import (
     LindbladModel,
     NumericalError,
@@ -45,6 +46,13 @@ from ptlind.xxz import XXZParams, sector_positions, xxz_model
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def one_blas_thread():
+    """OpenBLAS at one thread in this process from here on, as ``cli.main`` sets it: a
+    test that holds a long BLAS sum to an oracle's bits needs it, whatever ran first."""
+    cli._pin_blas_threads()
 
 
 def single_qubit(omega=1.0, gamma=0.1) -> LindbladModel:

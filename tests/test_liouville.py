@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptlind import (
@@ -719,7 +719,11 @@ class TestGeneratorEntries:
         gamma=st.floats(0.0, 5.0),
         sector=st.sampled_from(["full", "dmz0"]),
     )
+    @example(n=4, delta=0.0, mu=0.0, gamma=2.5818246399476865, sector="full")
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_xxz_chains(self, n, delta, mu, gamma, sector):
+        # the grouped norms give the dense norms' bits at one BLAS thread: past 10,000
+        # positions OpenBLAS splits a ddot between threads
         model = xxz_model(XXZParams(n, delta, mu, gamma))
         parity = xxz_parity(n)
         dense = build_superoperator(model, sector_positions(n, sector))
