@@ -50,8 +50,6 @@ from .liouville import (
 from .operators import SIGMA_MINUS, SIGMA_Z, _refuse_large_parts, _require_chain_length, is_hermitian
 from .perturbation import degeneracy_report, population_matrix
 from .spectral import (
-    DEFAULT_TAU_REL,
-    DEGENERACY_REL_TOL,
     _eigenvalues,
     _LastSolve,
     classify_cross,
@@ -59,6 +57,7 @@ from .spectral import (
 )
 from .symmetry import check_pt, xxz_parity
 from .threshold import find_gamma_pt, observable_decay, scaling_study
+from .tolerances import CLUSTER_REL, HERMITICITY_RESIDUAL, PT_RESIDUAL, TAU_REL
 from .xxz import SECTORS, XXZParams, _largest_parts, sector_positions
 from .xxz import spin_current, xxz_model
 
@@ -66,11 +65,12 @@ __all__ = ["ModelConfig", "parse_config", "write_spectrum_csv", "run_command", "
 
 _MODELS = ("xxz", "single_qubit", "custom")
 
+# the entries of the tolerance table that every report echoes, under these keys
 TOLERANCES = {
-    "tau_rel": DEFAULT_TAU_REL,
-    "pt_residual": 1e-12,
-    "hermiticity_residual": 1e-13,
-    "degeneracy_rel": DEGENERACY_REL_TOL,
+    "tau_rel": TAU_REL,
+    "pt_residual": PT_RESIDUAL,
+    "hermiticity_residual": HERMITICITY_RESIDUAL,
+    "degeneracy_rel": CLUSTER_REL,
 }
 
 

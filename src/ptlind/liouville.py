@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import SectorNotInvariant, ValidationError
 from .operators import _expm, _refuse_large_parts, dagger, is_hermitian
+from .tolerances import SECTOR_REL
 
 __all__ = [
     "LindbladModel",
@@ -158,14 +159,11 @@ def _check_positions(keep, hilbert_dim: int) -> np.ndarray:
     return keep
 
 
-_SECTOR_TOL = 1e-12
-
-
 def _kept(nz: _Nonzeros, keep) -> tuple:
     """``(rows, cols, values)`` of the entries of ``nz`` between the distinct flat
     positions ``keep``, in block rows and columns (their order in ``keep``), under the one
     invariance rule of every block: :class:`SectorNotInvariant` if the largest entry that
-    couples a kept position to a dropped one exceeds ``_SECTOR_TOL`` times the largest
+    couples a kept position to a dropped one exceeds ``SECTOR_REL`` times the largest
     kept entry, that coupling, and 1."""
     keep = _check_positions(keep, nz.hilbert_dim)
     absent = _positions(nz.index, nz.hilbert_dim)[keep] < 0
@@ -176,9 +174,9 @@ def _kept(nz: _Nonzeros, keep) -> tuple:
     kept = (rows >= 0) & (cols >= 0)
     coupling = float(np.abs(nz.values[(rows >= 0) != (cols >= 0)]).max(initial=0.0))
     scale = max(1.0, float(np.abs(nz.values[kept]).max(initial=0.0)), coupling)
-    if coupling > _SECTOR_TOL * scale:
+    if coupling > SECTOR_REL * scale:
         raise SectorNotInvariant(
-            f"cross-sector coupling {coupling:.3e} exceeds {_SECTOR_TOL:.1e} * {scale:.3e}"
+            f"cross-sector coupling {coupling:.3e} exceeds {SECTOR_REL:.1e} * {scale:.3e}"
         )
     return rows[kept], cols[kept], nz.values[kept]
 

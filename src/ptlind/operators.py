@@ -24,6 +24,7 @@ import scipy.linalg
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .errors import NumericalError, ValidationError
+from .tolerances import HERMITIAN_REL
 
 __all__ = [
     "SIGMA_X",
@@ -63,11 +64,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
-    """Whether ``a`` is square, finite and ``|a - a^dag|_F <= 1e-12 max(1, |a|_F)``."""
+    """Whether ``a`` is square, finite and ``|a - a^dag|_F <= HERMITIAN_REL max(1, |a|_F)``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
         return False
-    return bool(np.linalg.norm(a - dagger(a)) <= 1e-12 * max(1.0, np.linalg.norm(a)))
+    return bool(np.linalg.norm(a - dagger(a)) <= HERMITIAN_REL * max(1.0, np.linalg.norm(a)))
 
 
 def _require_integer(value, name: str = "n_sites") -> None:

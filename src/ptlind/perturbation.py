@@ -28,6 +28,7 @@ from .errors import ValidationError
 from .liouville import LindbladModel, _nonzeros, _sparse_sum, _terms, _trace
 from .operators import is_hermitian
 from .spectral import _close_pairs
+from .tolerances import DISSIPATOR_TRACE_REL, ENERGY_DEGENERACY_REL
 
 __all__ = [
     "PerturbationReport",
@@ -62,13 +63,13 @@ def population_matrix(model: LindbladModel) -> PerturbationReport:
     first largest-magnitude component made real positive (reproducible vectors).
 
     ``D + 1`` is meaningful only when ``Tr D = -N^2``; models whose jump operators are not
-    normalised that way (to within ``1e-9 N^2``) are refused.  Its N^2 x N^2 matrix is
-    never formed: ``d_vecs^H (D + 1)`` is taken a block of ``_COLUMNS`` columns at a time,
+    normalised that way (within ``DISSIPATOR_TRACE_REL N^2``) are refused.  The N^2 x N^2
+    matrix is never formed: ``d_vecs^H (D + 1)`` is taken ``_COLUMNS`` columns at a time,
     each scattered from the dissipator's nonzero entries into one reused zeroed block.
     """
     (dis,) = _nonzeros(model.dim, _terms(model)[1])
     n2, tr = dis.dim, _trace(dis)
-    if abs(tr + n2) > 1e-9 * n2:
+    if abs(tr + n2) > DISSIPATOR_TRACE_REL * n2:
         raise ValidationError(
             f"dissipator trace {tr:.6g} is not -N^2 = {-n2}; rescale the jump operators"
         )
@@ -130,7 +131,7 @@ class DegeneracyReport:
 
 
 def degeneracy_report(hamiltonian: np.ndarray) -> DegeneracyReport:
-    """List energy pairs and gap pairs that agree within ``tol = 1e-9 max(1, |H|_F)``.
+    """List energy and gap pairs that agree within ``tol = ENERGY_DEGENERACY_REL max(1, |H|_F)``.
 
     Energies are sorted ascending.  Pairs come in row-major order of their
     indices; at most the first 500 gap pairs are listed.
@@ -139,7 +140,7 @@ def degeneracy_report(hamiltonian: np.ndarray) -> DegeneracyReport:
     if not is_hermitian(h):
         raise ValidationError("Hamiltonian is not Hermitian")
     energies = np.linalg.eigh(h)[0]
-    tol = 1e-9 * max(1.0, float(np.linalg.norm(h)))
+    tol = ENERGY_DEGENERACY_REL * max(1.0, float(np.linalg.norm(h)))
     j, k = np.triu_indices(energies.size, 1)
     gaps = energies[k] - energies[j]
     ends = list(zip(j.tolist(), k.tolist()))

@@ -11,7 +11,7 @@ decomposition this module provides
 * verification that the spectrum is symmetric under reflection across both
   lines, with greedy one-to-one pairing.
 
-Degenerate eigenvalues (within 1e-8 of the spectral radius) are clustered;
+Degenerate eigenvalues (within ``CLUSTER_REL`` of the spectral radius) are clustered;
 clustered members are exempt from bi-orthonormalisation, and reported as such.
 The eigenvector partner relations behind the two reflections are checked by
 ``tests/conftest.py::pt_partner_check``, which no command calls.
@@ -30,6 +30,7 @@ from scipy.linalg import lapack
 
 from .errors import ConvergenceFailure, NoZeroMode, ValidationError
 from .liouville import SuperOperator, _largest_part
+from .tolerances import CLUSTER_REL, DEFECTIVE_OVERLAP, TAU_REL, VANISHING_TRACE, ZERO_MODE_REL
 
 __all__ = [
     "SpectralDecomposition",
@@ -41,9 +42,6 @@ __all__ = [
     "verify_d2",
 ]
 
-# Per unit spectral radius: distance to a symmetry line, and degeneracy gap.
-DEFAULT_TAU_REL = 1e-8
-DEGENERACY_REL_TOL = 1e-8
 _CLUSTER_ROWS = 128
 
 
@@ -243,15 +241,15 @@ def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
     w, vl, vr = _eig(m)
 
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    clusters = _cluster_close_eigenvalues(w, DEGENERACY_REL_TOL * scale)
+    clusters = _cluster_close_eigenvalues(w, CLUSTER_REL * scale)
     simple = ~np.isin(np.arange(w.size), [i for g in clusters for i in g])
 
     # LAPACK returns left vectors x with x^H m = lambda x^H, i.e. m^dag x = conj(lambda) x.
-    # Rescale v so that <u, v> = 1 for every simple pair; pairs with |<u, v>| < 1e-14
-    # are numerically defective and stay unnormalised.
+    # Rescale v so that <u, v> = 1 for every simple pair; pairs with |<u, v>| below
+    # DEFECTIVE_OVERLAP are numerically defective and stay unnormalised.
     _unit_columns(vr)
     d = np.einsum("ij,ij->j", vr.conj(), vl)
-    vl /= np.where(simple & (np.abs(d) >= 1e-14), d, 1.0)
+    vl /= np.where(simple & (np.abs(d) >= DEFECTIVE_OVERLAP), d, 1.0)
     mv = m @ vr
     # column by column: on the residual, norm(axis=0) holds two n x n temporaries
     residuals = np.array([np.linalg.norm(mv[:, k] - w[k] * vr[:, k]) for k in range(w.size)])
@@ -270,20 +268,21 @@ def eig_biortho(sup: SuperOperator) -> SpectralDecomposition:
 
 def _zero_index(eigenvalues: np.ndarray, matrix_norm: float) -> int:
     """Position of the smallest ``|eigenvalue|``, refused with :class:`NoZeroMode`
-    unless it lies within ``1e-9 * max(1, matrix_norm)`` of zero and the second
+    unless it lies within ``ZERO_MODE_REL * max(1, matrix_norm)`` of zero and the second
     smallest does not (a degenerate zero mode has no one steady state)."""
     mod = np.abs(eigenvalues)
     k = int(np.argmin(mod))
-    tol = 1e-9 * max(1.0, matrix_norm)
+    tol = ZERO_MODE_REL * max(1.0, matrix_norm)
     if mod[k] > tol:
         raise NoZeroMode(
-            f"smallest |eigenvalue| is {mod[k]:.3e}, above 1.0e-09 * {matrix_norm:.3e}"
+            f"smallest |eigenvalue| is {mod[k]:.3e}, "
+            f"above {ZERO_MODE_REL:.1e} * {matrix_norm:.3e}"
         )
     second = np.partition(mod, 1)[1] if mod.size > 1 else np.inf
     if second <= tol:
         raise NoZeroMode(
             f"zero mode is degenerate: the two smallest |eigenvalue|s {mod[k]:.3e} and "
-            f"{second:.3e} are both within 1.0e-09 * {matrix_norm:.3e}"
+            f"{second:.3e} are both within {ZERO_MODE_REL:.1e} * {matrix_norm:.3e}"
         )
     return k
 
@@ -300,7 +299,7 @@ def _zero_mode(
     u = right_vectors[:, k]
     j, kk = np.divmod(index, hilbert_dim)
     trace = sum(u[j == kk])
-    if abs(trace) < 1e-300:
+    if abs(trace) < VANISHING_TRACE:
         raise NoZeroMode("zero mode has vanishing trace; cannot normalise to a state")
     return k, u / trace
 
@@ -309,7 +308,7 @@ def steady_state(dec: SpectralDecomposition) -> np.ndarray:
     """Right null vector rescaled to unit trace.
 
     Raises :class:`NoZeroMode` unless an eigenvalue within
-    ``1e-9 * max(1, matrix_norm)`` of zero exists.
+    ``ZERO_MODE_REL * max(1, matrix_norm)`` of zero exists.
     """
     return _zero_mode(
         dec.eigenvalues, dec.right_vectors, dec.index, dec.hilbert_dim, dec.matrix_norm
@@ -344,7 +343,7 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def classify_cross(
-    eigenvalues: np.ndarray, gamma_bar: float, tau_rel: float = DEFAULT_TAU_REL
+    eigenvalues: np.ndarray, gamma_bar: float, tau_rel: float = TAU_REL
 ) -> CrossClassification:
     """Assign every eigenvalue to the horizontal line, the vertical line, or neither."""
     w = np.asarray(eigenvalues, dtype=complex)

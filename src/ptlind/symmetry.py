@@ -32,6 +32,7 @@ from .liouville import (
     SuperOperator, _entries, _grouped_norm, _kept, _nonzeros, _sparse_sum, average_damping,
 )
 from .operators import dagger, site_reversal, site_operator
+from .tolerances import INVOLUTION_REL, UNITARITY_REL
 
 __all__ = [
     "ParitySuperOp",
@@ -75,7 +76,7 @@ def parity_from_pair(a: np.ndarray, b: np.ndarray) -> ParitySuperOp:
 
     ``a`` and ``b`` must be unitary and the map must square to the identity
     (that is, a^2 and b^2 are reciprocal phases): the Frobenius residuals may
-    reach 1e-12 N and 1e-12 N^2.
+    reach ``UNITARITY_REL`` N and ``INVOLUTION_REL`` N^2.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -84,10 +85,10 @@ def parity_from_pair(a: np.ndarray, b: np.ndarray) -> ParitySuperOp:
     dim = a.shape[0]
     eye = np.eye(dim)
     unit = max(np.linalg.norm(dagger(a) @ a - eye), np.linalg.norm(dagger(b) @ b - eye))
-    if unit > 1e-12 * dim:
+    if unit > UNITARITY_REL * dim:
         raise NotUnitary(f"operator pair is not unitary (residual {unit:.3e})")
     invol = _kron_identity_residual(a @ a, (b @ b).T)
-    if invol > 1e-12 * dim * dim:
+    if invol > INVOLUTION_REL * dim * dim:
         raise NotInvolution(f"parity map does not square to identity (residual {invol:.3e})")
     return ParitySuperOp(a, b, invol, float(unit))
 

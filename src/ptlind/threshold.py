@@ -34,7 +34,6 @@ from .liouville import (
 )
 from .operators import _numerical_errors, _require_integer, dagger, is_hermitian, unvec, vec
 from .spectral import (
-    DEFAULT_TAU_REL,
     CrossClassification,
     _LastSolve,
     _eig,
@@ -43,6 +42,9 @@ from .spectral import (
     _unit_columns,
     _zero_mode,
     classify_cross,
+)
+from .tolerances import (
+    FIT_FLOOR, PROBE_FREQUENCY, PROBE_POSITIVITY, RHO0_TRACE, STEP_DRIFT, TAU_REL,
 )
 from .xxz import XXZParams, sector_positions, xxz_model
 
@@ -76,7 +78,7 @@ def _probe(a: np.ndarray, d: np.ndarray, gamma: float, tau_rel: float) -> tuple:
 
 
 def is_unbroken(
-    params: XXZParams, sector: str = "dmz0", tau_rel: float = DEFAULT_TAU_REL
+    params: XXZParams, sector: str = "dmz0", tau_rel: float = TAU_REL
 ) -> tuple[bool, CrossClassification]:
     """Whether the whole (sector) spectrum lies on the cross at this coupling."""
     return _probe(*_parts(params, sector), params.gamma, tau_rel)
@@ -105,7 +107,7 @@ def find_gamma_pt(
     gamma_max: float,
     sector: str = "dmz0",
     rel_precision: float = 1e-3,
-    tau_rel: float = DEFAULT_TAU_REL,
+    tau_rel: float = TAU_REL,
 ) -> ThresholdResult:
     """Bisect the off-cross-empty predicate between the two couplings.
 
@@ -196,7 +198,7 @@ def scaling_study(
     gamma_min: float = 1e-3,
     gamma_max: float = 20.0,
     sector: str = "dmz0",
-    tau_rel: float = DEFAULT_TAU_REL,
+    tau_rel: float = TAU_REL,
 ) -> ScalingResult:
     """Threshold per chain length plus the slope of ln(threshold) vs length.
 
@@ -231,7 +233,7 @@ class DecayResult:
     """Deviation time series of one observable and its fitted decay rate.
 
     The rate comes from linear regression of ``log |deviation|`` against
-    time over the points where the deviation exceeds 1e-10, skipping
+    time over the points where the deviation exceeds ``FIT_FLOOR``, skipping
     the first 5% of the grid (transients from population-sector
     admixture); ``nan`` when fewer than two points survive.
     """
@@ -343,10 +345,9 @@ def observable_decay(
     the step being taken is dense: one that a later step reads again is packed
     (:func:`_pack`) when the grid moves to another spacing and unpacked word for word
     when it returns, so the products, and the deviations' bits, are those of keeping it
-    dense.  An
-    overflow or invalid value while stepping raises :class:`NumericalError`, and so
-    does a step propagator ``U`` that does not preserve the trace:
-    ``max |vec(I)^T U - vec(I)^T| > 1e-10``, as scipy's ``expm`` returns at huge steps.
+    dense.  An overflow or invalid value while stepping raises :class:`NumericalError`,
+    and so does a step propagator ``U`` that does not preserve the trace:
+    ``max |vec(I)^T U - vec(I)^T| > STEP_DRIFT``, as scipy's ``expm`` returns at huge steps.
     The propagators are made from the generator's entries, and the shared solve's right
     vectors are released before the first step: a :func:`coherence_probe_state` before
     this call shares its solve, one after it on the same params solves again.
@@ -365,7 +366,7 @@ def observable_decay(
         raise ValidationError("rho0 must be finite")
     if not is_hermitian(rho0):
         raise ValidationError("rho0 must be Hermitian")
-    if abs(np.trace(rho0) - 1.0) > 1e-9:
+    if abs(np.trace(rho0) - 1.0) > RHO0_TRACE:
         raise ValidationError(f"rho0 must have unit trace, got {np.trace(rho0):.6g}")
     if t_grid is None:
         t_grid = np.linspace(0.5, 50.0, 200)
@@ -398,17 +399,17 @@ def observable_decay(
                 else:
                     u = propagator(sup, float(dt)).matrix
                     drift = float(np.abs(trace @ u - trace).max())
-                    if not drift <= 1e-10:
+                    if not drift <= STEP_DRIFT:
                         raise NumericalError(
                             f"time evolution failed: the step propagator at dt = {dt:.3e} "
-                            f"drifts {drift:.3e} off the trace, above 1.0e-10"
+                            f"drifts {drift:.3e} off the trace, above {STEP_DRIFT:.1e}"
                         )
             x = u @ x
             if last_step[key] == i:
                 packed.pop(key, None)
             deviations[i] = np.trace((unvec(x) - rho_inf) @ obs).real
 
-    mask = np.abs(deviations) > 1e-10
+    mask = np.abs(deviations) > FIT_FLOOR
     mask[: int(0.05 * t_grid.size)] = False
     rate = float("nan")
     if int(mask.sum()) >= 2:
@@ -443,7 +444,7 @@ def coherence_probe_state(params: XXZParams, observable: np.ndarray) -> tuple[np
     w, vr = relax.eigenvalues, relax.right_vectors
     best, best_overlap = None, 0.0
     for k in range(w.size):
-        if k == relax.zero_mode or abs(w[k].imag) < 1e-12:
+        if k == relax.zero_mode or abs(w[k].imag) < PROBE_FREQUENCY:
             continue
         overlap = abs(np.trace(unvec(vr[:, k]) @ obs))
         if overlap > best_overlap:
@@ -455,6 +456,6 @@ def coherence_probe_state(params: XXZParams, observable: np.ndarray) -> tuple[np
     pert = pert / np.linalg.norm(pert, 2)
     rho0 = relax.rho_inf + _PROBE_WEIGHT * pert
     rho0 = (rho0 + dagger(rho0)) / 2.0
-    if np.linalg.eigvalsh(rho0).min() < -1e-12:
+    if np.linalg.eigvalsh(rho0).min() < -PROBE_POSITIVITY:
         raise ValidationError(f"probe weight {_PROBE_WEIGHT} makes the state non-positive")
     return rho0, float(abs(w[best].imag))

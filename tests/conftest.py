@@ -35,11 +35,11 @@ from ptlind.operators import (
     vec,
 )
 from ptlind.liouville import (
-    _SECTOR_TOL, _assemble, _at_coupling, _block, _conjugate_rows, _nonzeros, _positions, _split,
-    _terms,
+    _assemble, _at_coupling, _block, _conjugate_rows, _nonzeros, _positions, _split, _terms,
 )
 from ptlind.spectral import _eigenvalues, _zero_index
 from ptlind.symmetry import _parity_block, _require_same_space, _sandwich
+from ptlind.tolerances import SECTOR_REL
 from ptlind.xxz import XXZParams, sector_positions, xxz_model
 
 
@@ -451,9 +451,9 @@ def dense_sector_restrict(sup: SuperOperator, keep) -> SuperOperator:
         np.abs(sup.matrix[np.ix_(dropped, idx)]).max(initial=0.0),
     ))
     scale = max(1.0, float(np.abs(block).max(initial=0.0)), coupling)
-    if coupling > _SECTOR_TOL * scale:
+    if coupling > SECTOR_REL * scale:
         raise SectorNotInvariant(
-            f"cross-sector coupling {coupling:.3e} exceeds {_SECTOR_TOL:.1e} * {scale:.3e}"
+            f"cross-sector coupling {coupling:.3e} exceeds {SECTOR_REL:.1e} * {scale:.3e}"
         )
     return SuperOperator(block, sup.hilbert_dim, keep)
 

@@ -1,7 +1,7 @@
 """The functions of ``src/ptlind`` that no command and no recipe enters, and the
 statements of the entered ones that never run.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 COLUMNS=80 python tests/reach.py
+    OPENBLAS_NUM_THREADS=1 COLUMNS=80 python tests/reach.py
 
 Runs every case of the byte table (``cli_bytes.py``) and the relaxation recipe of
 acceptance criterion 10 under a ``sys.settrace`` hook that traces lines in
@@ -11,7 +11,7 @@ included), and the totals; then, for each entered function, the first lines of i
 statements that never ran, ``raise`` statements left out, with their count.  A function
 or statement listed here is reached only by tests, if at all.
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/reach.py --tests
+    OPENBLAS_NUM_THREADS=1 python tests/reach.py --tests
 
 runs the test suite instead, in this process (``pytest.main``, with the hook set for
 every thread too) and without acceptance 9b, which fails by design; the listing after
@@ -28,6 +28,8 @@ import threading
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+# the checkout's package comes first, as the pytest config in pyproject.toml puts it
+sys.path.insert(0, str(HERE.parent / "src"))
 
 # statement fields that hold nested statements
 _BODIES = ("body", "orelse", "finalbody", "handlers")

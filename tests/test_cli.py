@@ -1,4 +1,6 @@
 import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from ptlind import (
     NumericalError,
     ParseError,
     SchemaError,
+    SuperOperator,
     ValidationError,
     XXZParams,
     average_damping,
@@ -23,7 +26,7 @@ from ptlind import (
     eig_biortho,
     verify_d2,
 )
-from ptlind import cli, threshold
+from ptlind import cli, threshold, tolerances
 from ptlind.cli import TOLERANCES, _report, main, parse_config, write_spectrum_csv
 from ptlind.spectral import SpectralDecomposition
 
@@ -964,6 +967,49 @@ def test_echoed_tolerances_are_pinned(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["tolerances"] == TOLERANCES
     assert main(["perturb", "--config", cfg, "--out-v", str(tmp_path / "v.csv")]) == 0
     assert json.loads(capsys.readouterr().out)["tolerances"] == TOLERANCES
+
+
+def test_table_entries_are_pinned():
+    # a change to any entry moves a verdict or a refusal
+    assert {name: value for name, value in vars(tolerances).items() if name.isupper()} == {
+        "HERMITIAN_REL": 1e-12,
+        "SECTOR_REL": 1e-12,
+        "DISSIPATOR_TRACE_REL": 1e-9,
+        "ENERGY_DEGENERACY_REL": 1e-9,
+        "TAU_REL": 1e-8,
+        "CLUSTER_REL": 1e-8,
+        "DEFECTIVE_OVERLAP": 1e-14,
+        "ZERO_MODE_REL": 1e-9,
+        "VANISHING_TRACE": 1e-300,
+        "UNITARITY_REL": 1e-12,
+        "INVOLUTION_REL": 1e-12,
+        "RHO0_TRACE": 1e-9,
+        "STEP_DRIFT": 1e-10,
+        "FIT_FLOOR": 1e-10,
+        "PROBE_FREQUENCY": 1e-12,
+        "PROBE_POSITIVITY": 1e-12,
+        "PT_RESIDUAL": 1e-12,
+        "HERMITICITY_RESIDUAL": 1e-13,
+    }
+    # what a report echoes is what classify_cross and eig_biortho cut at
+    assert inspect.signature(classify_cross).parameters["tau_rel"].default == TOLERANCES["tau_rel"]
+    cut = TOLERANCES["degeneracy_rel"]  # times max(1, max |lambda|) = 1 here
+    for gap, clusters in ((0.9 * cut, 1), (1.1 * cut, 0)):
+        dec = eig_biortho(SuperOperator(np.diag([0.0, 0.5, 0.5 + gap, 1.0]), 2))
+        assert len(dec.clusters) == clusters, gap
+
+
+def test_no_tolerance_literal_outside_the_table():
+    # a number in (0, 1e-6] in the code is a tolerance, and is stated in ptlind.tolerances
+    source = Path(__file__).resolve().parent.parent / "src" / "ptlind"
+    literals = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(source.glob("*.py")) if path.name != "tolerances.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+        and 0 < abs(node.value) <= 1e-6
+    ]
+    assert literals == []
 
 
 class TestRunFromCheckout:

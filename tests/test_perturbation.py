@@ -17,6 +17,7 @@ from ptlind import (
     population_matrix,
     sector_restrict,
 )
+from ptlind import perturbation
 from ptlind.operators import SIGMA_MINUS, SIGMA_Z, site_operator
 from ptlind.xxz import XXZParams, sector_basis, xxz_model
 
@@ -105,6 +106,18 @@ class TestPopulationMatrix:
         assert np.array_equal(bits(rep.v_matrix), bits(v_raw.real))
         assert rep.reality_defect == np.abs(v_raw.imag).max()
         assert rep.symmetry_defect == np.abs(v_raw - v_raw.T).max()
+
+    @pytest.mark.parametrize("dim, width", [(3, 4), (5, 4), (5, 8), (7, 8)])
+    def test_last_single_column_joins_the_block_before(self, monkeypatch, one_blas_thread,
+                                                        dim, width):
+        # dim^2 = 1 (mod width): the last block is width + 1 columns, not one column
+        model = _uneven_blocks(dim)
+        monkeypatch.setattr(perturbation, "_COLUMNS", dim * dim)
+        whole = population_matrix(model)
+        monkeypatch.setattr(perturbation, "_COLUMNS", width)
+        blocks = population_matrix(model)
+        assert np.array_equal(bits(blocks.v_matrix), bits(whole.v_matrix))
+        assert np.array_equal(bits(blocks.xi), bits(whole.xi))
 
     def test_unnormalised_model_refused(self):
         # with the oracle's message, before any product
